@@ -1,6 +1,8 @@
 #include "jedule/model/composite.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -145,61 +147,192 @@ void sweep_slab(const Slab& slab, GroupMap& groups) {
   }
 }
 
-// Cuts each cluster's host axis at every allocation boundary and builds the
-// per-slab interval lists. Within a slab every host sees the same intervals,
-// so the sweep cost scales with the number of distinct host ranges, not the
-// number of hosts a range spans.
-std::vector<Slab> build_slabs(
-    const std::map<int, std::vector<Entry>>& per_cluster) {
-  std::vector<Slab> slabs;
-  for (const auto& [cluster_id, entries] : per_cluster) {
-    int max_end = 0;
-    for (const auto& entry : entries) {
-      max_end = std::max(max_end, entry.range.start + entry.range.nb);
-    }
+// One entry as the overlap pre-pass visits it: times, index, and the slabs
+// [k0, k1) its host range covers.
+struct Visit {
+  Time begin;
+  Time end;
+  std::uint32_t entry, k0, k1;
+};
 
-    // Boundary values are host indices, so when they are dense relative to
-    // the entry count a bucket pass replaces the O(E log E) sort and the
-    // per-entry binary searches; sparse/huge clusters fall back to sorting.
-    std::vector<int> cuts;
-    std::vector<std::size_t> cut_index;  // value -> position in `cuts`
-    const std::size_t bound = static_cast<std::size_t>(max_end) + 1;
-    const bool dense = bound <= entries.size() * 4 + 1024;
-    if (dense) {
-      std::vector<char> mark(bound, 0);
-      for (const auto& entry : entries) {
-        mark[static_cast<std::size_t>(entry.range.start)] = 1;
-        mark[static_cast<std::size_t>(entry.range.start + entry.range.nb)] = 1;
+// One cluster's host axis cut at every allocation boundary: slab k spans
+// hosts [cuts[k], cuts[k+1]). Within a slab every host sees the same
+// intervals, so the sweep cost scales with the number of distinct host
+// ranges, not the number of hosts a range spans.
+struct HostCuts {
+  std::vector<int> cuts;
+  std::vector<Visit> visits;  // one per entry, in entry order
+  std::size_t slab_visits = 0;  // sum of k1 - k0: the marking pass's work
+};
+
+HostCuts cut_host_axis(const std::vector<Entry>& entries) {
+  int max_end = 0;
+  for (const auto& entry : entries) {
+    max_end = std::max(max_end, entry.range.start + entry.range.nb);
+  }
+
+  // Boundary values are host indices, so when they are dense relative to
+  // the entry count a bucket pass replaces the O(E log E) sort and the
+  // per-entry binary searches; sparse/huge clusters fall back to sorting.
+  HostCuts out;
+  auto& cuts = out.cuts;
+  std::vector<std::uint32_t> cut_index;  // value -> position in `cuts`
+  const std::size_t bound = static_cast<std::size_t>(max_end) + 1;
+  const bool dense = bound <= entries.size() * 4 + 1024;
+  if (dense) {
+    std::vector<char> mark(bound, 0);
+    for (const auto& entry : entries) {
+      mark[static_cast<std::size_t>(entry.range.start)] = 1;
+      mark[static_cast<std::size_t>(entry.range.start + entry.range.nb)] = 1;
+    }
+    cut_index.assign(bound, 0);
+    for (std::size_t v = 0; v < bound; ++v) {
+      if (mark[v]) {
+        cut_index[v] = static_cast<std::uint32_t>(cuts.size());
+        cuts.push_back(static_cast<int>(v));
       }
-      cut_index.assign(bound, 0);
-      for (std::size_t v = 0; v < bound; ++v) {
-        if (mark[v]) {
-          cut_index[v] = cuts.size();
-          cuts.push_back(static_cast<int>(v));
+    }
+  } else {
+    cuts.reserve(entries.size() * 2);
+    for (const auto& entry : entries) {
+      cuts.push_back(entry.range.start);
+      cuts.push_back(entry.range.start + entry.range.nb);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  }
+  const auto index_of = [&](int value) {
+    if (dense) return cut_index[static_cast<std::size_t>(value)];
+    // Both bounds are cuts, so lower_bound lands exactly on them.
+    return static_cast<std::uint32_t>(
+        std::lower_bound(cuts.begin(), cuts.end(), value) - cuts.begin());
+  };
+  // Slab indices stay below 2 * entries, so 32 bits hold every index.
+  JED_ASSERT(entries.size() < std::numeric_limits<std::uint32_t>::max() / 2);
+  out.visits.reserve(entries.size());
+  for (std::size_t e = 0; e < entries.size(); ++e) {
+    const Entry& entry = entries[e];
+    out.visits.push_back({entry.interval.begin, entry.interval.end,
+                          static_cast<std::uint32_t>(e),
+                          index_of(entry.range.start),
+                          index_of(entry.range.start + entry.range.nb)});
+    out.slab_visits += out.visits.back().k1 - out.visits.back().k0;
+  }
+  return out;
+}
+
+// `begin` as bits whose unsigned order is time order (-0.0 folded into
+// +0.0, so equal times give equal bits).
+std::uint64_t begin_bits(const Visit& v) {
+  const Time t = v.begin + 0.0;
+  std::uint64_t u;
+  std::memcpy(&u, &t, sizeof u);
+  return (u >> 63) ? ~u : u | (std::uint64_t{1} << 63);
+}
+
+// Puts the visits (laid out by entry index) in (begin, entry index) order
+// with a stable LSD radix sort on begin_bits, 11-bit digits. Up to
+// `threads` contiguous chunks count and scatter their own visits in
+// parallel; offsets are laid out digit-major, chunk-minor, so every
+// chunking yields the one stable order. Digits shared by every visit are
+// skipped.
+void sort_visits(std::vector<Visit>& visits, int threads) {
+  const std::size_t n = visits.size();
+  const std::size_t chunks =
+      std::min<std::size_t>(std::max<std::size_t>(n, 1),
+                            static_cast<std::size_t>(std::max(threads, 1)));
+  const auto bound = [&](std::size_t c) { return n * c / chunks; };
+  std::uint64_t varying = 0;  // bits that differ between some visits
+  for (const Visit& v : visits) {
+    varying |= begin_bits(v) ^ begin_bits(visits[0]);
+  }
+  std::vector<std::vector<std::size_t>> at(chunks);
+  std::vector<Visit> buffer(n);
+  for (int shift = 0; shift < 64; shift += 11) {
+    if (((varying >> shift) & 2047) == 0) continue;
+    const auto digit = [shift](const Visit& v) {
+      return (begin_bits(v) >> shift) & 2047;
+    };
+    util::parallel_for(chunks, threads, [&](std::size_t c) {
+      at[c].assign(2048, 0);
+      for (std::size_t i = bound(c); i < bound(c + 1); ++i) {
+        ++at[c][digit(visits[i])];
+      }
+    });
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < 2048; ++b) {
+      for (auto& count : at) sum += std::exchange(count[b], sum);
+    }
+    util::parallel_for(chunks, threads, [&](std::size_t c) {
+      for (std::size_t i = bound(c); i < bound(c + 1); ++i) {
+        buffer[at[c][digit(visits[i])]++] = visits[i];
+      }
+    });
+    visits.swap(buffer);
+  }
+}
+
+// Overlap pre-pass: sorts `cut.visits` and marks every entry that shares a
+// slab with another entry for some instant; an empty result means no entry
+// overlaps. Each slab keeps the latest end seen so far and the entry owning
+// it; an entry beginning before that end overlaps the owner, so both are
+// marked (why this marks every overlapping entry: DESIGN.md §4c). Sharded
+// over contiguous slab ranges, each shard owning its slabs' state, with the
+// per-shard marks OR-merged.
+std::vector<char> mark_overlaps(HostCuts& cut, int threads) {
+  sort_visits(cut.visits, threads);
+  const std::size_t slabs = cut.cuts.size() - 1;
+  // A shard per ~1M slab visits at most: each shard streams every visit.
+  const std::size_t shards =
+      std::min({slabs, static_cast<std::size_t>(std::max(threads, 1)),
+                1 + cut.slab_visits / (std::size_t{1} << 20)});
+  std::vector<Time> latest(slabs, -std::numeric_limits<Time>::infinity());
+  std::vector<std::uint32_t> owner(slabs, 0);
+  std::vector<std::vector<char>> marks(shards);  // allocated on first mark
+  util::parallel_for(shards, threads, [&](std::size_t s) {
+    const std::size_t lo = slabs * s / shards;
+    const std::size_t hi = slabs * (s + 1) / shards;
+    auto& mark = marks[s];
+    for (const Visit& v : cut.visits) {
+      const std::size_t k1 = std::min<std::size_t>(v.k1, hi);
+      for (std::size_t k = std::max<std::size_t>(v.k0, lo); k < k1; ++k) {
+        if (v.begin < latest[k]) {
+          if (mark.empty()) mark.assign(cut.visits.size(), 0);
+          mark[v.entry] = mark[owner[k]] = 1;
+        }
+        if (v.end > latest[k]) {
+          latest[k] = v.end;
+          owner[k] = v.entry;
         }
       }
-    } else {
-      cuts.reserve(entries.size() * 2);
-      for (const auto& entry : entries) {
-        cuts.push_back(entry.range.start);
-        cuts.push_back(entry.range.start + entry.range.nb);
-      }
-      std::sort(cuts.begin(), cuts.end());
-      cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
     }
-    const auto index_of = [&](int value) {
-      if (dense) return cut_index[static_cast<std::size_t>(value)];
-      // Both bounds are cuts, so lower_bound lands exactly on them.
-      return static_cast<std::size_t>(
-          std::lower_bound(cuts.begin(), cuts.end(), value) - cuts.begin());
-    };
+  });
+  std::vector<char> out;
+  for (auto& mark : marks) {
+    if (out.empty()) out.swap(mark);
+    for (std::size_t e = 0; e < mark.size(); ++e) out[e] |= mark[e];
+  }
+  return out;
+}
 
+// Builds the per-slab interval lists from the overlapping entries only. An
+// entry that overlaps nothing is never part of a multi-occupied region, so
+// dropping it changes no segment; slabs left with fewer than two intervals
+// are skipped, and a cluster without overlap yields no slabs at all.
+std::vector<Slab> build_slabs(
+    const std::map<int, std::vector<Entry>>& per_cluster, int threads) {
+  std::vector<Slab> slabs;
+  for (const auto& [cluster_id, entries] : per_cluster) {
+    HostCuts cut = cut_host_axis(entries);
+    const std::vector<char> marked = mark_overlaps(cut, threads);
+    if (marked.empty()) continue;
+
+    const auto& cuts = cut.cuts;
     std::vector<std::vector<Interval>> lists(cuts.size() - 1);
-    for (const auto& entry : entries) {
-      const std::size_t k0 = index_of(entry.range.start);
-      const std::size_t k1 = index_of(entry.range.start + entry.range.nb);
-      for (std::size_t k = k0; k < k1; ++k) {
-        lists[k].push_back(entry.interval);
+    for (const Visit& v : cut.visits) {
+      if (!marked[v.entry]) continue;
+      for (std::size_t k = v.k0; k < v.k1; ++k) {
+        lists[k].push_back(entries[v.entry].interval);
       }
     }
     for (std::size_t k = 0; k + 1 < cuts.size(); ++k) {
@@ -233,7 +366,7 @@ GroupMap sweep_groups(const std::map<int, std::vector<Entry>>& per_cluster,
                       int threads) {
   // Slabs are emitted in ascending (cluster, host) order so the sweep can be
   // partitioned into contiguous shards, one per worker slot.
-  std::vector<Slab> slabs = build_slabs(per_cluster);
+  std::vector<Slab> slabs = build_slabs(per_cluster, threads);
 
   const std::size_t shards = std::min<std::size_t>(
       slabs.size(), threads < 1 ? 1 : static_cast<std::size_t>(threads));
@@ -428,21 +561,34 @@ std::vector<Composite> append_composites(
 bool has_resource_conflicts(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task) {
-  return !synthesize_composites(schedule, include_task).empty();
+  const auto& tasks = schedule.tasks();
+  std::map<int, std::vector<Entry>> per_cluster;
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    add_task_entries(tasks, i, include_task, &per_cluster);
+  }
+  // Some entry is marked exactly when some composite exists.
+  return std::any_of(per_cluster.begin(), per_cluster.end(), [](auto& c) {
+    HostCuts cut = cut_host_axis(c.second);
+    return !mark_overlaps(cut, 1).empty();
+  });
 }
 
 Schedule with_composites(const Schedule& schedule) {
   Schedule out = schedule;
   auto composites = synthesize_composites(schedule);
   // Composite ids are concatenations of member ids; when the same member set
-  // overlaps in several disjoint rectangles the id would repeat, so a
-  // disambiguating suffix keeps task ids unique (validate() requires it).
-  std::map<std::string, int> seen;
+  // overlaps in several disjoint rectangles the id would repeat, and a
+  // schedule task may already carry it, so a disambiguating suffix keeps
+  // task ids unique (validate() requires it).
+  std::set<std::string> taken;
+  for (const auto& t : schedule.tasks()) taken.insert(t.id());
+  std::map<std::string, int> suffix;
   for (auto& comp : composites) {
     Task t = std::move(comp.task);
-    int& n = seen[t.id()];
-    if (n > 0) t.set_id(t.id() + "#" + std::to_string(n));
-    ++n;
+    const std::string base = t.id();
+    for (int& n = suffix[base]; !taken.insert(t.id()).second;) {
+      t.set_id(base + "#" + std::to_string(++n));
+    }
     t.set_property("members", util::join(comp.member_ids, ","));
     std::vector<std::string> types(comp.member_types.begin(),
                                    comp.member_types.end());

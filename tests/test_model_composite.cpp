@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
 #include <set>
+#include <tuple>
 
 #include "jedule/model/builder.hpp"
 #include "jedule/model/task_index.hpp"
 #include "jedule/util/rng.hpp"
+#include "jedule/util/strings.hpp"
 
 namespace jedule::model {
 namespace {
@@ -180,6 +185,26 @@ TEST(WithComposites, DisambiguatesRepeatedMemberSets) {
   EXPECT_EQ(s.tasks().size(), 5u);  // 3 tasks + 2 composites
 }
 
+TEST(WithComposites, AvoidsIdsAlreadyInTheSchedule) {
+  // Tasks 1 and 2 overlap; the schedule already names tasks "1+2" and
+  // "1+2#1", so the composite must take the next free suffix.
+  const Schedule s = with_composites(ScheduleBuilder()
+                                         .cluster(0, "c", 2)
+                                         .task("1", "t", 0, 2)
+                                         .on(0, 0, 1)
+                                         .task("2", "t", 1, 3)
+                                         .on(0, 0, 1)
+                                         .task("1+2", "t", 0, 3)
+                                         .on(0, 1, 1)
+                                         .task("1+2#1", "t", 3, 4)
+                                         .on(0, 1, 1)
+                                         .build());
+  EXPECT_NO_THROW(s.validate());
+  ASSERT_EQ(s.tasks().size(), 5u);
+  EXPECT_EQ(s.tasks().back().id(), "1+2#2");
+  EXPECT_EQ(s.tasks().back().property("members"), "1,2");
+}
+
 // Property test: on random single-cluster schedules, composites cover
 // exactly the multi-occupied instants (checked by dense sampling).
 class CompositeProperty : public ::testing::TestWithParam<int> {};
@@ -335,6 +360,299 @@ TEST_P(CompositeAppend, ExtensionMatchesFullResweep) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompositeAppend, ::testing::Range(1, 7));
+
+// Reference for the slab sweep and its overlap pre-pass: every (cluster,
+// host) on its own. Each elementary interval between consecutive event
+// times of a host with >= 2 active allocations is a segment; segments with
+// the same (cluster, begin, end, members) gather their hosts, coalesced into
+// ranges. A task listing a host twice counts twice there.
+std::vector<Composite> brute_force_composites(
+    const Schedule& s,
+    const std::function<bool(const Task&)>& include_task = nullptr) {
+  const auto& tasks = s.tasks();
+  using Key = std::tuple<int, Time, Time, std::vector<std::size_t>>;
+  std::map<Key, std::vector<int>> groups;  // hosts, ascending
+  for (const auto& cluster : s.clusters()) {
+    for (int h = 0; h < cluster.hosts; ++h) {
+      std::vector<std::size_t> on_host;  // one task index per allocation
+      std::vector<Time> times;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const Task& t = tasks[i];
+        if (include_task && !include_task(t)) continue;
+        if (!(t.end_time() > t.start_time())) continue;
+        for (const auto& cfg : t.configurations()) {
+          for (const auto& r : cfg.hosts) {
+            if (cfg.cluster_id != cluster.id || h < r.start ||
+                h >= r.start + r.nb) {
+              continue;
+            }
+            on_host.push_back(i);
+            times.push_back(t.start_time());
+            times.push_back(t.end_time());
+          }
+        }
+      }
+      std::sort(times.begin(), times.end());
+      times.erase(std::unique(times.begin(), times.end()), times.end());
+      for (std::size_t k = 0; k + 1 < times.size(); ++k) {
+        std::vector<std::size_t> active;
+        for (std::size_t i : on_host) {
+          if (tasks[i].start_time() <= times[k] &&
+              times[k] < tasks[i].end_time()) {
+            active.push_back(i);
+          }
+        }
+        if (active.size() < 2) continue;
+        std::sort(active.begin(), active.end());
+        groups[Key{cluster.id, times[k], times[k + 1], active}].push_back(h);
+      }
+    }
+  }
+  std::vector<Composite> out;
+  for (const auto& [key, hosts] : groups) {
+    const auto& [cluster_id, begin, end, members] = key;
+    Composite comp;
+    for (std::size_t i : members) {
+      comp.member_ids.push_back(tasks[i].id());
+      comp.member_types.insert(tasks[i].type());
+    }
+    comp.member_indices = members;
+    comp.task.set_id(util::join(comp.member_ids, "+"));
+    comp.task.set_type("composite");
+    comp.task.set_times(begin, end);
+    Configuration cfg;
+    cfg.cluster_id = cluster_id;
+    for (int h : hosts) {
+      if (!cfg.hosts.empty() &&
+          cfg.hosts.back().start + cfg.hosts.back().nb == h) {
+        ++cfg.hosts.back().nb;
+      } else {
+        cfg.hosts.push_back(HostRange{h, 1});
+      }
+    }
+    comp.task.add_configuration(std::move(cfg));
+    out.push_back(std::move(comp));
+  }
+  return out;
+}
+
+// A task as the generators below describe it: one configuration per host
+// list (each list may hold several ranges).
+struct TaskSpec {
+  std::string id, type;
+  Time start, end;
+  std::vector<std::pair<int, std::vector<int>>> configs;
+};
+
+Schedule build_specs(const std::vector<std::pair<int, int>>& clusters,
+                     const std::vector<TaskSpec>& specs, std::size_t count) {
+  ScheduleBuilder builder;
+  for (const auto& [id, hosts] : clusters) {
+    builder.cluster(id, "c" + std::to_string(id), hosts);
+  }
+  for (std::size_t i = 0; i < count; ++i) {
+    builder.task(specs[i].id, specs[i].type, specs[i].start, specs[i].end);
+    for (const auto& [cluster, hosts] : specs[i].configs) {
+      builder.hosts(cluster, hosts);
+    }
+  }
+  return builder.build();
+}
+
+// Ragged lanes: each 64-host block of a cluster runs its tasks one after
+// another (gaps of 0..3, so many intervals touch), each on a random-width
+// host range inside the block. `injected` tasks instead reuse the previous
+// task's hosts and start before it ends: exactly that many overlapping
+// pairs, spread over the lanes.
+std::vector<TaskSpec> ragged_specs(std::uint64_t seed, int clusters,
+                                   int lanes_per_cluster, int tasks,
+                                   int injected) {
+  util::Rng rng(seed);
+  const int lanes = clusters * lanes_per_cluster;
+  std::vector<Time> lane_end(static_cast<std::size_t>(lanes), 0);
+  std::vector<std::vector<int>> lane_hosts(static_cast<std::size_t>(lanes));
+  std::set<int> inject;
+  while (static_cast<int>(inject.size()) < injected) {
+    inject.insert(static_cast<int>(rng.uniform_int(lanes, tasks - 1)));
+  }
+  std::vector<TaskSpec> specs;
+  for (int i = 0; i < tasks; ++i) {
+    const auto lane = static_cast<std::size_t>(
+        i < lanes ? i : rng.uniform_int(0, lanes - 1));
+    const int cluster = static_cast<int>(lane) / lanes_per_cluster;
+    const int base = static_cast<int>(lane) % lanes_per_cluster * 64;
+    TaskSpec spec;
+    spec.id = "t" + std::to_string(i);
+    spec.type = i % 4 == 0 ? "transfer" : "computation";
+    if (inject.count(i) && !lane_hosts[lane].empty()) {
+      spec.start = lane_end[lane] - static_cast<Time>(rng.uniform_int(1, 5));
+    } else {
+      const auto width = static_cast<std::size_t>(rng.uniform_int(1, 64));
+      lane_hosts[lane].resize(width);
+      std::iota(lane_hosts[lane].begin(), lane_hosts[lane].end(),
+                base + static_cast<int>(rng.uniform_int(
+                           0, 64 - static_cast<std::int64_t>(width))));
+      spec.start = lane_end[lane] + static_cast<Time>(rng.uniform_int(0, 3));
+    }
+    spec.end = spec.start + static_cast<Time>(rng.uniform_int(10, 40));
+    spec.configs.push_back({cluster, lane_hosts[lane]});
+    lane_end[lane] = std::max(lane_end[lane], spec.end);
+    specs.push_back(std::move(spec));
+  }
+  return specs;
+}
+
+// Dense random schedules on three clusters: integer times in a short
+// window (ties in begin and end, touching intervals), random task order,
+// zero-duration tasks, and 1-3 configurations per task, each a scattered
+// host list; two configurations on one cluster may list a host twice.
+std::vector<TaskSpec> mixed_specs(std::uint64_t seed, int tasks) {
+  util::Rng rng(seed);
+  const int hosts[] = {8, 5, 12};
+  std::vector<TaskSpec> specs;
+  for (int i = 0; i < tasks; ++i) {
+    TaskSpec spec;
+    spec.id = "m" + std::to_string(i);
+    spec.type = rng.bernoulli(0.3) ? "transfer" : "computation";
+    spec.start = static_cast<Time>(rng.uniform_int(0, 30));
+    spec.end = spec.start + static_cast<Time>(rng.uniform_int(0, 8));
+    const int configs = static_cast<int>(rng.uniform_int(1, 3));
+    for (int c = 0; c < configs; ++c) {
+      const int cluster = static_cast<int>(rng.uniform_int(0, 2));
+      std::vector<int> list;
+      for (int h = 0; h < hosts[cluster]; ++h) {
+        if (rng.bernoulli(0.3)) list.push_back(h);
+      }
+      if (list.empty()) list.push_back(0);
+      spec.configs.push_back({cluster, std::move(list)});
+    }
+    specs.push_back(std::move(spec));
+  }
+  // One task that certainly lists a host twice, and one in a tie with it.
+  specs[0].configs = {{1, {0, 1, 2}}, {1, {2, 4}}};
+  specs[1].start = specs[0].start;
+  specs[1].end = specs[0].end;
+  specs[1].configs = {{1, {2}}};
+  return specs;
+}
+
+const std::vector<std::pair<int, int>> kMixedClusters = {
+    {0, 8}, {1, 5}, {2, 12}};
+
+std::vector<std::pair<int, int>> ragged_clusters(int clusters, int lanes) {
+  std::vector<std::pair<int, int>> out;
+  for (int c = 0; c < clusters; ++c) out.push_back({c, lanes * 64});
+  return out;
+}
+
+bool not_transfer(const Task& t) { return t.type() != "transfer"; }
+
+void expect_matches_brute_force(const Schedule& s, const std::string& label) {
+  for (const auto& filter : {std::function<bool(const Task&)>(nullptr),
+                             std::function<bool(const Task&)>(not_transfer)}) {
+    const std::string name = label + (filter ? " filtered" : "");
+    const auto want = brute_force_composites(s, filter);
+    for (int threads : {1, 2, 4}) {
+      expect_same_composites(synthesize_composites(s, filter, threads), want,
+                             name + " threads=" + std::to_string(threads));
+    }
+    EXPECT_EQ(has_resource_conflicts(s, filter),
+              !synthesize_composites(s, filter).empty())
+        << name;
+  }
+}
+
+class CompositeOracle : public ::testing::TestWithParam<int> {};
+
+TEST_P(CompositeOracle, RaggedLanesMatchBruteForce) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  for (int injected : {0, 1, 40}) {
+    const auto specs = ragged_specs(seed, 2, 2, 300, injected);
+    const Schedule s = build_specs(ragged_clusters(2, 2), specs, specs.size());
+    const std::string label = "injected=" + std::to_string(injected);
+    // Each injected task overlaps exactly one task on the same hosts.
+    EXPECT_EQ(brute_force_composites(s).size(),
+              static_cast<std::size_t>(injected))
+        << label;
+    expect_matches_brute_force(s, label);
+  }
+}
+
+TEST_P(CompositeOracle, MixedSchedulesMatchBruteForce) {
+  const auto specs = mixed_specs(static_cast<std::uint64_t>(GetParam()), 60);
+  expect_matches_brute_force(
+      build_specs(kMixedClusters, specs, specs.size()), "mixed");
+}
+
+TEST_P(CompositeOracle, AppendOnRaggedLanesMatchesFullSweep) {
+  const auto seed = static_cast<std::uint64_t>(100 + GetParam());
+  for (int injected : {0, 1, 40}) {
+    const auto specs = ragged_specs(seed, 2, 2, 240, injected);
+    const auto clusters = ragged_clusters(2, 2);
+    const Schedule full = build_specs(clusters, specs, specs.size());
+    const TaskIndex index(full);
+    const auto want = brute_force_composites(full);
+    for (std::size_t split : {std::size_t{1}, std::size_t{60},
+                              std::size_t{180}, std::size_t{239}}) {
+      const Schedule prefix = build_specs(clusters, specs, split);
+      for (int threads : {1, 2, 4}) {
+        expect_same_composites(
+            append_composites(full, index,
+                              synthesize_composites(prefix, nullptr, threads),
+                              split, nullptr, threads),
+            want,
+            "injected=" + std::to_string(injected) +
+                " split=" + std::to_string(split) +
+                " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CompositeOracle, ::testing::Range(1, 6));
+
+TEST(CompositeScale, LargeRaggedScheduleIsThreadInvariant) {
+  // Enough slab visits (~2.6M) that the overlap pre-pass shards its
+  // marking at 2 and 4 threads; the serial result is the brute-force-checked
+  // path above.
+  const auto specs = ragged_specs(77, 1, 16, 80000, 300);
+  const Schedule s = build_specs(ragged_clusters(1, 16), specs, specs.size());
+  const auto want = synthesize_composites(s, nullptr, 1);
+  EXPECT_EQ(want.size(), 300u);
+  for (int threads : {2, 4}) {
+    expect_same_composites(synthesize_composites(s, nullptr, threads), want,
+                           "threads=" + std::to_string(threads));
+  }
+  EXPECT_TRUE(has_resource_conflicts(s));
+}
+
+TEST(CompositeBruteForce, HandPickedEdgeCases) {
+  // A task listing host 2 twice (two configurations), zero-duration tasks,
+  // touching intervals, ties in begin and end, tasks out of begin order.
+  const Schedule s = ScheduleBuilder()
+                         .cluster(0, "c", 6)
+                         .cluster(3, "d", 2)
+                         .task("late", "t", 5, 9)
+                         .on(0, 0, 3)
+                         .task("twice", "t", 0, 4)
+                         .on(0, 1, 2)
+                         .on(0, 2, 3)
+                         .task("touch", "t", 4, 5)
+                         .on(0, 0, 6)
+                         .task("tie", "transfer", 0, 4)
+                         .hosts(0, {0, 4})
+                         .on(3, 0, 2)
+                         .task("zero", "t", 2, 2)
+                         .on(0, 0, 6)
+                         .task("other", "t", 1, 4)
+                         .on(3, 1, 1)
+                         .build();
+  std::set<std::string> ids;
+  for (const auto& comp : brute_force_composites(s)) ids.insert(comp.task.id());
+  EXPECT_EQ(ids, (std::set<std::string>{"twice+twice", "twice+tie",
+                                        "tie+other"}));
+  expect_matches_brute_force(s, "hand-picked");
+}
 
 }  // namespace
 }  // namespace jedule::model
