@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -26,18 +25,15 @@
 #include "jedule/cli/demos.hpp"
 #include "jedule/color/colormap.hpp"
 #include "jedule/engine/options.hpp"
+#include "jedule/engine/render_service.hpp"
 #include "jedule/engine/store.hpp"
-#include "jedule/io/snapshot.hpp"
 #include "jedule/interactive/session.hpp"
-#include "jedule/io/colormap_xml.hpp"
 #include "jedule/io/csv.hpp"
 #include "jedule/io/file.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/io/registry.hpp"
-#include "jedule/model/edge_index.hpp"
+#include "jedule/io/snapshot.hpp"
 #include "jedule/model/stats.hpp"
-#include "jedule/model/task_index.hpp"
-#include "jedule/render/ascii.hpp"
 #include "jedule/render/exporter.hpp"
 #include "jedule/render/kernels.hpp"
 #include "jedule/render/profile.hpp"
@@ -114,7 +110,8 @@ std::string usage() {
       "                      concurrency); output is identical for every\n"
       "                      thread count\n"
       "  --ingest-stats      print a parse summary to stderr (time, MB/s,\n"
-      "                      threads, chunks, gzip/mmap)\n"
+      "                      threads, chunks, gzip/mmap); text inputs\n"
+      "                      only, a .jbin reopens without a parse\n"
       "  --verbose           log progress to stderr\n"
       "\n"
       "batch options: render options plus\n"
@@ -166,47 +163,59 @@ io::IngestOptions ingest_options_from_args(const Args& args) {
   return opt;
 }
 
-/// Shared schedule-loading path of the single-input commands: mmap-backed
-/// chunked ingest, with the --ingest-stats one-liner on stderr.
-model::Schedule load_schedule_from_args(const Args& args,
-                                        const std::string& path) {
-  io::IngestStats stats;
-  model::Schedule schedule = io::load_schedule(
-      path, args.value_or("format", ""), ingest_options_from_args(args),
-      &stats);
-  if (args.has("ingest-stats")) {
-    std::cerr << io::ingest_summary(stats) << "\n";
+/// The one schedule-loading path of every command: engine::load_entry with
+/// --format, plus the --ingest-stats line for text inputs (a `.jbin`
+/// reopens its mmapped columns and index without a parse); `batch` names
+/// the input on each line.
+engine::EntryPtr load_entry_from_args(const Args& args,
+                                      const std::string& path,
+                                      const io::IngestOptions& opt) {
+  engine::EntryPtr entry =
+      engine::load_entry(path, args.value_or("format", ""), opt);
+  if (args.has("ingest-stats") && !entry->ingest.format.empty()) {
+    const std::string prefix =
+        args.positional()[0] == "batch" ? path + ": " : std::string();
+    std::cerr << prefix + io::ingest_summary(entry->ingest) + "\n";
   }
-  return schedule;
+  return entry;
+}
+
+/// The single input of `render`, `info`, `convert`, ... loaded with the
+/// --threads ingest options.
+engine::EntryPtr load_single_entry(const Args& args,
+                                   const std::string& command) {
+  if (args.positional().size() != 2) {
+    throw ArgumentError(command + ": expected exactly one schedule file");
+  }
+  return load_entry_from_args(args, args.positional()[1],
+                              ingest_options_from_args(args));
+}
+
+/// The exporter --image-format names, else the one `path`'s extension
+/// selects; ExporterRegistry::resolve's error when neither matches.
+std::string image_format_for(const Args& args, const std::string& path) {
+  return render::ExporterRegistry::instance()
+      .resolve(args.value_or("image-format", ""), path)
+      .name();
+}
+
+/// --out FILE, required by the exporting commands.
+std::string required_out(const Args& args, const std::string& command) {
+  auto out = args.value("out");
+  if (!out) throw ArgumentError(command + ": --out FILE is required");
+  return *out;
 }
 
 int cmd_render(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("render: expected exactly one schedule file");
-  }
-  auto out = args.value("out");
-  if (!out) throw ArgumentError("render: --out FILE is required");
-  const auto schedule = load_schedule_from_args(args, args.positional()[1]);
-  JED_INFO() << "loaded " << schedule.tasks().size() << " tasks from "
-             << args.positional()[1];
-  auto options = options_from_args(args);
-  // A windowed export only touches the visible tasks; the index makes the
-  // layout O(visible) instead of a full scan (same bytes either way).
-  std::optional<model::TaskIndex> index;
-  if (options.style.time_window) {
-    index.emplace(schedule);
-    options.task_index = &*index;
-  }
-  // Same deal for dependency edges: the index turns the per-panel edge
-  // layout into window queries instead of full dependency scans.
-  std::optional<model::EdgeIndex> edge_index;
-  if (!schedule.dependencies().empty()) {
-    edge_index.emplace(schedule, options.resolved_threads());
-    options.edge_index = &*edge_index;
-  }
-  render::export_schedule(schedule, options, *out,
-                          args.value_or("image-format", ""));
-  JED_INFO() << "wrote " << *out << " (threads=" << options.resolved_threads()
+  const std::string out = required_out(args, "render");
+  const std::string format = image_format_for(args, out);
+  const engine::EntryPtr entry = load_single_entry(args, "render");
+  JED_INFO() << "loaded " << entry->task_count() << " tasks from "
+             << entry->source;
+  const auto options = options_from_args(args);
+  engine::RenderService service;
+  io::write_file(out, *service.render(entry, options, format).bytes);
+  JED_INFO() << "wrote " << out << " (threads=" << options.resolved_threads()
              << ")";
   return 0;
 }
@@ -220,21 +229,8 @@ int cmd_batch(const Args& args) {
   if (!out_dir) throw ArgumentError("batch: --out-dir DIR is required");
   std::string ext = args.value_or("ext", ".png");
   if (!ext.empty() && ext[0] != '.') ext = "." + ext;
-  const std::string image_format = args.value_or("image-format", "");
-  const std::string parser_format = args.value_or("format", "");
-
-  // Validate the output format before doing any work.
-  const auto& registry = render::ExporterRegistry::instance();
-  if (image_format.empty()) {
-    if (registry.find_for_path("x" + ext) == nullptr) {
-      throw ArgumentError("batch: no exporter for extension '" + ext +
-                          "' (use " + registry.extension_summary() + ")");
-    }
-  } else if (registry.find(image_format) == nullptr) {
-    throw ArgumentError("batch: unknown --image-format '" + image_format +
-                        "' (available: " +
-                        util::join(registry.exporter_names(), ", ") + ")");
-  }
+  // Resolve the output format before doing any work.
+  const std::string format = image_format_for(args, ext);
 
   const std::vector<std::string> inputs(pos.begin() + 1, pos.end());
   std::vector<std::string> outputs(inputs.size());
@@ -250,43 +246,30 @@ int cmd_batch(const Args& args) {
   }
   std::filesystem::create_directories(*out_dir);
 
-  // One shared worker pool: files are dealt to the workers, and whatever
-  // concurrency is not consumed at the file level is spent inside each
-  // render, so a single huge trace still uses every thread.
+  // Files are dealt to the workers, and whatever concurrency is not
+  // consumed at the file level is spent inside each parse and render, so
+  // a single huge trace still uses every thread. One render service
+  // serves every file; each artifact is written once, so the service keeps
+  // only the newest.
   render::RenderOptions options = options_from_args(args);
   const int threads = options.resolved_threads();
   const int file_workers =
       static_cast<int>(std::min<std::size_t>(inputs.size(),
                                              static_cast<std::size_t>(threads)));
   options.threads = std::max(1, threads / file_workers);
-
-  // Per-file parses stay chunked too, with the per-render thread share.
-  io::IngestOptions ingest_opt = ingest_options_from_args(args);
+  io::IngestOptions ingest_opt;
   ingest_opt.threads = options.threads;
-  const bool ingest_stats = args.has("ingest-stats");
+  engine::RenderService::Options service_opt;
+  service_opt.artifact_entries = 1;
+  engine::RenderService service(service_opt);
 
   std::vector<std::string> errors(inputs.size());
   util::parallel_for(inputs.size(), file_workers, [&](std::size_t i) {
     try {
-      io::IngestStats stats;
-      const auto schedule =
-          io::load_schedule(inputs[i], parser_format, ingest_opt, &stats);
-      if (ingest_stats) {
-        std::cerr << inputs[i] + ": " + io::ingest_summary(stats) + "\n";
-      }
-      render::RenderOptions file_options = options;
-      std::optional<model::TaskIndex> index;
-      if (file_options.style.time_window) {
-        index.emplace(schedule);
-        file_options.task_index = &*index;
-      }
-      std::optional<model::EdgeIndex> edge_index;
-      if (!schedule.dependencies().empty()) {
-        edge_index.emplace(schedule, file_options.threads);
-        file_options.edge_index = &*edge_index;
-      }
-      render::export_schedule(schedule, file_options, outputs[i],
-                              image_format);
+      const engine::EntryPtr entry =
+          load_entry_from_args(args, inputs[i], ingest_opt);
+      io::write_file(outputs[i],
+                     *service.render(entry, options, format).bytes);
       JED_INFO() << "wrote " << outputs[i];
     } catch (const Error& e) {
       errors[i] = e.what();
@@ -322,11 +305,10 @@ void install_stop_handler() {
 }
 
 int cmd_view(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("view: expected exactly one schedule file");
-  }
-  interactive::Session session(args.positional()[1], colormap_from_args(args),
-                               style_from_args(args));
+  interactive::Session session(
+      load_single_entry(args, "view"), args.positional()[1],
+      args.value_or("format", ""), ingest_options_from_args(args),
+      colormap_from_args(args), style_from_args(args));
   std::istringstream script_stream;
   std::istream* in = &std::cin;
   if (auto script = args.value("script")) {
@@ -388,35 +370,24 @@ int cmd_view(const Args& args) {
 }
 
 int cmd_snapshot(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("snapshot: expected exactly one schedule file");
-  }
-  auto out = args.value("out");
-  if (!out) throw ArgumentError("snapshot: --out FILE is required");
-  if (!util::ends_with(*out, ".jbin")) {
+  const std::string out = required_out(args, "snapshot");
+  if (!util::ends_with(out, ".jbin")) {
     throw ArgumentError("snapshot: --out must end in .jbin");
   }
-  // load_entry builds exactly the two structures the snapshot holds; a
+  // The entry holds exactly the two structures the snapshot stores; a
   // .jbin input round-trips (load mmapped, rewrite) without ever
   // materializing the AoS schedule.
-  const engine::EntryPtr entry =
-      engine::load_entry(args.positional()[1], args.value_or("format", ""),
-                         ingest_options_from_args(args));
-  if (args.has("ingest-stats") && !entry->ingest.format.empty()) {
-    std::cerr << io::ingest_summary(entry->ingest) << "\n";
-  }
-  io::save_snapshot(entry->arena(), entry->index, *out, &entry->edges);
-  std::cout << "wrote " << *out << " ("
-            << std::filesystem::file_size(*out) << " bytes, "
+  const engine::EntryPtr entry = load_single_entry(args, "snapshot");
+  io::save_snapshot(entry->arena(), entry->index, out, &entry->edges);
+  std::cout << "wrote " << out << " ("
+            << std::filesystem::file_size(out) << " bytes, "
             << entry->task_count() << " task(s), id " << entry->id << ")\n";
   return 0;
 }
 
 int cmd_info(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("info: expected exactly one schedule file");
-  }
-  const auto schedule = load_schedule_from_args(args, args.positional()[1]);
+  const engine::EntryPtr entry = load_single_entry(args, "info");
+  const model::Schedule& schedule = entry->schedule();
   const auto stats = model::compute_stats(schedule);
   std::cout << "clusters:    " << schedule.clusters().size() << "\n";
   for (const auto& c : schedule.clusters()) {
@@ -434,26 +405,25 @@ int cmd_info(const Args& args) {
     std::cout << "  area[" << type << "] = " << util::format_fixed(area, 3)
               << "\n";
   }
-  if (!schedule.dependencies().empty()) {
-    const model::EdgeIndex edges(schedule);
+  if (const model::EdgeIndex& edges = entry->edges; !edges.empty()) {
     // Max per-column density on a 1000-column grid over the full time
     // range — the quantity the renderer's arrows-vs-heat budget compares
     // against (accumulated with the heat-lane kernel itself).
     constexpr std::size_t kCols = 1000;
     std::size_t max_col = 0;
-    const auto range = schedule.time_range();
-    if (range && range->length() > 0) {
-      const double len = range->length();
+    const model::TimeRange range = entry->full_range;
+    if (range.length() > 0) {
+      const double len = range.length();
       for (const auto& c : schedule.clusters()) {
         std::vector<float> acc(kCols, 0.0f);
         edges.query(
-            c.id, range->begin, range->end,
+            c.id, range.begin, range.end,
             [&](const model::EdgeIndex::Entry& e) {
-              const double u0 = (std::max(e.begin, range->begin) -
-                                 range->begin) /
+              const double u0 = (std::max(e.begin, range.begin) -
+                                 range.begin) /
                                 len * static_cast<double>(kCols);
-              const double u1 = (std::min(e.end, range->end) -
-                                 range->begin) /
+              const double u1 = (std::min(e.end, range.end) -
+                                 range.begin) /
                                 len * static_cast<double>(kCols);
               auto c0 = static_cast<long long>(std::floor(u0));
               auto c1 = static_cast<long long>(std::ceil(u1));
@@ -487,46 +457,43 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
-int cmd_convert(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("convert: expected exactly one schedule file");
-  }
-  auto out = args.value("out");
-  if (!out) throw ArgumentError("convert: --out FILE is required");
-  const auto schedule = load_schedule_from_args(args, args.positional()[1]);
-  if (util::ends_with(*out, ".csv")) {
-    io::save_schedule_csv(schedule, *out);
-  } else if (util::ends_with(*out, ".xml") ||
-             util::ends_with(*out, ".jed")) {
-    io::save_schedule_xml(schedule, *out);
+/// Writes `schedule` as Jedule XML (.xml, .jed) or CSV (.csv) by `out`'s
+/// extension; false for any other extension.
+bool save_schedule_file(const model::Schedule& schedule,
+                        const std::string& out) {
+  if (util::ends_with(out, ".csv")) {
+    io::save_schedule_csv(schedule, out);
+  } else if (util::ends_with(out, ".xml") || util::ends_with(out, ".jed")) {
+    io::save_schedule_xml(schedule, out);
   } else {
+    return false;
+  }
+  return true;
+}
+
+int cmd_convert(const Args& args) {
+  const std::string out = required_out(args, "convert");
+  const engine::EntryPtr entry = load_single_entry(args, "convert");
+  if (!save_schedule_file(entry->schedule(), out)) {
     throw ArgumentError("convert: output must end in .xml, .jed or .csv");
   }
   return 0;
 }
 
 int cmd_profile(const Args& args) {
-  if (args.positional().size() != 2) {
-    throw ArgumentError("profile: expected exactly one schedule file");
-  }
-  auto out = args.value("out");
-  if (!out) throw ArgumentError("profile: --out FILE is required");
-  const auto schedule = load_schedule_from_args(args, args.positional()[1]);
+  const std::string out = required_out(args, "profile");
+  const engine::EntryPtr entry = load_single_entry(args, "profile");
   render::ProfileStyle style;
-  if (auto w = args.value("width")) {
-    auto v = util::parse_int(*w);
-    if (!v || *v <= 0) throw ArgumentError("bad --width");
-    style.width = static_cast<int>(*v);
+  if (const auto w = args.value("width")) {
+    style.width = engine::parse_positive_int(*w, "width");
   }
-  if (auto h = args.value("height")) {
-    auto v = util::parse_int(*h);
-    if (!v || *v <= 0) throw ArgumentError("bad --height");
-    style.height = static_cast<int>(*v);
+  if (const auto h = args.value("height")) {
+    style.height = engine::parse_positive_int(*h, "height");
   }
   if (auto types = args.value("types")) {
     style.type_filter = util::split(*types, ',');
   }
-  render::export_profile(schedule, style, *out);
+  render::export_profile(entry->schedule(), style, out);
   return 0;
 }
 
@@ -540,7 +507,8 @@ int cmd_demo(const Args& args) {
   if (args.positional().size() != 2) {
     throw ArgumentError("demo: expected at most one demo name");
   }
-  const auto schedule = make_demo(args.positional()[1]);
+  const engine::EntryPtr entry = engine::make_entry(
+      make_demo(args.positional()[1]), args.positional()[1]);
   auto options = options_from_args(args);
   if (args.positional()[1] == "thunder") {
     // The bird's-eye view needs the Fig. 13 styling to be readable.
@@ -551,21 +519,17 @@ int cmd_demo(const Args& args) {
       options.style.highlight_value = "6447";
     }
   }
-  if (auto out = args.value("out")) {
-    if (util::ends_with(*out, ".jed") || util::ends_with(*out, ".xml")) {
-      io::save_schedule_xml(schedule, *out);
-    } else if (util::ends_with(*out, ".csv")) {
-      io::save_schedule_csv(schedule, *out);
-    } else {
-      render::export_schedule(schedule, options, *out,
-                              args.value_or("image-format", ""));
-    }
-    std::cout << "wrote " << *out << "\n";
-  } else {
-    render::AsciiOptions ascii;
-    ascii.type_filter = options.style.type_filter;
-    std::cout << render::render_ascii(schedule, ascii);
+  engine::RenderService service;
+  const auto out = args.value("out");
+  if (!out) {
+    std::cout << *service.render(entry, options, "ascii").bytes;
+    return 0;
   }
+  if (!save_schedule_file(entry->schedule(), *out)) {
+    const std::string format = image_format_for(args, *out);
+    io::write_file(*out, *service.render(entry, options, format).bytes);
+  }
+  std::cout << "wrote " << *out << "\n";
   return 0;
 }
 

@@ -125,9 +125,8 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
                                               const std::string& format,
                                               Encoding encoding) {
   JED_ASSERT(entry != nullptr);
-  if (render::ExporterRegistry::instance().find(format) == nullptr) {
-    throw ArgumentError("no exporter registered for format '" + format + "'");
-  }
+  const render::Exporter& exporter =
+      render::ExporterRegistry::instance().resolve(format);
   if (options.threads <= 0) options.threads = opt_.threads;
 
   if (encoding == Encoding::gzip) {
@@ -176,8 +175,7 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
       composites = entry->composites(util::resolve_threads(options.threads));
       options.composites = composites.get();
     }
-    std::string bytes = render::render_to_bytes(entry->schedule(), options,
-                                                format);
+    std::string bytes = exporter.render(entry->schedule(), options);
     const std::size_t raw = bytes.size();
     return Made{std::move(bytes), raw};
   });

@@ -13,11 +13,6 @@ namespace jedule::engine {
 
 namespace {
 
-model::Schedule validated(model::Schedule schedule) {
-  schedule.validate();
-  return schedule;
-}
-
 std::string hex_id(std::uint64_t hash) {
   static const char* kDigits = "0123456789abcdef";
   std::string id(16, '0');
@@ -61,8 +56,7 @@ std::uint64_t combined_hash_of(std::uint64_t tasks_hash,
 ScheduleEntry::ScheduleEntry(model::Schedule schedule_in,
                              std::string source_in, io::IngestStats ingest_in)
     : source(std::move(source_in)), ingest(std::move(ingest_in)) {
-  schedule_ = std::make_shared<const model::Schedule>(
-      validated(std::move(schedule_in)));
+  schedule_ = std::make_shared<const model::Schedule>(std::move(schedule_in));
   // The parse's worker count also sizes the index build: per-cluster
   // segments sort concurrently, output identical at any thread count.
   index = model::TaskIndex(*schedule_, std::max(1, ingest.threads));
@@ -186,16 +180,21 @@ ScheduleEntry::Resident ScheduleEntry::resident() const {
 
 EntryPtr make_entry(model::Schedule schedule, std::string source,
                     io::IngestStats ingest) {
+  schedule.validate();
   return std::make_shared<const ScheduleEntry>(
       std::move(schedule), std::move(source), std::move(ingest));
 }
 
+// The parser-backed paths below skip make_entry's validate(): every
+// registered reader already returns a validated schedule (the
+// ScheduleParser contract), so a second pass would only repeat it.
 EntryPtr parse_entry(std::string content, const std::string& name_hint,
                      const std::string& format, const io::IngestOptions& opt) {
   io::IngestStats stats;
   model::Schedule schedule =
       io::parse_schedule(std::move(content), name_hint, format, opt, &stats);
-  return make_entry(std::move(schedule), name_hint, std::move(stats));
+  return std::make_shared<const ScheduleEntry>(std::move(schedule), name_hint,
+                                               std::move(stats));
 }
 
 EntryPtr load_entry(const std::string& path, const std::string& format,
@@ -207,7 +206,8 @@ EntryPtr load_entry(const std::string& path, const std::string& format,
   }
   io::IngestStats stats;
   model::Schedule schedule = io::load_schedule(path, format, opt, &stats);
-  return make_entry(std::move(schedule), path, std::move(stats));
+  return std::make_shared<const ScheduleEntry>(std::move(schedule), path,
+                                               std::move(stats));
 }
 
 EntryPtr append_entry(const EntryPtr& base,

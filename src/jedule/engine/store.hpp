@@ -45,9 +45,10 @@ namespace jedule::engine {
 /// rebuild the same way. The identity surface (id, content_hash, index,
 /// full_range) is always eager.
 struct ScheduleEntry {
-  /// AoS ingest (parser output): validates, indexes, hashes. `ingest_in`
-  /// records what the parse did (threads, chunks, gzip, mapped input);
-  /// its thread count also drives the parallel TaskIndex build.
+  /// AoS ingest: indexes and hashes an already-validated schedule (parser
+  /// output, or make_entry after its validate()). `ingest_in` records what
+  /// the parse did (threads, chunks, gzip, mapped input); its thread count
+  /// also drives the parallel TaskIndex build.
   ScheduleEntry(model::Schedule schedule_in, std::string source_in,
                 io::IngestStats ingest_in = {});
 
@@ -130,14 +131,16 @@ EntryPtr make_entry(model::Schedule schedule, std::string source = "",
                     io::IngestStats ingest = {});
 
 /// Parses in-memory trace bytes (gzip-sniffed, io::parse_schedule) into an
-/// entry — the `jedule serve` upload path. `opt` drives the chunked
+/// entry — the `jedule serve` upload path. The reader's validation is the
+/// only one (an invalid upload throws the reader's ValidationError). `opt` drives the chunked
 /// parallel parse (0 threads = JEDULE_THREADS / hardware); the entry is
 /// bit-identical at any thread count.
 EntryPtr parse_entry(std::string content, const std::string& name_hint = "",
                      const std::string& format = "",
                      const io::IngestOptions& opt = {});
 
-/// Loads a schedule file into an entry — the CLI / Session path. `.jbin`
+/// Loads a schedule file into an entry — the one load path of every CLI
+/// command and of Session; validated once, by the reader. `.jbin`
 /// snapshots take the zero-copy route: the file is mmapped and admitted
 /// as columns + prebuilt index with no parse and no AoS materialization.
 /// Text formats memory-map the input and parse chunked per `opt`.

@@ -22,10 +22,13 @@ Session::Session(model::Schedule schedule, color::ColorMap colormap,
     : state_(engine::make_entry(std::move(schedule)), std::move(colormap),
              std::move(style)) {}
 
-Session::Session(const std::string& path, color::ColorMap colormap,
+Session::Session(engine::EntryPtr entry, std::string path, std::string format,
+                 io::IngestOptions ingest, color::ColorMap colormap,
                  render::GanttStyle style)
-    : state_(engine::load_entry(path), std::move(colormap), std::move(style)),
-      path_(path) {}
+    : state_(std::move(entry), std::move(colormap), std::move(style)),
+      path_(std::move(path)),
+      format_(std::move(format)),
+      ingest_(ingest) {}
 
 Session::Session(engine::EntryPtr entry, color::ColorMap colormap,
                  render::GanttStyle style)
@@ -135,7 +138,7 @@ void Session::reread() {
   if (path_.empty()) {
     throw Error("reread: session is not bound to a file");
   }
-  state_.reset_entry(engine::load_entry(path_));
+  state_.reset_entry(engine::load_entry(path_, format_, ingest_));
 }
 
 std::string Session::follow() {
@@ -147,12 +150,15 @@ std::string Session::follow() {
            std::to_string(state_.entry()->task_count()) + " total)";
   };
 
-  if (util::ends_with(path_, ".csv")) {
+  const bool csv =
+      format_.empty() ? util::ends_with(path_, ".csv") : format_ == "csv";
+  if (csv) {
     const std::string content = io::read_file(path_);
     if (!follow_offset_ || content.size() < *follow_offset_) {
       // First poll (resynchronize entry and byte offset from one read) or
       // a truncated/rewritten file: start over from the full content.
-      state_.reset_entry(engine::parse_entry(content, path_));
+      state_.reset_entry(
+          engine::parse_entry(content, path_, format_, ingest_));
       const bool first = !follow_offset_.has_value();
       follow_offset_ = content.size();
       return first ? "following " + path_ + " (" +
@@ -177,7 +183,8 @@ std::string Session::follow() {
     } catch (const Error&) {
       // Tail not appendable (malformed line, duplicate id, overlap):
       // degrade to a full reload of whatever the file now holds.
-      state_.reset_entry(engine::parse_entry(content, path_));
+      state_.reset_entry(
+          engine::parse_entry(content, path_, format_, ingest_));
       follow_offset_ = content.size();
       return "reloaded " + path_ + " (tail not appendable)";
     }
@@ -186,7 +193,7 @@ std::string Session::follow() {
   // Formats without a line-oriented tail (XML): re-parse the file, then
   // append only the new tasks — the parse is O(n) but the index, hash and
   // composite extension stay O(delta).
-  model::Schedule fresh = io::load_schedule(path_, "");
+  model::Schedule fresh = io::load_schedule(path_, format_, ingest_);
   const std::size_t have = state_.entry()->task_count();
   if (fresh.tasks().size() == have) return "no new tasks";
   if (fresh.tasks().size() > have) {

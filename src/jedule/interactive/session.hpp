@@ -24,6 +24,7 @@
 
 #include "jedule/color/colormap.hpp"
 #include "jedule/engine/session_state.hpp"
+#include "jedule/io/ingest.hpp"
 #include "jedule/model/schedule.hpp"
 #include "jedule/model/task_index.hpp"
 #include "jedule/render/frame_profile.hpp"
@@ -38,9 +39,13 @@ class Session {
   Session(model::Schedule schedule, color::ColorMap colormap,
           render::GanttStyle style = {});
 
-  /// Session bound to a schedule file; reread() reloads it (the paper's
-  /// fast simulate-and-look development loop).
-  Session(const std::string& path, color::ColorMap colormap,
+  /// Session bound to the schedule file `path`, over the entry the caller
+  /// loaded from it with `format` ("" sniffs) and `ingest`
+  /// (engine::load_entry). reread() and follow() reload the file with the
+  /// same parser and thread count (the paper's fast simulate-and-look
+  /// development loop).
+  Session(engine::EntryPtr entry, std::string path, std::string format,
+          io::IngestOptions ingest, color::ColorMap colormap,
           render::GanttStyle style = {});
 
   /// Session viewing an already-ingested store entry (the serve/engine
@@ -156,7 +161,9 @@ class Session {
   std::string describe(const model::Task& t) const;
 
   engine::SessionState state_;
-  std::string path_;  // empty when in-memory
+  std::string path_;    // empty when in-memory
+  std::string format_;  // parser for reloads of path_ ("" sniffs)
+  io::IngestOptions ingest_;
   // Bytes of the bound CSV trace already ingested; unset until the first
   // follow() resynchronizes (entry and offset must come from one read).
   std::optional<std::size_t> follow_offset_;

@@ -64,9 +64,11 @@ class CsvParser final : public ScheduleParser {
 };
 
 // Generic-registry access to `.jbin` snapshots: materializes the AoS
-// schedule from the columns, so every load_schedule() caller (view,
-// export, diff, ...) accepts snapshots. The engine's store bypasses this
-// and keeps the zero-copy arena/index (engine::load_entry).
+// schedule from the columns. Every CLI command and interactive::Session
+// load through engine::load_entry, which keeps the zero-copy arena/index
+// instead; this parser serves the inputs that do not route there
+// (`.jbin.gz`, a snapshot under another name, `--follow` re-parses) and
+// direct io::load_schedule callers such as perfbench's traced run.
 class SnapshotParser final : public ScheduleParser {
  public:
   std::string name() const override { return "jbin"; }

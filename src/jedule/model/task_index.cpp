@@ -97,6 +97,19 @@ struct SegmentStorage {
 }  // namespace
 
 TaskIndex::Segment TaskIndex::make_segment(std::vector<Entry> entries) {
+  // The build paths collect entries in ascending task order, so the task
+  // list falls out of one pass over the collection order; only a
+  // compaction merge (concatenated time-sorted segments) needs the sort.
+  auto tasks = std::make_shared<std::vector<std::uint32_t>>();
+  tasks->reserve(entries.size());
+  for (const auto& e : entries) {
+    if (tasks->empty() || tasks->back() != e.task) tasks->push_back(e.task);
+  }
+  if (!std::is_sorted(tasks->begin(), tasks->end())) {
+    std::sort(tasks->begin(), tasks->end());
+    tasks->erase(std::unique(tasks->begin(), tasks->end()), tasks->end());
+  }
+
   auto storage = std::make_shared<SegmentStorage>();
   storage->entries = std::move(entries);
   std::sort(storage->entries.begin(), storage->entries.end(),
@@ -107,12 +120,6 @@ TaskIndex::Segment TaskIndex::make_segment(std::vector<Entry> entries) {
   storage->max_end.assign(storage->entries.size(), 0.0);
   build_max_end(storage->entries, &storage->max_end, 0,
                 storage->entries.size());
-
-  auto tasks = std::make_shared<std::vector<std::uint32_t>>();
-  tasks->reserve(storage->entries.size());
-  for (const auto& e : storage->entries) tasks->push_back(e.task);
-  std::sort(tasks->begin(), tasks->end());
-  tasks->erase(std::unique(tasks->begin(), tasks->end()), tasks->end());
 
   Segment seg;
   seg.entries = storage->entries.data();

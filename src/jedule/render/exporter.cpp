@@ -181,34 +181,36 @@ std::string ExporterRegistry::extension_summary() const {
   return util::join(exts, " ");
 }
 
+const Exporter& ExporterRegistry::resolve(const std::string& format,
+                                          const std::string& path) const {
+  const Exporter* exporter =
+      format.empty() ? find_for_path(path) : find(format);
+  if (exporter != nullptr) return *exporter;
+  std::vector<std::string> supported;
+  for (const auto& e : exporters_) {
+    supported.push_back(e->name() + " " + util::join(e->extensions(), " "));
+  }
+  const std::string what = format.empty() && !path.empty()
+                               ? "'" + path + "'"
+                               : "format '" + format + "'";
+  throw ArgumentError("no exporter registered for " + what +
+                      " (supported formats: " + util::join(supported, ", ") +
+                      ")");
+}
+
 std::string render_to_bytes(const model::Schedule& schedule,
                             const RenderOptions& options,
                             const std::string& format) {
-  const Exporter* exporter = ExporterRegistry::instance().find(format);
-  if (exporter == nullptr) {
-    throw ArgumentError(
-        "no exporter registered for format '" + format + "' (available: " +
-        util::join(ExporterRegistry::instance().exporter_names(), ", ") + ")");
-  }
-  return exporter->render(schedule, options);
+  return ExporterRegistry::instance().resolve(format).render(schedule,
+                                                             options);
 }
 
 void export_schedule(const model::Schedule& schedule,
                      const RenderOptions& options, const std::string& path,
                      const std::string& format) {
-  const ExporterRegistry& registry = ExporterRegistry::instance();
-  const Exporter* exporter =
-      format.empty() ? registry.find_for_path(path) : registry.find(format);
-  if (exporter == nullptr) {
-    if (format.empty()) {
-      throw ArgumentError("unknown image extension on '" + path + "' (use " +
-                          registry.extension_summary() + ")");
-    }
-    throw ArgumentError(
-        "no exporter registered for format '" + format + "' (available: " +
-        util::join(registry.exporter_names(), ", ") + ")");
-  }
-  io::write_file(path, exporter->render(schedule, options));
+  io::write_file(path, ExporterRegistry::instance()
+                           .resolve(format, path)
+                           .render(schedule, options));
 }
 
 }  // namespace jedule::render

@@ -58,19 +58,26 @@ class ExporterRegistry {
   /// Space-separated list of every registered extension (".png .ppm ...").
   std::string extension_summary() const;
 
+  /// The one exporter lookup every frontend shares: a nonempty `format`
+  /// selects by name, otherwise `path`'s extension decides. Throws
+  /// ArgumentError naming what was asked for, followed by
+  /// "(supported formats: png .png, ...)".
+  const Exporter& resolve(const std::string& format,
+                          const std::string& path = "") const;
+
  private:
   std::vector<std::unique_ptr<Exporter>> exporters_;
 };
 
 /// Renders with the registered exporter named `format`; throws
-/// ArgumentError when no such exporter exists.
+/// ArgumentError (ExporterRegistry::resolve) when no such exporter exists.
 std::string render_to_bytes(const model::Schedule& schedule,
                             const RenderOptions& options,
                             const std::string& format);
 
 /// Renders and writes `path`. A nonempty `format` selects the exporter by
 /// name; otherwise the (case-insensitive) extension decides. Throws
-/// ArgumentError when nothing matches.
+/// ArgumentError (ExporterRegistry::resolve) when nothing matches.
 void export_schedule(const model::Schedule& schedule,
                      const RenderOptions& options, const std::string& path,
                      const std::string& format = "");

@@ -398,14 +398,10 @@ HttpResponse Server::handle_schedule_resource(const HttpRequest& request,
 
   if (tail.rfind("render.", 0) == 0) {
     const std::string format = tail.substr(7);
-    if (render::ExporterRegistry::instance().find(format) == nullptr) {
-      return text_response(
-          415, "no exporter registered for format '" + format +
-                   "' (supported formats: " +
-                   util::join(
-                       render::ExporterRegistry::instance().exporter_names(),
-                       ", ") +
-                   ")");
+    try {
+      render::ExporterRegistry::instance().resolve(format);
+    } catch (const ArgumentError& e) {
+      return text_response(415, e.what());
     }
     // Query parameters go through the same parser as CLI flags; "cmap" is
     // rejected there (no server-side file reads from request input).

@@ -8,8 +8,10 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
+#include "jedule/io/csv.hpp"
 #include "jedule/io/file.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/model/builder.hpp"
@@ -57,6 +59,154 @@ std::string make_schedule_file() {
   const std::string path = temp_path("cli_schedule.jed");
   io::save_schedule_xml(schedule, path);
   return path;
+}
+
+/// A CSV schedule with dependency edges across two clusters, plus its
+/// `.jbin` snapshot written by `jedule snapshot`: the same content once
+/// through the text parser and once through the mmapped snapshot. Both
+/// live in a per-process directory that also takes the test's outputs
+/// and goes away with the struct.
+struct TwinInputs {
+  std::string dir;
+  std::string csv;
+  std::string jbin;
+
+  std::string path(const std::string& name) const { return dir + "/" + name; }
+  ~TwinInputs() { std::filesystem::remove_all(dir); }
+};
+
+void make_twin_inputs(TwinInputs* twins) {
+  model::ScheduleBuilder b;
+  b.cluster(0, "c0", 16).cluster(1, "c1", 8).meta("algorithm", "twins");
+  for (int i = 0; i < 120; ++i) {
+    const double start = 0.5 * i;
+    b.task(std::to_string(i), i % 3 ? "computation" : "transfer", start,
+           start + 2.0 + i % 4)
+        .on(i % 2, (i * 3) % (i % 2 ? 6 : 14), 2);
+  }
+  model::Schedule schedule = b.build();
+  for (std::uint32_t i = 1; i < 120; ++i) {
+    schedule.add_dependency(i - 1, i, 1.0);
+    if (i >= 7) schedule.add_dependency(i - 7, i);
+  }
+  twins->dir = temp_path("twins");
+  std::filesystem::create_directories(twins->dir);
+  twins->csv = twins->path("src.csv");
+  twins->jbin = twins->path("snap.jbin");
+  io::save_schedule_csv(schedule, twins->csv);
+  const auto r = run_cli("snapshot " + twins->csv + " --out " + twins->jbin);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+}
+
+TEST(Cli, JbinWindowRenderMatchesCsvAtAnyThreadCount) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const std::string want = twins.path("want.png");
+  ASSERT_EQ(run_cli("render " + twins.csv + " --out " + want +
+                    " --window 10:30 --threads 1")
+                .exit_code,
+            0);
+  for (const std::string& src : {twins.csv, twins.jbin}) {
+    for (const char* threads : {"1", "4"}) {
+      const std::string out = twins.path("got.png");
+      const auto r = run_cli("render " + src + " --out " + out +
+                             " --window 10:30 --threads " + threads);
+      ASSERT_EQ(r.exit_code, 0) << r.output;
+      EXPECT_EQ(io::read_file(out), io::read_file(want))
+          << src << " --threads " << threads;
+    }
+  }
+}
+
+TEST(Cli, InfoJbinMatchesCsv) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const auto csv = run_cli("info " + twins.csv);
+  const auto jbin = run_cli("info " + twins.jbin);
+  ASSERT_EQ(csv.exit_code, 0) << csv.output;
+  ASSERT_EQ(jbin.exit_code, 0) << jbin.output;
+  EXPECT_NE(csv.output.find("edges:       232"), std::string::npos)
+      << csv.output;
+  EXPECT_NE(csv.output.find("critical path:"), std::string::npos);
+  EXPECT_NE(csv.output.find("algorithm = twins"), std::string::npos);
+  EXPECT_EQ(jbin.output, csv.output);
+}
+
+TEST(Cli, ConvertJbinRoundTripsToCsv) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const std::string back = twins.path("back.csv");
+  const auto r = run_cli("convert " + twins.jbin + " --out " + back);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_EQ(io::read_file(back), io::read_file(twins.csv));
+}
+
+TEST(Cli, BatchMatchesSingleRenders) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const std::string dir = twins.path("batch");
+  const auto r = run_cli("batch " + twins.csv + " " + twins.jbin +
+                         " --out-dir " + dir + " --threads 4");
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("wrote 2/2"), std::string::npos) << r.output;
+  for (const std::string& src : {twins.csv, twins.jbin}) {
+    const std::string single = twins.path("single.png");
+    ASSERT_EQ(run_cli("render " + src + " --out " + single).exit_code, 0);
+    const std::string stem = std::filesystem::path(src).stem().string();
+    EXPECT_EQ(io::read_file(dir + "/" + stem + ".png"), io::read_file(single))
+        << src;
+  }
+}
+
+TEST(Cli, BatchStemCollisionFails) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const std::string twin_csv = twins.path("snap.csv");  // the .jbin's stem
+  io::write_file(twin_csv, io::read_file(twins.csv));
+  const auto r = run_cli("batch " + twins.jbin + " " + twin_csv +
+                         " --out-dir " + twins.path("collide"));
+  EXPECT_EQ(r.exit_code, 1);
+  EXPECT_NE(r.output.find("would both write"), std::string::npos) << r.output;
+}
+
+TEST(Cli, UnknownExporterListsSupportedFormats) {
+  const std::string schedule = make_schedule_file();
+  for (const std::string flags :
+       {" --out x.jpg", " --out x.png --image-format jpeg"}) {
+    const auto r = run_cli("render " + schedule + flags);
+    EXPECT_EQ(r.exit_code, 1) << flags;
+    EXPECT_NE(r.output.find("supported formats: png .png"), std::string::npos)
+        << r.output;
+  }
+  const auto batch = run_cli("batch " + schedule + " --out-dir " +
+                             temp_path("cli_batch_jpg") + " --ext .jpg");
+  EXPECT_EQ(batch.exit_code, 1);
+  EXPECT_NE(batch.output.find("supported formats:"), std::string::npos)
+      << batch.output;
+}
+
+TEST(Cli, ViewHonoursFormatForLoadAndFollow) {
+  // SWF lines without the ';' header and under a neutral name: no parser
+  // sniffs this, so only an explicit --format swf can load it.
+  const std::string log = temp_path("cli_trace.log");
+  io::write_file(log,
+                 "1 0 0 100 4 -1 -1 4 -1 -1 1 10 1 1 1 1 -1 -1\n"
+                 "2 20 5 50 8 -1 -1 8 -1 -1 1 11 1 1 1 1 -1 -1\n");
+  const std::string script = temp_path("cli_follow_script.txt");
+  io::write_file(script, "info\nfollow\nreread\nquit\n");
+  const auto r =
+      run_cli("view " + log + " --format swf --threads 2 --script " + script);
+  EXPECT_EQ(r.exit_code, 0) << r.output;
+  EXPECT_NE(r.output.find("2 task(s)"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("no new tasks"), std::string::npos) << r.output;
+  EXPECT_NE(r.output.find("reloaded " + log), std::string::npos) << r.output;
+  EXPECT_EQ(r.output.find("error"), std::string::npos) << r.output;
+  // Without the flag the load fails up front, naming the remedy.
+  const auto sniffed = run_cli("view " + log + " --script " + script);
+  EXPECT_EQ(sniffed.exit_code, 1);
+  EXPECT_NE(sniffed.output.find("--format"), std::string::npos);
+  std::remove(log.c_str());
+  std::remove(script.c_str());
 }
 
 TEST(Cli, NoArgumentsPrintsUsage) {

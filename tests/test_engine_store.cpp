@@ -77,6 +77,18 @@ TEST(ScheduleEntry, InvalidScheduleRejected) {
   EXPECT_THROW(make_entry(std::move(bad)), ValidationError);
 }
 
+TEST(ScheduleEntry, ParseEntryRejectsInvalidUploadInTheReader) {
+  // The same out-of-range allocation as above, as CSV bytes: the entry no
+  // longer re-validates parser output, so the reader's own validation is
+  // what rejects it.
+  const std::string csv =
+      "!cluster,0,c,2\n"
+      "task_id,type,start,end,allocs\n"
+      "x,job,0,1,0:5-8\n";
+  EXPECT_THROW(parse_entry(csv, "bad.csv"), ValidationError);
+  EXPECT_THROW(parse_entry(csv, "", "csv"), ValidationError);
+}
+
 TEST(ScheduleEntry, ParseEntrySniffsGzip) {
   const std::string xml = io::write_schedule_xml(sample_schedule());
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(xml.data());

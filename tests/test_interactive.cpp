@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "jedule/engine/store.hpp"
 #include "jedule/io/file.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/model/builder.hpp"
@@ -148,7 +149,8 @@ TEST(Session, ExecuteRejectsBadCommands) {
 TEST(Session, FileBoundRereadPicksUpChanges) {
   const std::string path = ::testing::TempDir() + "/session_reread.jed";
   io::save_schedule_xml(demo_schedule(), path);
-  Session s(path, color::standard_colormap());
+  Session s(engine::load_entry(path), path, "", {},
+            color::standard_colormap());
   EXPECT_NE(s.execute("info").find("2 task(s)"), std::string::npos);
 
   // Simulate the paper's development loop: re-run the "simulator", look

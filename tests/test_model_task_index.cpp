@@ -124,6 +124,33 @@ TEST(TaskIndex, CollectTasksIsSortedAndUnique) {
   EXPECT_EQ(merged.size(), s.tasks().size());
 }
 
+TEST(TaskIndex, CompactedExtensionMatchesFreshBuild) {
+  // random_schedule(k * kStep, seed) is a prefix of the full schedule, so
+  // each step is a valid O(delta) extension. Eleven extensions push both
+  // clusters past the segment cap, and the compaction merges time-sorted
+  // segments whose concatenated task order is not ascending.
+  constexpr int kSteps = 12;
+  constexpr int kStep = 25;
+  TaskIndex index(random_schedule(kStep, 11));
+  for (int k = 2; k <= kSteps; ++k) {
+    index = TaskIndex(index, random_schedule(k * kStep, 11),
+                      static_cast<std::size_t>((k - 1) * kStep));
+  }
+  const TaskIndex fresh(random_schedule(kSteps * kStep, 11));
+  EXPECT_EQ(index.content_hash(), fresh.content_hash());
+  for (const int c : {0, 1}) {
+    EXPECT_LT(index.segment_count(c), static_cast<std::size_t>(kSteps));
+    EXPECT_EQ(index.cluster_tasks(c), fresh.cluster_tasks(c)) << c;
+    for (const auto& [t0, t1] : std::vector<std::pair<double, double>>{
+             {0.0, 200.0}, {10.0, 20.0}, {50.0, 50.5}, {95.0, 120.0}}) {
+      std::vector<std::uint32_t> got, want;
+      index.collect_tasks(c, t0, t1, &got);
+      fresh.collect_tasks(c, t0, t1, &want);
+      EXPECT_EQ(got, want) << c << " [" << t0 << ", " << t1 << "]";
+    }
+  }
+}
+
 TEST(TaskIndex, CountUptoStopsEarlyButIsExactBelowLimit) {
   const Schedule s = random_schedule(200, 5);
   const TaskIndex index(s);
