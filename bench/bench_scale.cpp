@@ -5,11 +5,8 @@
 // a serial vs multi-threaded comparison (outputs must be byte-identical).
 
 #include <algorithm>
-#include <cmath>
 #include <map>
-#include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include <filesystem>
@@ -26,7 +23,6 @@
 #include "jedule/model/composite.hpp"
 #include "jedule/model/edge_index.hpp"
 #include "jedule/model/task_index.hpp"
-#include "jedule/render/canvas.hpp"
 #include "jedule/render/export.hpp"
 #include "jedule/render/exporter.hpp"
 #include "jedule/render/deflate.hpp"
@@ -35,16 +31,12 @@
 #include "jedule/render/gantt.hpp"
 #include "jedule/render/kernels.hpp"
 #include "jedule/render/png.hpp"
-#include "jedule/render/raster_canvas.hpp"
 #include "jedule/render/span.hpp"
 #include "jedule/render/tile_cache.hpp"
-#include "jedule/util/cpu.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/parallel.hpp"
 #include "jedule/util/rng.hpp"
 #include "jedule/util/stopwatch.hpp"
-#include "jedule/util/strings.hpp"
-#include "jedule/xml/xml.hpp"
 
 namespace {
 
@@ -217,393 +209,6 @@ std::string bench_snapshot_path(const char* name) {
   return (std::filesystem::temp_directory_path() / name).string();
 }
 
-// ---------------------------------------------------------------------------
-// Pre-PR reference ingest: faithful copies of the DOM-walking reader, the
-// per-host validate and the per-(cluster, host) composite sweep as they stood
-// before the zero-copy ingest work (the same convention as ReferenceTimeline
-// in tests/test_sched_gaps.cpp). Together they are the "pre-PR DOM path" the
-// >= 5x ingest row measures against.
-// ---------------------------------------------------------------------------
-namespace legacy {
-
-int require_int_attr(const xml::Element& e, std::string_view name) {
-  auto v = util::parse_int(e.require_attr(name));
-  if (!v) {
-    throw ParseError("attribute '" + std::string(name) + "' of <" +
-                         e.name() + "> is not an integer",
-                     e.source_line());
-  }
-  return static_cast<int>(*v);
-}
-
-model::Configuration parse_configuration(const xml::Element& e) {
-  model::Configuration cfg;
-  for (const auto* prop : e.children_named("conf_property")) {
-    const auto name = prop->require_attr("name");
-    const auto value = prop->require_attr("value");
-    if (name == "cluster_id") {
-      cfg.cluster_id = static_cast<int>(*util::parse_int(value));
-    }
-  }
-  for (const auto* hosts :
-       e.first_child("host_lists")->children_named("hosts")) {
-    model::HostRange r;
-    r.start = require_int_attr(*hosts, "start");
-    r.nb = require_int_attr(*hosts, "nb");
-    cfg.hosts.push_back(r);
-  }
-  return cfg;
-}
-
-model::Task parse_node(const xml::Element& e) {
-  model::Task t;
-  double start = 0;
-  double end = 0;
-  for (const auto* prop : e.children_named("node_property")) {
-    const auto name = prop->require_attr("name");
-    const auto value = std::string(prop->require_attr("value"));
-    if (name == "id") {
-      t.set_id(value);
-    } else if (name == "type") {
-      t.set_type(value);
-    } else if (name == "start_time") {
-      start = *util::parse_double(value);
-    } else if (name == "end_time") {
-      end = *util::parse_double(value);
-    } else {
-      t.set_property(std::string(name), value);
-    }
-  }
-  t.set_times(start, end);
-  for (const auto* cfg : e.children_named("configuration")) {
-    t.add_configuration(parse_configuration(*cfg));
-  }
-  return t;
-}
-
-/// Pre-PR validate: expands every host range into a per-configuration
-/// std::set<int> and tracks task ids in an ordered set.
-void validate(const model::Schedule& schedule) {
-  std::set<std::string_view> seen_ids;
-  for (const auto& t : schedule.tasks()) {
-    if (!seen_ids.insert(t.id()).second) {
-      throw ValidationError("duplicate task id '" + t.id() + "'");
-    }
-    for (const auto& cfg : t.configurations()) {
-      const model::Cluster& cluster = schedule.cluster_by_id(cfg.cluster_id);
-      std::set<int> used;
-      for (const auto& range : cfg.hosts) {
-        if (range.start < 0 || range.start + range.nb > cluster.hosts) {
-          throw ValidationError("host range out of bounds");
-        }
-        for (int h = range.start; h < range.start + range.nb; ++h) {
-          if (!used.insert(h).second) {
-            throw ValidationError("task '" + t.id() + "' lists host " +
-                                  std::to_string(h) + " twice");
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Pre-PR DOM reader: baseline recursive parse, then a DOM walk.
-model::Schedule read_schedule(const std::string& xml_text) {
-  const xml::Document doc = xml::baseline_parse(xml_text);
-  const xml::Element& root = *doc.root;
-  model::Schedule schedule;
-  for (const auto* cluster :
-       root.first_child("platform")->children_named("cluster")) {
-    model::Cluster c;
-    c.id = require_int_attr(*cluster, "id");
-    if (auto name = cluster->attr("name")) c.name = std::string(*name);
-    c.hosts = require_int_attr(*cluster, "hosts");
-    schedule.add_cluster(std::move(c));
-  }
-  if (const auto* nodes = root.first_child("node_infos")) {
-    for (const auto* node : nodes->children_named("node_statistics")) {
-      schedule.add_task(parse_node(*node));
-    }
-  }
-  validate(schedule);
-  return schedule;
-}
-
-struct GroupKey {
-  int cluster_id;
-  model::Time begin;
-  model::Time end;
-  std::vector<std::size_t> members;
-
-  bool operator<(const GroupKey& o) const {
-    return std::tie(cluster_id, begin, end, members) <
-           std::tie(o.cluster_id, o.begin, o.end, o.members);
-  }
-};
-
-struct Interval {
-  std::size_t task_index;
-  model::Time begin;
-  model::Time end;
-};
-
-std::vector<model::HostRange> compress_hosts(std::vector<int> hosts) {
-  std::sort(hosts.begin(), hosts.end());
-  std::vector<model::HostRange> ranges;
-  for (int h : hosts) {
-    if (!ranges.empty() && ranges.back().start + ranges.back().nb == h) {
-      ++ranges.back().nb;
-    } else {
-      ranges.push_back(model::HostRange{h, 1});
-    }
-  }
-  return ranges;
-}
-
-/// Pre-PR composite sweep: expands every allocation to per-(cluster, host)
-/// interval lists and sweeps each host independently (serial path).
-std::vector<model::Composite> composites(const model::Schedule& schedule) {
-  const auto& tasks = schedule.tasks();
-  std::map<std::pair<int, int>, std::vector<Interval>> per_resource;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    const model::Task& t = tasks[i];
-    if (!(t.end_time() > t.start_time())) continue;
-    for (const auto& cfg : t.configurations()) {
-      for (const auto& range : cfg.hosts) {
-        for (int h = range.start; h < range.start + range.nb; ++h) {
-          per_resource[{cfg.cluster_id, h}].push_back(
-              Interval{i, t.start_time(), t.end_time()});
-        }
-      }
-    }
-  }
-
-  std::map<GroupKey, std::vector<int>> groups;
-  for (const auto& [resource, intervals] : per_resource) {
-    if (intervals.size() < 2) continue;
-    struct Event {
-      model::Time time;
-      bool is_start;
-      std::size_t task_index;
-    };
-    std::vector<Event> events;
-    events.reserve(intervals.size() * 2);
-    for (const auto& iv : intervals) {
-      events.push_back(Event{iv.begin, true, iv.task_index});
-      events.push_back(Event{iv.end, false, iv.task_index});
-    }
-    std::sort(events.begin(), events.end(),
-              [](const Event& a, const Event& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.is_start != b.is_start) return !a.is_start;
-                return a.task_index < b.task_index;
-              });
-    std::vector<std::size_t> active;
-    std::size_t e = 0;
-    model::Time prev_time = 0;
-    bool have_prev = false;
-    while (e < events.size()) {
-      const model::Time now = events[e].time;
-      if (have_prev && active.size() >= 2 && now > prev_time) {
-        groups[GroupKey{resource.first, prev_time, now, active}].push_back(
-            resource.second);
-      }
-      while (e < events.size() && events[e].time == now) {
-        if (events[e].is_start) {
-          active.insert(std::lower_bound(active.begin(), active.end(),
-                                         events[e].task_index),
-                        events[e].task_index);
-        } else {
-          active.erase(std::lower_bound(active.begin(), active.end(),
-                                        events[e].task_index));
-        }
-        ++e;
-      }
-      prev_time = now;
-      have_prev = true;
-    }
-  }
-
-  std::vector<model::Composite> out;
-  out.reserve(groups.size());
-  for (auto& [key, hosts] : groups) {
-    model::Composite comp;
-    std::vector<std::string> ids;
-    for (std::size_t idx : key.members) {
-      ids.push_back(tasks[idx].id());
-      comp.member_types.insert(tasks[idx].type());
-    }
-    comp.member_ids = ids;
-    comp.task.set_id(util::join(ids, "+"));
-    comp.task.set_type("composite");
-    comp.task.set_times(key.begin, key.end);
-    model::Configuration cfg;
-    cfg.cluster_id = key.cluster_id;
-    cfg.hosts = compress_hosts(std::move(hosts));
-    comp.task.add_configuration(std::move(cfg));
-    out.push_back(std::move(comp));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Pre-PR raster path: faithful copies of the per-pixel Framebuffer
-// primitives, the glyph renderer and the forwarding RasterCanvas as they
-// stood before the span rasterizer and SIMD kernels — every primitive
-// decomposes into set_pixel calls (unchecked inside a pre-clipped opaque
-// fill, bounds-checked everywhere else). The BM_Raster* rows and the
-// cold-export check measure against these.
-// ---------------------------------------------------------------------------
-
-void fill_rect(render::Framebuffer& fb, int x, int y, int w, int h,
-               color::Color c) {
-  if (c.a == 0) return;
-  const int x0 = std::max(x, 0);
-  const int y0 = std::max(y, 0);
-  const int x1 = std::min(x + w, fb.width());
-  const int y1 = std::min(y + h, fb.height());
-  if (c.a == 255) {
-    for (int yy = y0; yy < y1; ++yy) {
-      for (int xx = x0; xx < x1; ++xx) fb.set_pixel_unchecked(xx, yy, c);
-    }
-  } else {
-    for (int yy = y0; yy < y1; ++yy) {
-      for (int xx = x0; xx < x1; ++xx) fb.set_pixel(xx, yy, c);
-    }
-  }
-}
-
-void draw_hline(render::Framebuffer& fb, int x0, int x1, int y,
-                color::Color c) {
-  if (x1 < x0) std::swap(x0, x1);
-  for (int x = x0; x <= x1; ++x) fb.set_pixel(x, y, c);
-}
-
-void draw_vline(render::Framebuffer& fb, int x, int y0, int y1,
-                color::Color c) {
-  if (y1 < y0) std::swap(y0, y1);
-  for (int y = y0; y <= y1; ++y) fb.set_pixel(x, y, c);
-}
-
-void draw_rect(render::Framebuffer& fb, int x, int y, int w, int h,
-               color::Color c) {
-  if (w <= 0 || h <= 0) return;
-  draw_hline(fb, x, x + w - 1, y, c);
-  draw_hline(fb, x, x + w - 1, y + h - 1, c);
-  draw_vline(fb, x, y, y + h - 1, c);
-  draw_vline(fb, x + w - 1, y, y + h - 1, c);
-}
-
-void draw_line(render::Framebuffer& fb, int x0, int y0, int x1, int y1,
-               color::Color c) {
-  const int dx = std::abs(x1 - x0);
-  const int dy = -std::abs(y1 - y0);
-  const int sx = x0 < x1 ? 1 : -1;
-  const int sy = y0 < y1 ? 1 : -1;
-  int err = dx + dy;
-  while (true) {
-    fb.set_pixel(x0, y0, c);
-    if (x0 == x1 && y0 == y1) break;
-    const int e2 = 2 * err;
-    if (e2 >= dy) {
-      err += dy;
-      x0 += sx;
-    }
-    if (e2 <= dx) {
-      err += dx;
-      y0 += sy;
-    }
-  }
-}
-
-void hatch_rect(render::Framebuffer& fb, int x, int y, int w, int h,
-                int spacing, color::Color c) {
-  const int x1 = x + w - 1;
-  const int y1 = y + h - 1;
-  for (int k = x + y; k <= x1 + y1; k += spacing) {
-    for (int yy = std::max(y, k - x1); yy <= std::min(y1, k - x); ++yy) {
-      fb.set_pixel(k - yy, yy, c);
-    }
-  }
-}
-
-void draw_text(render::Framebuffer& fb, int x, int y, std::string_view text,
-               color::Color c, int scale) {
-  int cursor = x;
-  for (char ch : text) {
-    const auto& glyph = render::glyph_bitmap(ch);
-    for (int r = 0; r < render::kGlyphHeight; ++r) {
-      for (int col = 0; col < render::kGlyphWidth; ++col) {
-        if (glyph[static_cast<std::size_t>(r)] &
-            (1u << (render::kGlyphWidth - 1 - col))) {
-          fill_rect(fb, cursor + col * scale, y + r * scale, scale, scale, c);
-        }
-      }
-    }
-    cursor += (render::kGlyphWidth + 1) * scale;
-  }
-}
-
-class RasterCanvas final : public render::Canvas {
- public:
-  explicit RasterCanvas(render::Framebuffer& fb) : fb_(fb) {}
-
-  int width() const override { return fb_.width(); }
-  int height() const override { return fb_.height(); }
-
-  void fill_rect(double x, double y, double w, double h,
-                 color::Color c) override {
-    const int x0 = px(x);
-    const int y0 = px(y);
-    legacy::fill_rect(fb_, x0, y0, px(x + w) - x0, px(y + h) - y0, c);
-  }
-  void stroke_rect(double x, double y, double w, double h,
-                   color::Color c) override {
-    const int x0 = px(x);
-    const int y0 = px(y);
-    legacy::draw_rect(fb_, x0, y0, px(x + w) - x0, px(y + h) - y0, c);
-  }
-  void line(double x0, double y0, double x1, double y1,
-            color::Color c) override {
-    legacy::draw_line(fb_, px(x0), px(y0), px(x1), px(y1), c);
-  }
-  void hatch_rect(double x, double y, double w, double h, int spacing,
-                  color::Color c) override {
-    const int x0 = px(x);
-    const int y0 = px(y);
-    legacy::hatch_rect(fb_, x0, y0, px(x + w) - x0, px(y + h) - y0, spacing,
-                       c);
-  }
-  void text(double x, double y, std::string_view text, color::Color c,
-            int size) override {
-    legacy::draw_text(fb_, px(x), px(y), text, c,
-                      render::scale_for_font_size(size));
-  }
-  double text_width(std::string_view text, int size) const override {
-    return render::text_width(text, render::scale_for_font_size(size));
-  }
-  double text_height(int size) const override {
-    return render::text_height(render::scale_for_font_size(size));
-  }
-
- private:
-  static int px(double v) { return static_cast<int>(std::lround(v)); }
-
-  render::Framebuffer& fb_;
-};
-
-/// Pre-PR cold PNG export: layout, serial per-pixel paint, PNG encode.
-std::string export_png(const model::Schedule& schedule,
-                       const render::RenderOptions& options) {
-  const auto layout = render::layout_gantt(schedule, options);
-  render::Framebuffer fb(options.style.width, options.style.height);
-  RasterCanvas canvas(fb);
-  render::paint_gantt(layout, canvas, options.style);
-  return render::encode_png(fb);
-}
-
-}  // namespace legacy
-
 bool same_composites(const std::vector<model::Composite>& a,
                      const std::vector<model::Composite>& b) {
   if (a.size() != b.size()) return false;
@@ -618,11 +223,9 @@ bool same_composites(const std::vector<model::Composite>& a,
 }
 
 // ---------------------------------------------------------------------------
-// Interactive frames. The legacy path is what every view change cost before
-// the spatial index / tile cache: a full layout of all tasks plus a full
-// repaint. The new path answers pans from cached tiles (warm) and zooms from
-// an index-culled layout (cold). Windows are ~0.1% of the makespan — the
-// zoom level at which someone actually inspects a fine-grained trace.
+// Interactive frames: pans are answered from cached tiles (warm) and zooms
+// from an index-culled layout (cold). Windows are ~0.1% of the makespan —
+// the zoom level at which someone actually inspects a fine-grained trace.
 // ---------------------------------------------------------------------------
 
 const color::ColorMap& bench_colormap() {
@@ -635,15 +238,6 @@ render::GanttStyle frame_style() {
   style.width = 1000;   // 930 pixel columns between the margins
   style.height = 600;
   return style;
-}
-
-render::Framebuffer legacy_frame(const model::Schedule& s,
-                                 const render::GanttStyle& style) {
-  const auto layout = render::layout_gantt(s, bench_colormap(), style, 1, {});
-  render::Framebuffer fb(style.width, style.height);
-  render::RasterCanvas canvas(fb);
-  render::paint_gantt(layout, canvas, style);
-  return fb;
 }
 
 struct FrameSetup {
@@ -676,7 +270,6 @@ render::TileCache::Request frame_request(const FrameSetup& setup, double t0) {
   req.style = frame_style();
   req.style.time_window = model::TimeRange{t0, t0 + setup.len};
   req.index = setup.index;
-  req.validated = true;
   return req;
 }
 
@@ -848,13 +441,12 @@ void report() {
                fmt(filter_s * 1e3, 1) + " ms (" +
                    std::to_string(scan.size() / 1024 / 1024) + " MiB)");
     watch.reset();
-    const auto dyn_serial = render::deflate_compress(
-        scan.data(), scan.size(), 1, render::DeflateStrategy::dynamic);
+    const auto dyn_serial =
+        render::deflate_compress(scan.data(), scan.size(), 1);
     const double deflate_serial = watch.seconds();
     watch.reset();
-    const auto dyn_parallel = render::deflate_compress(
-        scan.data(), scan.size(), kBenchThreads,
-        render::DeflateStrategy::dynamic);
+    const auto dyn_parallel =
+        render::deflate_compress(scan.data(), scan.size(), kBenchThreads);
     const double deflate_parallel = watch.seconds();
     report_row("dynamic deflate on filtered scanlines (1 vs " +
                    std::to_string(kBenchThreads) + " threads)",
@@ -900,26 +492,6 @@ void report() {
                "skipped (single-core host)");
   }
 
-  // Ablation: the three deflate strategies on raw pixels — LZ77 is what
-  // keeps chart PNGs small, and per-chunk dynamic Huffman codes shrink the
-  // entropy stage further.
-  {
-    const auto& px = fb.pixels();
-    const auto stored = render::zlib_compress(px.data(), px.size(),
-                                              render::DeflateStrategy::stored);
-    const auto fixed = render::zlib_compress(px.data(), px.size(),
-                                             render::DeflateStrategy::fixed);
-    const auto dynamic = render::zlib_compress(
-        px.data(), px.size(), render::DeflateStrategy::dynamic);
-    report_row("zlib on raw pixels: stored vs fixed vs dynamic",
-               std::to_string(stored.size() / 1024) + " KiB vs " +
-                   std::to_string(fixed.size() / 1024) + " KiB vs " +
-                   std::to_string(dynamic.size() / 1024) + " KiB");
-    report_check("dynamic-Huffman deflate <= 40% of fixed-Huffman on chart "
-                 "pixels",
-                 dynamic.size() * 10 <= fixed.size() * 4);
-  }
-
   watch.reset();
   const auto xml = io::write_schedule_xml(schedule);
   report_row("XML write",
@@ -931,11 +503,8 @@ void report() {
   report_check("250k tasks round-trip end to end",
                back.tasks().size() == static_cast<std::size_t>(kTasks));
 
-  // Million-task ingest: the full XML -> model -> composite data path. Three
-  // rows: the faithful pre-PR path (baseline recursive parse + DOM walk +
-  // per-host validate + per-host composite sweep, reconstructed in `legacy`
-  // above), the retained DOM reader over today's kernels, and the zero-copy
-  // streaming reader. Target: >= 5x vs the pre-PR path, end to end.
+  // Million-task ingest: the full XML -> model -> composite data path
+  // through the zero-copy streaming reader.
   {
     watch.reset();
     const auto& mxml = million_xml();
@@ -944,37 +513,13 @@ void report() {
                    std::to_string(mxml.size() / 1024 / 1024) + " MiB)");
 
     watch.reset();
-    const auto via_legacy = legacy::read_schedule(mxml);
-    const auto comp_legacy = legacy::composites(via_legacy);
-    const double ingest_legacy = watch.seconds();
-    report_row("1M ingest, pre-PR DOM path", fmt(ingest_legacy, 2) + " s");
-
-    watch.reset();
-    const auto via_dom = io::read_schedule_xml_dom(mxml);
-    const auto comp_dom = model::synthesize_composites(via_dom);
-    const double ingest_dom = watch.seconds();
-    report_row("1M ingest, DOM reader + new kernels",
-               fmt(ingest_dom, 2) + " s (" +
-                   fmt(ingest_legacy / ingest_dom, 1) + "x)");
-
-    watch.reset();
     const auto via_pull = io::read_schedule_xml(mxml);
     const auto comp_pull = model::synthesize_composites(via_pull);
-    const double ingest_pull = watch.seconds();
-    report_row("1M ingest, streaming reader + new kernels",
-               fmt(ingest_pull, 2) + " s (" +
-                   fmt(ingest_legacy / ingest_pull, 1) + "x)");
-
-    report_check("pre-PR, DOM and streaming readers agree on 1M tasks",
-                 via_dom.tasks().size() == via_pull.tasks().size() &&
-                     via_legacy.tasks().size() == via_pull.tasks().size() &&
-                     io::write_schedule_xml(via_pull) == mxml &&
-                     io::write_schedule_xml(via_dom) == mxml &&
-                     io::write_schedule_xml(via_legacy) == mxml);
-    report_check("1M-task schedules are overlap-free",
-                 comp_legacy.empty() && comp_dom.empty() && comp_pull.empty());
-    report_check("1M-task ingest >= 5x vs pre-PR DOM path",
-                 ingest_legacy / ingest_pull >= 5.0);
+    report_row("1M ingest, streaming reader + composites",
+               fmt(watch.seconds(), 2) + " s");
+    report_check("streaming reader round-trips the 1M-task document",
+                 io::write_schedule_xml(via_pull) == mxml);
+    report_check("1M-task schedule is overlap-free", comp_pull.empty());
   }
 
   // Parallel chunked ingest (DESIGN.md §4i): the same 1M-task document
@@ -1019,7 +564,7 @@ void report() {
 
     const auto zipped = render::gzip_compress(
         reinterpret_cast<const std::uint8_t*>(mxml.data()), mxml.size(),
-        render::DeflateStrategy::dynamic, kBenchThreads);
+        kBenchThreads);
     watch.reset();
     io::TextSource gz_src(
         std::string_view(reinterpret_cast<const char*>(zipped.data()),
@@ -1035,23 +580,11 @@ void report() {
                  io::write_schedule_xml(via_gz) == mxml);
   }
 
-  // Interactive frames on the 1M-task schedule: full relayout (the pre-PR
-  // cost of every view change) vs warm tile-cache pans at a 0.1%-of-makespan
-  // window. Target: warm pan >= 10x.
+  // Interactive frames on the 1M-task schedule: warm tile-cache pans at a
+  // 0.1%-of-makespan window.
   {
     const auto setup = frame_setup(1000000);
-    auto style = frame_style();
-
-    watch.reset();
-    const int kLegacyFrames = 3;
-    for (int i = 0; i < kLegacyFrames; ++i) {
-      const double t0 = setup.begin + i * 8 * setup.step;
-      style.time_window = model::TimeRange{t0, t0 + setup.len};
-      const auto fb = legacy_frame(*setup.schedule, style);
-      if (fb.width() != style.width) throw Error("bad frame");
-    }
-    const double legacy_ms = watch.seconds() * 1000 / kLegacyFrames;
-    report_row("1M-task frame, full relayout", fmt(legacy_ms, 1) + " ms");
+    const auto style = frame_style();
 
     render::TileCache cache;
     (void)cache.render_frame(frame_request(setup, setup.begin));
@@ -1063,19 +596,12 @@ void report() {
       if (fb.width() != style.width) throw Error("bad frame");
     }
     const double warm_ms = watch.seconds() * 1000 / kWarmFrames;
-    report_row("1M-task frame, warm tile-cache pan",
-               fmt(warm_ms, 1) + " ms (" + fmt(legacy_ms / warm_ms, 1) + "x)");
-    report_check("warm pan >= 10x vs full relayout at 1M tasks",
-                 legacy_ms / warm_ms >= 10.0);
+    report_row("1M-task frame, warm tile-cache pan", fmt(warm_ms, 1) + " ms");
   }
 
-  // Raster kernels and overdraw elimination: the reconstructed pre-PR
-  // per-pixel path vs the scanline span rasterizer + runtime-dispatched
-  // SIMD kernels. Targets: >= 4x on the opaque-fill kernel and >= 2x on
-  // the end-to-end cold 1M-task PNG export (soft-skipped on hosts without
-  // AVX2/NEON, where only the smaller SSE2/scalar win is available).
+  // Raster kernels and the cold export of the overdraw-heavy 1M-task
+  // schedule, whose cost is dominated by the span rasterizer.
   {
-    const auto& cpu = util::cpu_features();
     std::string names;
     for (const auto* k : render::kernels::available()) {
       if (!names.empty()) names += ", ";
@@ -1084,144 +610,16 @@ void report() {
     report_row("raster kernels",
                names + "; active: " + render::kernels::active().name);
 
-    render::Framebuffer fb(1280, 720);
-    const color::Color opaque{40, 90, 160, 255};
-    const color::Color veil{200, 60, 40, 128};
-    const auto time_reps = [](int reps, auto&& fn) {
-      fn();  // warm the caches before timing
-      util::Stopwatch w;
-      for (int i = 0; i < reps; ++i) fn();
-      return w.seconds() / reps;
-    };
-
-    const double fill_legacy = time_reps(
-        40, [&] { legacy::fill_rect(fb, 0, 0, 1280, 720, opaque); });
-    const double fill_new =
-        time_reps(40, [&] { fb.fill_rect(0, 0, 1280, 720, opaque); });
-    const double fill_x = fill_legacy / fill_new;
-    report_row("opaque fill 1280x720, per-pixel vs kernel",
-               fmt(fill_legacy * 1e3, 2) + " ms vs " +
-                   fmt(fill_new * 1e3, 2) + " ms (" + fmt(fill_x, 1) + "x)");
-
-    const double blend_legacy =
-        time_reps(40, [&] { legacy::fill_rect(fb, 0, 0, 1280, 720, veil); });
-    const double blend_new =
-        time_reps(40, [&] { fb.fill_rect(0, 0, 1280, 720, veil); });
-    report_row("alpha blend 1280x720, per-pixel vs kernel",
-               fmt(blend_legacy * 1e3, 2) + " ms vs " +
-                   fmt(blend_new * 1e3, 2) + " ms (" +
-                   fmt(blend_legacy / blend_new, 1) + "x)");
-
-    const char* label = "task t63.999999 (computation)";
-    const double text_legacy = time_reps(20, [&] {
-      for (int i = 0; i < 60; ++i) {
-        legacy::draw_text(fb, 8, 8 + (i % 64) * 9, label, color::kBlack, 1);
-      }
-    });
-    const double text_new = time_reps(20, [&] {
-      for (int i = 0; i < 60; ++i) {
-        render::draw_text(fb, 8, 8 + (i % 64) * 9, label, color::kBlack, 1);
-      }
-    });
-    report_row("60 labels, per-cell vs cached spans",
-               fmt(text_legacy * 1e3, 2) + " ms vs " +
-                   fmt(text_new * 1e3, 2) + " ms (" +
-                   fmt(text_legacy / text_new, 1) + "x)");
-
-    // 256 overlapping rects on one canvas: sequential per-pixel painting
-    // vs one span-batch flush resolving the overdraw up front.
-    const auto overdraw_rect = [](int i) {
-      return std::tuple<int, int, color::Color>(
-          (i * 37) % 800, (i * 23) % 600,
-          color::Color{static_cast<std::uint8_t>(50 + i % 180),
-                       static_cast<std::uint8_t>(80 + i % 120),
-                       static_cast<std::uint8_t>(20 + i % 200),
-                       static_cast<std::uint8_t>(i % 7 == 0 ? 120 : 255)});
-    };
-    const double over_legacy = time_reps(20, [&] {
-      for (int i = 0; i < 256; ++i) {
-        const auto [x, y, c] = overdraw_rect(i);
-        legacy::fill_rect(fb, x, y, 400, 100, c);
-      }
-    });
-    const double over_new = time_reps(20, [&] {
-      render::SpanBatch batch(fb);
-      for (int i = 0; i < 256; ++i) {
-        const auto [x, y, c] = overdraw_rect(i);
-        batch.add_rect(x, y, 400, 100, c);
-      }
-      batch.flush();
-    });
-    report_row("256-rect overdraw, sequential vs span batch",
-               fmt(over_legacy * 1e3, 2) + " ms vs " +
-                   fmt(over_new * 1e3, 2) + " ms (" +
-                   fmt(over_legacy / over_new, 1) + "x)");
-
     watch.reset();
     const auto& dense = dense_schedule();
     report_row("build 1M-task overdraw schedule",
                fmt(watch.seconds(), 2) + " s (" +
                    std::to_string(dense.tasks().size()) + " tasks)");
     watch.reset();
-    const auto png_legacy = legacy::export_png(dense, dense_options());
-    const double cold_legacy = watch.seconds();
-    report_row("1M-task cold PNG export, per-pixel raster",
-               fmt(cold_legacy, 2) + " s");
-    watch.reset();
-    const auto png_new = render::render_to_bytes(dense, dense_options(), "png");
-    const double cold_new = watch.seconds();
+    const auto png = render::render_to_bytes(dense, dense_options(), "png");
     report_row("1M-task cold PNG export, span raster",
-               fmt(cold_new, 2) + " s (" + fmt(cold_legacy / cold_new, 1) +
-                   "x)");
-    report_check("span rasterizer reproduces the per-pixel bytes",
-                 png_new == png_legacy);
-
-    // Codec ablation at 1M tasks: the pre-PR IDAT (unfiltered scanlines
-    // through fixed-Huffman deflate) vs today's (min-SAD filtered rows
-    // through per-chunk dynamic Huffman). The enforced bound is 2x: on
-    // this synthetic chart even a per-row oracle filter choice plus a
-    // zlib-level-9-depth match search only reaches ~2.8x (EXPERIMENTS.md),
-    // so 2x is what the fast 64-probe codec can guarantee.
-    {
-      const auto fbd = render::render_raster(dense, dense_options());
-      const auto w = static_cast<std::size_t>(fbd.width());
-      const auto h = static_cast<std::size_t>(fbd.height());
-      std::vector<std::uint8_t> unfiltered((w * 3 + 1) * h);
-      const auto& px = fbd.pixels();
-      for (std::size_t y = 0; y < h; ++y) {
-        std::uint8_t* row = unfiltered.data() + y * (w * 3 + 1);
-        row[0] = 0;  // filter type None on every scanline
-        for (std::size_t x = 0; x < w; ++x) {
-          row[1 + x * 3] = px[(y * w + x) * 4];
-          row[2 + x * 3] = px[(y * w + x) * 4 + 1];
-          row[3 + x * 3] = px[(y * w + x) * 4 + 2];
-        }
-      }
-      const auto old_idat = render::zlib_compress(
-          unfiltered.data(), unfiltered.size(),
-          render::DeflateStrategy::fixed);
-      const auto scan = render::filter_scanlines(fbd, 1);
-      const auto new_idat = render::zlib_compress(
-          scan.data(), scan.size(), render::DeflateStrategy::dynamic);
-      report_row("1M-task IDAT, unfiltered+fixed vs filtered+dynamic",
-                 std::to_string(old_idat.size() / 1024) + " KiB vs " +
-                     std::to_string(new_idat.size() / 1024) + " KiB (" +
-                     fmt(static_cast<double>(old_idat.size()) /
-                             static_cast<double>(new_idat.size()), 1) +
-                     "x)");
-      report_check("1M-task PNG >= 2x smaller than the pre-PR codec",
-                   old_idat.size() >= 2 * new_idat.size());
-    }
-    if (cpu.avx2 || cpu.neon) {
-      report_check("opaque-fill kernel >= 4x vs per-pixel", fill_x >= 4.0);
-      report_check("1M-task cold PNG export >= 2x vs per-pixel raster",
-                   cold_legacy / cold_new >= 2.0);
-    } else {
-      report_row("opaque-fill kernel >= 4x vs per-pixel",
-                 "skipped (no AVX2/NEON)");
-      report_row("1M-task cold PNG export >= 2x vs per-pixel raster",
-                 "skipped (no AVX2/NEON)");
-    }
+               fmt(watch.seconds(), 2) + " s (" +
+                   std::to_string(png.size() / 1024) + " KiB)");
   }
 
   // Binary snapshots and O(delta) append at 1M tasks: reopening a trace
@@ -1482,9 +880,8 @@ void BM_DeflateDynamic(benchmark::State& state) {
   const auto scan = render::filter_scanlines(fb, 1);
   const int threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(render::deflate_compress(
-        scan.data(), scan.size(), threads,
-        render::DeflateStrategy::dynamic));
+    benchmark::DoNotOptimize(
+        render::deflate_compress(scan.data(), scan.size(), threads));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(scan.size()));
@@ -1502,47 +899,6 @@ void BM_XmlParse(benchmark::State& state) {
                           static_cast<std::int64_t>(xml.size()));
 }
 BENCHMARK(BM_XmlParse)->Arg(10000)->Arg(50000)->Unit(benchmark::kMillisecond);
-
-// The 1M-task ingest trio recorded in BENCH_scale.json: same document; the
-// legacy row runs the reconstructed pre-PR path end to end, the other two
-// share today's composite kernel and differ only in the XML -> Schedule path.
-void BM_IngestLegacy(benchmark::State& state) {
-  const auto& xml = million_xml();
-  for (auto _ : state) {
-    const auto schedule = legacy::read_schedule(xml);
-    benchmark::DoNotOptimize(legacy::composites(schedule));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(xml.size()));
-}
-BENCHMARK(BM_IngestLegacy)->Unit(benchmark::kMillisecond);
-
-void BM_IngestDom(benchmark::State& state) {
-  const auto& xml = million_xml();
-  for (auto _ : state) {
-    const auto schedule = io::read_schedule_xml_dom(xml);
-    benchmark::DoNotOptimize(model::synthesize_composites(schedule));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(xml.size()));
-}
-BENCHMARK(BM_IngestDom)->Unit(benchmark::kMillisecond);
-
-void BM_FrameLegacyFullRelayout(benchmark::State& state) {
-  const auto setup = frame_setup(static_cast<int>(state.range(0)));
-  auto style = frame_style();
-  double t0 = setup.begin;
-  for (auto _ : state) {
-    t0 = setup.begin + std::fmod(t0 - setup.begin + 8 * setup.step,
-                                 setup.span - setup.len);
-    style.time_window = model::TimeRange{t0, t0 + setup.len};
-    benchmark::DoNotOptimize(legacy_frame(*setup.schedule, style));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_FrameLegacyFullRelayout)
-    ->Arg(10000)->Arg(200000)->Arg(1000000)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_FramePanWarm(benchmark::State& state) {
   const auto setup = frame_setup(static_cast<int>(state.range(0)));
@@ -1639,107 +995,74 @@ BENCHMARK(BM_IngestParallel)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 
-// Raster rows recorded in BENCH_scale.json: arg 0 runs the reconstructed
-// pre-PR per-pixel path, arg 1 the span/SIMD path (the label names the
-// dispatched kernel variant).
+// Raster rows recorded in BENCH_scale.json (the label names the dispatched
+// kernel variant).
 void BM_RasterOpaqueFill(benchmark::State& state) {
   render::Framebuffer fb(1280, 720);
   const color::Color c{40, 90, 160, 255};
-  const bool kernel = state.range(0) != 0;
   for (auto _ : state) {
-    if (kernel) {
-      fb.fill_rect(0, 0, 1280, 720, c);
-    } else {
-      legacy::fill_rect(fb, 0, 0, 1280, 720, c);
-    }
+    fb.fill_rect(0, 0, 1280, 720, c);
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1280 * 720 * 4);
-  state.SetLabel(kernel ? render::kernels::active().name : "per-pixel");
+  state.SetLabel(render::kernels::active().name);
 }
-BENCHMARK(BM_RasterOpaqueFill)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RasterOpaqueFill)->Unit(benchmark::kMillisecond);
 
 void BM_RasterAlphaBlend(benchmark::State& state) {
   render::Framebuffer fb(1280, 720);
   const color::Color c{200, 60, 40, 128};
-  const bool kernel = state.range(0) != 0;
   for (auto _ : state) {
-    if (kernel) {
-      fb.fill_rect(0, 0, 1280, 720, c);
-    } else {
-      legacy::fill_rect(fb, 0, 0, 1280, 720, c);
-    }
+    fb.fill_rect(0, 0, 1280, 720, c);
     benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           1280 * 720 * 4);
-  state.SetLabel(kernel ? render::kernels::active().name : "per-pixel");
+  state.SetLabel(render::kernels::active().name);
 }
-BENCHMARK(BM_RasterAlphaBlend)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RasterAlphaBlend)->Unit(benchmark::kMillisecond);
 
 void BM_RasterText(benchmark::State& state) {
   render::Framebuffer fb(400, 600);
   const std::string label = "task t63.999999 (computation)";
-  const bool cached = state.range(0) != 0;
   for (auto _ : state) {
     for (int i = 0; i < 60; ++i) {
-      if (cached) {
-        render::draw_text(fb, 8, 8 + i * 9, label, color::kBlack, 1);
-      } else {
-        legacy::draw_text(fb, 8, 8 + i * 9, label, color::kBlack, 1);
-      }
+      render::draw_text(fb, 8, 8 + i * 9, label, color::kBlack, 1);
     }
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 60);
-  state.SetLabel(cached ? "cached spans" : "per-cell");
 }
-BENCHMARK(BM_RasterText)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RasterText)->Unit(benchmark::kMillisecond);
 
 void BM_RasterOverdraw(benchmark::State& state) {
   render::Framebuffer fb(1280, 720);
-  const bool span = state.range(0) != 0;
   for (auto _ : state) {
-    if (span) {
-      render::SpanBatch batch(fb);
-      for (int i = 0; i < 256; ++i) {
-        batch.add_rect((i * 37) % 800, (i * 23) % 600, 400, 100,
-                       color::Color{static_cast<std::uint8_t>(50 + i % 180),
-                                    80, 20, 255});
-      }
-      batch.flush();
-    } else {
-      for (int i = 0; i < 256; ++i) {
-        legacy::fill_rect(fb, (i * 37) % 800, (i * 23) % 600, 400, 100,
-                          color::Color{static_cast<std::uint8_t>(50 + i % 180),
-                                       80, 20, 255});
-      }
+    render::SpanBatch batch(fb);
+    for (int i = 0; i < 256; ++i) {
+      batch.add_rect((i * 37) % 800, (i * 23) % 600, 400, 100,
+                     color::Color{static_cast<std::uint8_t>(50 + i % 180),
+                                  80, 20, 255});
     }
+    batch.flush();
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * 256);
-  state.SetLabel(span ? "span batch" : "sequential");
 }
-BENCHMARK(BM_RasterOverdraw)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RasterOverdraw)->Unit(benchmark::kMillisecond);
 
 void BM_ExportPngCold(benchmark::State& state) {
   const auto& schedule = dense_schedule();
   const auto options = dense_options();
-  const bool span = state.range(0) != 0;
   for (auto _ : state) {
-    if (span) {
-      benchmark::DoNotOptimize(
-          render::render_to_bytes(schedule, options, "png"));
-    } else {
-      benchmark::DoNotOptimize(legacy::export_png(schedule, options));
-    }
+    benchmark::DoNotOptimize(
+        render::render_to_bytes(schedule, options, "png"));
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(schedule.tasks().size()));
-  state.SetLabel(span ? "span raster" : "per-pixel raster");
 }
-BENCHMARK(BM_ExportPngCold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ExportPngCold)->Unit(benchmark::kMillisecond);
 
 // `jedule serve` request cost at scale: cold = a fresh RenderService per
 // request (artifact-cache miss, the full layout + raster + encode), warm =

@@ -143,8 +143,7 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
           render(entry, options, format, Encoding::identity);
       const auto z = render::gzip_compress(
           reinterpret_cast<const std::uint8_t*>(identity.bytes->data()),
-          identity.bytes->size(), render::DeflateStrategy::dynamic,
-          util::resolve_threads(options.threads));
+          identity.bytes->size(), util::resolve_threads(options.threads));
       return Made{std::string(reinterpret_cast<const char*>(z.data()),
                               z.size()),
                   identity.bytes->size()};
@@ -223,7 +222,6 @@ RenderService::Artifact RenderService::render_tile(
     tile_req.index = &entry->index;
     tile_req.edge_index = &entry->edges;
     tile_req.colormap_epoch = colormap_epoch(options.colormap);
-    tile_req.validated = true;
     std::lock_guard<std::mutex> lock(tile_mu_);
     const render::Framebuffer fb = tiles_.render_frame(tile_req);
     const auto& frame = tiles_.last_frame();

@@ -221,7 +221,6 @@ const render::Framebuffer& SessionState::frame() {
   req.index = &entry_->index;
   req.edge_index = &entry_->edges;
   req.colormap_epoch = colormap_epoch_;
-  req.validated = true;
   frame_ = cache_.render_frame(req);
   frame_log_.record(cache_.last_frame());
   return *frame_;

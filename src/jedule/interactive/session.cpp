@@ -5,6 +5,7 @@
 
 #include "jedule/engine/events.hpp"
 #include "jedule/engine/options.hpp"
+#include "jedule/engine/render_service.hpp"
 #include "jedule/engine/store.hpp"
 #include "jedule/io/colormap_xml.hpp"
 #include "jedule/io/file.hpp"
@@ -213,9 +214,10 @@ void Session::snapshot(const std::string& path) {
   render::RenderOptions options;
   options.style = state_.style();
   options.colormap = state_.colormap();
-  options.task_index = &state_.index();
-  options.edge_index = &state_.entry()->edges;
-  render::export_schedule(schedule(), options, path);
+  const std::string format =
+      render::ExporterRegistry::instance().resolve("", path).name();
+  engine::RenderService service;
+  io::write_file(path, *service.render(state_.entry(), options, format).bytes);
 }
 
 std::string Session::execute(const std::string& command) {

@@ -145,7 +145,8 @@ class Session {
   /// if the session is not file-bound.
   std::string follow();
 
-  /// Exports the current view (format from the extension).
+  /// Exports the current view (format from the extension), rendered by
+  /// engine::RenderService like `jedule render`.
   void snapshot(const std::string& path);
 
   /// Executes one script command and returns its textual output. Commands:

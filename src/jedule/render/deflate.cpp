@@ -647,34 +647,32 @@ std::uint64_t fixed_body_cost(const std::uint32_t* lit_freq,
 /// through the dynamic code when its exact cost (header included) beats the
 /// fixed code, else through the fixed code.
 void deflate_chunk(const std::uint8_t* data, std::size_t size, bool final,
-                   DeflateStrategy strategy, BitWriter& bw) {
+                   BitWriter& bw) {
   ChunkScratch& s = chunk_scratch();
   tokenize_chunk(data, size, s);
   s.lit_freq[256]++;  // every block ends with the EOB symbol
 
-  if (strategy == DeflateStrategy::dynamic) {
-    DynamicPlan plan;
-    build_dynamic_plan(s.lit_freq, s.dist_freq, plan);
-    if (plan.header_bits + plan.body_bits <
-        fixed_body_cost(s.lit_freq, s.dist_freq)) {
-      bw.put_bits(final ? 1 : 0, 1);  // BFINAL
-      bw.put_bits(2, 2);              // BTYPE = 10 (dynamic Huffman)
-      bw.put_bits(static_cast<std::uint32_t>(plan.hlit - 257), 5);
-      bw.put_bits(static_cast<std::uint32_t>(plan.hdist - 1), 5);
-      bw.put_bits(static_cast<std::uint32_t>(plan.hclen - 4), 4);
-      for (int i = 0; i < plan.hclen; ++i) {
-        bw.put_bits(plan.cl_len[kClOrder[i]], 3);
-      }
-      for (const auto& op : plan.ops) {
-        bw.put_bits(plan.cl_code[op.sym], plan.cl_len[op.sym]);
-        if (const int extra = cl_extra_bits(op.sym); extra > 0) {
-          bw.put_bits(op.arg, extra);
-        }
-      }
-      emit_tokens(bw, s.tokens, plan.ll_len, plan.ll_code, plan.d_len,
-                  plan.d_code);
-      return;
+  DynamicPlan plan;
+  build_dynamic_plan(s.lit_freq, s.dist_freq, plan);
+  if (plan.header_bits + plan.body_bits <
+      fixed_body_cost(s.lit_freq, s.dist_freq)) {
+    bw.put_bits(final ? 1 : 0, 1);  // BFINAL
+    bw.put_bits(2, 2);              // BTYPE = 10 (dynamic Huffman)
+    bw.put_bits(static_cast<std::uint32_t>(plan.hlit - 257), 5);
+    bw.put_bits(static_cast<std::uint32_t>(plan.hdist - 1), 5);
+    bw.put_bits(static_cast<std::uint32_t>(plan.hclen - 4), 4);
+    for (int i = 0; i < plan.hclen; ++i) {
+      bw.put_bits(plan.cl_len[kClOrder[i]], 3);
     }
+    for (const auto& op : plan.ops) {
+      bw.put_bits(plan.cl_code[op.sym], plan.cl_len[op.sym]);
+      if (const int extra = cl_extra_bits(op.sym); extra > 0) {
+        bw.put_bits(op.arg, extra);
+      }
+    }
+    emit_tokens(bw, s.tokens, plan.ll_len, plan.ll_code, plan.d_len,
+                plan.d_code);
+    return;
   }
 
   const FixedCodes& fc = fixed_codes();
@@ -686,9 +684,7 @@ void deflate_chunk(const std::uint8_t* data, std::size_t size, bool final,
 }  // namespace
 
 std::vector<std::uint8_t> deflate_compress(const std::uint8_t* data,
-                                           std::size_t size, int threads,
-                                           DeflateStrategy strategy) {
-  if (strategy == DeflateStrategy::stored) return deflate_store(data, size);
+                                           std::size_t size, int threads) {
   const std::size_t chunks =
       size == 0 ? 1 : (size + kDeflateChunk - 1) / kDeflateChunk;
   std::vector<BitWriter::BitBuffer> parts(chunks);
@@ -696,7 +692,7 @@ std::vector<std::uint8_t> deflate_compress(const std::uint8_t* data,
     BitWriter bw;
     const std::size_t off = i * kDeflateChunk;
     deflate_chunk(data + off, std::min(kDeflateChunk, size - off),
-                  i + 1 == chunks, strategy, bw);
+                  i + 1 == chunks, bw);
     parts[i] = bw.take_bits();
   });
   BitWriter out;
@@ -724,13 +720,11 @@ std::vector<std::uint8_t> deflate_store(const std::uint8_t* data,
 }
 
 std::vector<std::uint8_t> zlib_compress(const std::uint8_t* data,
-                                        std::size_t size,
-                                        DeflateStrategy strategy,
-                                        int threads) {
+                                        std::size_t size, int threads) {
   std::vector<std::uint8_t> out;
   out.push_back(0x78);  // CMF: deflate, 32K window
   out.push_back(0x01);  // FLG: fastest, no dict; (0x7801 % 31 == 0)
-  auto body = deflate_compress(data, size, threads, strategy);
+  auto body = deflate_compress(data, size, threads);
   out.insert(out.end(), body.begin(), body.end());
 
   std::uint32_t a;
@@ -758,13 +752,11 @@ std::vector<std::uint8_t> zlib_compress(const std::uint8_t* data,
 }
 
 std::vector<std::uint8_t> gzip_compress(const std::uint8_t* data,
-                                        std::size_t size,
-                                        DeflateStrategy strategy,
-                                        int threads) {
+                                        std::size_t size, int threads) {
   // Deterministic member header: no flags, MTIME=0, XFL=0, OS=255 (unknown).
   std::vector<std::uint8_t> out = {0x1F, 0x8B, 0x08, 0x00, 0x00,
                                    0x00, 0x00, 0x00, 0x00, 0xFF};
-  auto body = deflate_compress(data, size, threads, strategy);
+  auto body = deflate_compress(data, size, threads);
   out.insert(out.end(), body.begin(), body.end());
   const std::uint32_t crc = crc32_parallel(data, size, threads);
   const auto isize = static_cast<std::uint32_t>(size);

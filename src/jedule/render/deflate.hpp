@@ -31,39 +31,27 @@ using util::crc32;
 using util::crc32_combine;
 using util::crc32_parallel;
 
-/// How each 256 KiB chunk is encoded. Strategy is explicit at every call
-/// site; it never changes the chunk grid, so any strategy is byte-identical
-/// across thread counts.
-enum class DeflateStrategy {
-  stored,   ///< uncompressed stored blocks — framing only
-  fixed,    ///< one fixed-Huffman block per chunk (lazy LZ77 tokens)
-  dynamic,  ///< per-chunk dynamic Huffman, fixed fallback when it wins
-};
-
 /// Raw DEFLATE stream: one block per 256 KiB input chunk, compressed over
 /// up to `threads` workers. The output does not depend on `threads` —
 /// chunk boundaries are fixed and blocks are merged in order.
-std::vector<std::uint8_t> deflate_compress(
-    const std::uint8_t* data, std::size_t size, int threads = 1,
-    DeflateStrategy strategy = DeflateStrategy::dynamic);
+std::vector<std::uint8_t> deflate_compress(const std::uint8_t* data,
+                                           std::size_t size, int threads = 1);
 
-/// Raw DEFLATE stream of stored (uncompressed) blocks; used as a fallback
-/// and to exercise the stored-block path of the decoder.
+/// Raw DEFLATE stream of stored (uncompressed) blocks; exercises the
+/// stored-block path of the decoder.
 std::vector<std::uint8_t> deflate_store(const std::uint8_t* data,
                                         std::size_t size);
 
 /// zlib stream: 2-byte header + deflate data + Adler-32. The Adler-32 is
 /// computed per chunk on the workers and combined at stitch time.
-std::vector<std::uint8_t> zlib_compress(
-    const std::uint8_t* data, std::size_t size,
-    DeflateStrategy strategy = DeflateStrategy::dynamic, int threads = 1);
+std::vector<std::uint8_t> zlib_compress(const std::uint8_t* data,
+                                        std::size_t size, int threads = 1);
 
 /// gzip (RFC 1952) member with a deterministic 10-byte header (MTIME=0,
 /// OS=255) and CRC-32 + ISIZE trailer. Used for `.svgz` export and the
 /// serve layer's negotiated gzip response bodies; io::load_schedule and
 /// util::gzip_decompress read it back.
-std::vector<std::uint8_t> gzip_compress(
-    const std::uint8_t* data, std::size_t size,
-    DeflateStrategy strategy = DeflateStrategy::dynamic, int threads = 1);
+std::vector<std::uint8_t> gzip_compress(const std::uint8_t* data,
+                                        std::size_t size, int threads = 1);
 
 }  // namespace jedule::render

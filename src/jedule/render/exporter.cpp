@@ -75,8 +75,7 @@ class SvgzExporter final : public Exporter {
     const std::string svg = canvas.finish();
     const auto z =
         gzip_compress(reinterpret_cast<const std::uint8_t*>(svg.data()),
-                      svg.size(), DeflateStrategy::dynamic,
-                      options.resolved_threads());
+                      svg.size(), options.resolved_threads());
     return std::string(reinterpret_cast<const char*>(z.data()), z.size());
   }
 };

@@ -678,7 +678,6 @@ GanttLayout layout_gantt(const Schedule& schedule,
   }
 
   layout.panel_lod.assign(layout.panels.size(), 0);
-  if (hints.chrome_only) return layout;
 
   // Per-panel LOD decision (the tile cache pre-decides per frame so all
   // tiles of one frame agree).

@@ -221,10 +221,6 @@ struct LayoutHints {
   /// Skip Schedule::validate() (the caller validated once already).
   bool assume_validated = false;
 
-  /// Panels and header only — no tasks, boxes or composites (the tile
-  /// cache's chrome overlay).
-  bool chrome_only = false;
-
   /// Resolve LodMode::kDefault to kAuto instead of kOff (interactive).
   bool interactive = false;
 

@@ -65,7 +65,7 @@ std::string PdfCanvas::finish(int threads) const {
   // Objects: 1 catalog, 2 pages, 3 page, 4 contents, 5 font.
   const auto z = zlib_compress(
       reinterpret_cast<const std::uint8_t*>(content_.data()),
-      content_.size(), DeflateStrategy::dynamic, threads);
+      content_.size(), threads);
   const std::string packed(reinterpret_cast<const char*>(z.data()),
                            z.size());
   std::string objects[6];

@@ -108,8 +108,7 @@ std::string encode_png(const Framebuffer& fb, int threads) {
   put_chunk(out, "IHDR", ihdr);
 
   const auto raw = filter_scanlines(fb, threads);
-  const auto z = zlib_compress(raw.data(), raw.size(),
-                               DeflateStrategy::dynamic, threads);
+  const auto z = zlib_compress(raw.data(), raw.size(), threads);
   put_chunk(out, "IDAT",
             std::string(reinterpret_cast<const char*>(z.data()), z.size()),
             threads);

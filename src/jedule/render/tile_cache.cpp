@@ -115,14 +115,15 @@ void TileCache::drop_tiles() {
 }
 
 Framebuffer TileCache::render_frame(const Request& req) {
-  JED_ASSERT(req.schedule != nullptr && req.colormap != nullptr);
+  JED_ASSERT(req.schedule != nullptr && req.colormap != nullptr &&
+             req.index != nullptr);
   const auto t_start = Clock::now();
   last_ = profile::FrameStats{};
 
   LayoutHints base_hints;
   base_hints.index = req.index;
   base_hints.edge_index = req.edge_index;
-  base_hints.assume_validated = req.validated;
+  base_hints.assume_validated = true;
   base_hints.interactive = true;
 
   // Resolve the view window: the style's window, else the whole schedule.
@@ -130,17 +131,8 @@ Framebuffer TileCache::render_frame(const Request& req) {
   model::TimeRange win{0, 1};
   if (req.style.time_window) {
     win = *req.style.time_window;
-  } else if (req.index != nullptr && req.index->time_range()) {
+  } else if (req.index->time_range()) {
     win = *req.index->time_range();
-  } else if (req.index == nullptr) {
-    double lo = 0, hi = 0;
-    bool any = false;
-    for (const auto& t : req.schedule->tasks()) {
-      lo = any ? std::min(lo, t.start_time()) : t.start_time();
-      hi = any ? std::max(hi, t.end_time()) : t.end_time();
-      any = true;
-    }
-    if (any) win = {lo, hi};
   }
   if (!(win.length() > 0)) win = {win.begin, win.begin + 1};
 
@@ -152,9 +144,7 @@ Framebuffer TileCache::render_frame(const Request& req) {
     return fb;
   }
 
-  const std::uint64_t content =
-      req.index != nullptr ? req.index->content_hash()
-                           : model::TaskIndex::hash_schedule(*req.schedule);
+  const std::uint64_t content = req.index->content_hash();
   if (content != content_hash_) {
     if (content_hash_ != 0) {
       drop_tiles();

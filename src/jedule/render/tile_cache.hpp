@@ -41,14 +41,15 @@ class TileCache {
   };
 
   struct Request {
+    /// Must already be validated: layouts run with assume_validated.
     const model::Schedule* schedule = nullptr;
     const color::ColorMap* colormap = nullptr;
     /// style.time_window is the view window (falls back to the schedule
     /// bounds when unset). LodMode::kDefault resolves to kAuto here —
     /// the tile cache is the interactive path.
     GanttStyle style;
-    /// Optional; without it culling degrades to full scans (correct,
-    /// slower) and the content hash is recomputed per frame.
+    /// Required: culls each layout to the window and supplies the
+    /// content hash that keys the tiles.
     const model::TaskIndex* index = nullptr;
     /// Optional dependency-edge index. Edges paint in the per-frame
     /// overlay only — tiles never contain them, so edge style changes
@@ -58,8 +59,6 @@ class TileCache {
     /// Bumped by the caller whenever the colormap object changes (the
     /// cache cannot cheaply hash a colormap).
     std::uint64_t colormap_epoch = 0;
-    /// Skip Schedule::validate() inside layouts (caller validated once).
-    bool validated = false;
   };
 
   TileCache();

@@ -209,6 +209,26 @@ TEST(Cli, ViewHonoursFormatForLoadAndFollow) {
   std::remove(script.c_str());
 }
 
+TEST(Cli, ViewExportMatchesRender) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  const std::string flags = " --width 640 --height 400 --edges force";
+  const std::string script = twins.path("export_script.txt");
+  io::write_file(script, "window 10 30\nexport " + twins.path("view.png") +
+                             "\nexport " + twins.path("view.svg") + "\n");
+  const auto r = run_cli("view " + twins.csv + flags + " --script " + script);
+  ASSERT_EQ(r.exit_code, 0) << r.output;
+  for (const char* ext : {".png", ".svg"}) {
+    const std::string want = twins.path(std::string("render") + ext);
+    const auto rendered = run_cli("render " + twins.csv + " --out " + want +
+                                  " --window 10:30" + flags);
+    ASSERT_EQ(rendered.exit_code, 0) << rendered.output;
+    EXPECT_EQ(io::read_file(twins.path(std::string("view") + ext)),
+              io::read_file(want))
+        << ext;
+  }
+}
+
 TEST(Cli, NoArgumentsPrintsUsage) {
   const auto r = run_cli("");
   EXPECT_EQ(r.exit_code, 2);

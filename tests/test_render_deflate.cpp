@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "jedule/model/builder.hpp"
 #include "jedule/render/export.hpp"
 #include "jedule/render/png.hpp"
@@ -43,14 +45,16 @@ TEST(Crc32, SeedChains) {
 }
 
 void roundtrip(const std::vector<std::uint8_t>& data) {
-  for (const DeflateStrategy strategy :
-       {DeflateStrategy::stored, DeflateStrategy::fixed,
-        DeflateStrategy::dynamic}) {
-    const auto packed =
-        deflate_compress(data.data(), data.size(), 1, strategy);
+  for (const auto& packed : {deflate_store(data.data(), data.size()),
+                             deflate_compress(data.data(), data.size())}) {
     const auto back = util::inflate_decompress(packed.data(), packed.size());
     EXPECT_EQ(back, data);
   }
+}
+
+/// BTYPE of the first block: 1 = fixed Huffman, 2 = dynamic Huffman.
+int first_block_type(const std::vector<std::uint8_t>& packed) {
+  return (packed.at(0) >> 1) & 3;
 }
 
 TEST(Deflate, EmptyInput) { roundtrip({}); }
@@ -80,12 +84,21 @@ TEST(Deflate, DynamicBeatsFixedOnSkewedHistograms) {
     for (int i = 0; i < run && !(rng() & 1); ++i) data.push_back(v);
     data.push_back(static_cast<std::uint8_t>(rng() & 0xFF));
   }
-  const auto fixed =
-      deflate_compress(data.data(), data.size(), 1, DeflateStrategy::fixed);
-  const auto dynamic = deflate_compress(data.data(), data.size(), 1,
-                                        DeflateStrategy::dynamic);
-  EXPECT_LT(dynamic.size(), fixed.size());
-  EXPECT_EQ(util::inflate_decompress(dynamic.data(), dynamic.size()), data);
+  // The encoder emits the dynamic block only when its exact cost, header
+  // included, is below the fixed block's.
+  const auto packed = deflate_compress(data.data(), data.size());
+  EXPECT_EQ(first_block_type(packed), 2);
+  EXPECT_EQ(util::inflate_decompress(packed.data(), packed.size()), data);
+}
+
+TEST(Deflate, TinyInputFallsBackToTheFixedBlock) {
+  // A dynamic header alone costs more bits than these few literals under
+  // the fixed code, so the fixed encoder must run.
+  const auto data = bytes_of("abc");
+  const auto packed = deflate_compress(data.data(), data.size());
+  EXPECT_EQ(packed[0] & 1, 1);  // BFINAL
+  EXPECT_EQ(first_block_type(packed), 1);
+  EXPECT_EQ(util::inflate_decompress(packed.data(), packed.size()), data);
 }
 
 TEST(Gzip, RoundTripAndDeterministicFraming) {
@@ -100,9 +113,7 @@ TEST(Gzip, RoundTripAndDeterministicFraming) {
   const auto back = util::gzip_decompress(z.data(), z.size());
   EXPECT_EQ(back, data);
   // Byte-identical regardless of thread count (same chunk grid).
-  EXPECT_EQ(gzip_compress(data.data(), data.size(),
-                          DeflateStrategy::dynamic, 8),
-            z);
+  EXPECT_EQ(gzip_compress(data.data(), data.size(), 8), z);
 }
 
 TEST(Deflate, PeriodicPattern) {
@@ -140,11 +151,16 @@ TEST(DeflateStore, MultiBlockBoundary) {
 }
 
 TEST(Zlib, RoundTripAllStrategies) {
-  const auto data = bytes_of("zlib framing test, zlib framing test");
-  for (const DeflateStrategy strategy :
-       {DeflateStrategy::stored, DeflateStrategy::fixed,
-        DeflateStrategy::dynamic}) {
-    const auto z = zlib_compress(data.data(), data.size(), strategy);
+  // Short text takes the fixed block, a long skewed run the dynamic one.
+  std::vector<std::uint8_t> skewed;
+  for (int i = 0; i < 4000; ++i) {
+    skewed.push_back(static_cast<std::uint8_t>(i % 3 == 0 ? i & 0xFF : 7));
+  }
+  const std::pair<std::vector<std::uint8_t>, int> inputs[] = {
+      {bytes_of("zlib framing test, zlib framing test"), 1}, {skewed, 2}};
+  for (const auto& [data, block_type] : inputs) {
+    const auto z = zlib_compress(data.data(), data.size());
+    EXPECT_EQ(first_block_type({z.begin() + 2, z.end()}), block_type);
     EXPECT_EQ(z[0], 0x78);
     EXPECT_EQ(((static_cast<unsigned>(z[0]) << 8) | z[1]) % 31, 0u);
     const auto back = util::zlib_decompress(z.data(), z.size());
@@ -187,8 +203,8 @@ INSTANTIATE_TEST_SUITE_P(Sweep, DeflateSizes,
                          ::testing::Values(1, 2, 3, 255, 256, 257, 4096,
                                            65535, 65536, 65537, 200000));
 
-// --- Differential: dynamic deflate across thread counts ----------------
-// deflate(dynamic, T) must be byte-identical for T in {1, 2, 8} and round
+// --- Differential: deflate across thread counts --------------------------
+// deflate(T) must be byte-identical for T in {1, 2, 8} and round
 // trip through util::inflate, over random, run-heavy and real-render
 // inputs (the three shapes the exporters feed it).
 
@@ -240,24 +256,18 @@ TEST_P(DeflateDifferential, ThreadCountInvariantAndRoundTrips) {
   ASSERT_GT(data.size(), std::size_t{1} << 18)  // spans several chunks
       << kind;
 
-  const auto serial = deflate_compress(data.data(), data.size(), 1,
-                                       DeflateStrategy::dynamic);
+  const auto serial = deflate_compress(data.data(), data.size(), 1);
   EXPECT_EQ(util::inflate_decompress(serial.data(), serial.size()), data)
       << kind;
   for (const int threads : {2, 8}) {
-    EXPECT_EQ(deflate_compress(data.data(), data.size(), threads,
-                               DeflateStrategy::dynamic),
-              serial)
+    EXPECT_EQ(deflate_compress(data.data(), data.size(), threads), serial)
         << kind << " threads=" << threads;
   }
-  const auto zserial = zlib_compress(data.data(), data.size(),
-                                     DeflateStrategy::dynamic, 1);
+  const auto zserial = zlib_compress(data.data(), data.size(), 1);
   EXPECT_EQ(util::zlib_decompress(zserial.data(), zserial.size()), data)
       << kind;
   for (const int threads : {2, 8}) {
-    EXPECT_EQ(zlib_compress(data.data(), data.size(),
-                            DeflateStrategy::dynamic, threads),
-              zserial)
+    EXPECT_EQ(zlib_compress(data.data(), data.size(), threads), zserial)
         << kind << " threads=" << threads;
   }
 }

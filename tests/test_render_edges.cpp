@@ -1,7 +1,8 @@
 // Dependency-edge rendering (DESIGN.md §4j): the arrows-vs-heat-lane
-// switch, layout identity between the EdgeIndex path and the brute-force
-// fallback, and the export byte-identity matrix (every exporter x every
-// SIMD kernel variant x several thread counts) with edges enabled.
+// switch and layout identity between the EdgeIndex path and the
+// brute-force fallback. Export bytes with edges enabled (every exporter x
+// kernel x thread count, with and without the index) are pinned by
+// test_golden_outputs.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +18,6 @@
 #include "jedule/model/schedule.hpp"
 #include "jedule/render/exporter.hpp"
 #include "jedule/render/gantt.hpp"
-#include "jedule/render/kernels.hpp"
 #include "jedule/render/options.hpp"
 
 namespace jedule::render {
@@ -211,51 +211,6 @@ TEST(RenderEdges, WindowedLayoutsOnlyConsiderVisibleEdges) {
   const auto windowed = layout_with(s, style, &index);
   EXPECT_LT(windowed.edge_stats.considered, full.edge_stats.considered);
   expect_same_edge_layout(windowed, layout_with(s, style, nullptr));
-}
-
-TEST(RenderEdges, ExportBytesAreKernelAndThreadAndIndexInvariant) {
-  const char* formats[] = {"png", "ppm", "svg", "pdf", "ascii"};
-  const auto sparse = pipeline_schedule();
-  const auto dense = dense_schedule(120, 1500, 7);
-  const model::EdgeIndex sparse_index(sparse);
-  const model::EdgeIndex dense_index(dense);
-
-  struct Case {
-    const model::Schedule* schedule;
-    const model::EdgeIndex* index;
-    EdgeMode mode;
-  };
-  // Arrows on the sparse schedule, heat lanes on the dense one (64 px
-  // wide below), and forced heat on the sparse one.
-  const Case cases[] = {{&sparse, &sparse_index, EdgeMode::kAuto},
-                        {&dense, &dense_index, EdgeMode::kAuto},
-                        {&sparse, &sparse_index, EdgeMode::kForce}};
-
-  for (const Case& c : cases) {
-    for (const char* format : formats) {
-      RenderOptions base;
-      base.style = style_for(c.mode, 160, 200);
-      base.threads = 1;
-      base.edge_index = c.index;
-      kernels::override_active(&kernels::scalar());
-      const std::string want = render_to_bytes(*c.schedule, base, format);
-      for (const kernels::Kernels* k : kernels::available()) {
-        kernels::override_active(k);
-        for (const int threads : {1, 2, 8}) {
-          RenderOptions options = base;
-          options.threads = threads;
-          EXPECT_EQ(render_to_bytes(*c.schedule, options, format), want)
-              << format << " kernel=" << k->name << " threads=" << threads;
-        }
-        // The brute-force fallback must produce the same bytes too.
-        RenderOptions no_index = base;
-        no_index.edge_index = nullptr;
-        EXPECT_EQ(render_to_bytes(*c.schedule, no_index, format), want)
-            << format << " kernel=" << k->name << " (no index)";
-      }
-      kernels::override_active(nullptr);
-    }
-  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Determinism of the multithreaded render/export pipeline: every stage —
 // composite sweep, banded rasterization, deflate/zlib, PNG framing — must
 // produce byte-identical output for every thread count. Golden-image style
-// checks run on the paper's Fig. 3 schedule and on the synthetic Fig. 13
-// Thunder-day workload.
+// checks run on the paper's Fig. 3 schedule; whole exports of the other
+// figure schedules are pinned by test_golden_outputs.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +17,6 @@
 #include "jedule/render/png.hpp"
 #include "jedule/util/parallel.hpp"
 #include "jedule/util/rng.hpp"
-#include "jedule/workload/thunder.hpp"
-#include "jedule/workload/trace_schedule.hpp"
 
 namespace jedule::render {
 namespace {
@@ -35,12 +33,6 @@ model::Schedule fig3_schedule() {
       .task("2", "transfer", 0.25, 0.50)
       .on(0, 2, 4)
       .build();
-}
-
-// Paper Fig. 13: the synthetic LLNL Thunder day (834 jobs, 1024 nodes).
-model::Schedule fig13_schedule() {
-  const auto trace = workload::generate_thunder_day();
-  return workload::trace_to_schedule(trace).schedule;
 }
 
 RenderOptions options_with_threads(int threads, int width = 640,
@@ -64,19 +56,6 @@ TEST(ParallelRender, Fig3PngAndPpmAreThreadCountInvariant) {
         << threads << " threads";
     EXPECT_EQ(render_to_bytes(schedule, options_with_threads(threads), "ppm"),
               ppm1)
-        << threads << " threads";
-  }
-}
-
-TEST(ParallelRender, Fig13ThunderDayIsThreadCountInvariant) {
-  const auto schedule = fig13_schedule();
-  auto options = options_with_threads(1, 960, 540);
-  options.style.show_labels = false;
-  options.style.show_composites = false;
-  const std::string png1 = render_to_bytes(schedule, options, "png");
-  for (int threads : kThreadCounts) {
-    options.threads = threads;
-    EXPECT_EQ(render_to_bytes(schedule, options, "png"), png1)
         << threads << " threads";
   }
 }
@@ -134,14 +113,11 @@ std::vector<std::uint8_t> mixed_test_data(std::size_t size) {
 TEST(ParallelDeflate, MultiChunkStreamsAreThreadCountInvariant) {
   const auto data = mixed_test_data((1u << 18) * 3 + 12345);
   const auto serial = deflate_compress(data.data(), data.size(), 1);
-  const auto zserial =
-      zlib_compress(data.data(), data.size(), DeflateStrategy::dynamic, 1);
+  const auto zserial = zlib_compress(data.data(), data.size(), 1);
   for (int threads : kThreadCounts) {
     EXPECT_EQ(deflate_compress(data.data(), data.size(), threads), serial)
         << threads << " threads";
-    EXPECT_EQ(zlib_compress(data.data(), data.size(),
-                            DeflateStrategy::dynamic, threads),
-              zserial)
+    EXPECT_EQ(zlib_compress(data.data(), data.size(), threads), zserial)
         << threads << " threads";
   }
   // And the stitched stream still decodes to the input.

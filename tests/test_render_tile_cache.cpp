@@ -53,7 +53,6 @@ TileCache::Request request(const model::Schedule& s,
   req.style = style;
   req.style.time_window = model::TimeRange{t0, t1};
   req.index = &index;
-  req.validated = true;
   return req;
 }
 

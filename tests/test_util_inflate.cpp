@@ -169,15 +169,13 @@ TEST(InflateHardening, AcceptsSingleCodeAndEmptyDistanceTables) {
   // stream (hdist = 1, the single distance length zero) and a one-distance
   // stream. Our encoder produces the former for incompressible chunks.
   const std::vector<std::uint8_t> no_matches = {0, 1, 2, 3, 4, 5, 6, 7};
-  const auto packed = render::deflate_compress(
-      no_matches.data(), no_matches.size(), 1,
-      render::DeflateStrategy::dynamic);
+  const auto packed =
+      render::deflate_compress(no_matches.data(), no_matches.size());
   EXPECT_EQ(inflate_decompress(packed.data(), packed.size()), no_matches);
 
   std::vector<std::uint8_t> one_distance(64, 42);  // single run, dist 1
-  const auto packed2 = render::deflate_compress(
-      one_distance.data(), one_distance.size(), 1,
-      render::DeflateStrategy::dynamic);
+  const auto packed2 =
+      render::deflate_compress(one_distance.data(), one_distance.size());
   EXPECT_EQ(inflate_decompress(packed2.data(), packed2.size()),
             one_distance);
 }
