@@ -6,8 +6,12 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
+#if defined(__GLIBC__)
+#include <malloc.h>  // mallinfo2
+#endif
 
 #include <filesystem>
 
@@ -113,6 +117,33 @@ model::Schedule overdraw_schedule(int tasks, int hosts, int depth) {
                 i % 2 ? "computation" : "transfer", start, start + len)
           .on(0, h, 1);
     }
+  }
+  return builder.build();
+}
+
+model::Schedule ragged_schedule(int tasks) {
+  // Batch-system trace with ragged allocations: 2 clusters x 2048 hosts
+  // in 64-host lanes; each task takes a random sub-range of one lane and
+  // starts after the lane's previous task, so nothing overlaps and the
+  // layout draws exactly one box per task (a 500k-task render's shape).
+  constexpr int kHosts = 2048, kLane = 64, kLanes = 2 * kHosts / kLane;
+  static const char* const kTypes[] = {"computation", "transfer", "io",
+                                       "waiting"};
+  util::Rng rng(5);
+  model::ScheduleBuilder builder;
+  builder.cluster(0, "left", kHosts).cluster(1, "right", kHosts);
+  std::vector<double> lane_end(kLanes, 0.0);
+  for (int i = 0; i < tasks; ++i) {
+    const auto lane = static_cast<int>(rng.uniform_int(0, kLanes - 1));
+    const auto width = static_cast<int>(rng.uniform_int(1, kLane));
+    const int first = lane % (kHosts / kLane) * kLane +
+                      static_cast<int>(rng.uniform_int(0, kLane - width));
+    double& cursor = lane_end[static_cast<std::size_t>(lane)];
+    const double start = cursor + static_cast<double>(rng.uniform_int(0, 20));
+    cursor = start + static_cast<double>(rng.uniform_int(10, 200));
+    builder.task("t" + std::to_string(i), kTypes[rng.uniform_int(0, 3)],
+                 start, cursor)
+        .on(lane / (kHosts / kLane), first, width);
   }
   return builder.build();
 }
@@ -847,6 +878,44 @@ BENCHMARK(BM_LayoutAndPaint)
     ->Args({10000, kBenchThreads})->Args({50000, kBenchThreads})
     ->Args({200000, kBenchThreads})
     ->Unit(benchmark::kMillisecond);
+
+// Heap bytes in use (glibc), for the layout's bytes-per-box counter.
+std::size_t heap_in_use() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 m = mallinfo2();
+  return m.uordblks + m.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+void BM_LayoutFull(benchmark::State& state) {
+  // A full-view layout as `jedule render` runs it: validated entry,
+  // precomputed composites, one thread; the layout's destruction is timed
+  // too. bytes_per_box is the layout's heap over its box count.
+  static const model::Schedule schedule =
+      ragged_schedule(static_cast<int>(state.range(0)));
+  static const auto composites =
+      model::synthesize_composites(schedule, nullptr, kBenchThreads);
+  render::LayoutHints hints;
+  hints.assume_validated = true;
+  hints.composites = &composites;
+  const render::GanttStyle style;
+  double bytes_per_box = 0;
+  for (auto _ : state) {
+    const std::size_t before = heap_in_use();
+    std::optional<render::GanttLayout> layout =
+        render::layout_gantt(schedule, bench_colormap(), style, 1, hints);
+    const std::size_t boxes = layout->boxes.size();
+    bytes_per_box = static_cast<double>(heap_in_use() - before) /
+                    static_cast<double>(std::max<std::size_t>(boxes, 1));
+    benchmark::DoNotOptimize(layout->boxes.data());
+    layout.reset();
+  }
+  state.counters["bytes_per_box"] = bytes_per_box;
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_LayoutFull)->Arg(500000)->Unit(benchmark::kMillisecond);
 
 void BM_PngEncode(benchmark::State& state) {
   const auto schedule = big_schedule(50000);

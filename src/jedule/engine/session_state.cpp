@@ -33,12 +33,13 @@ SessionState::SessionState(EntryPtr entry, color::ColorMap colormap,
 
 void SessionState::reset_entry(EntryPtr entry) {
   JED_ASSERT(entry != nullptr);
+  // The cached layout borrows the old entry's schedule: drop it first.
+  invalidate();
   entry_ = std::move(entry);
   // The tile cache keys on the content hash, so identical content keeps
   // its tiles; changed content re-rasterizes. Reset the grid anyway: the
   // old anchor was chosen for the old content's bounds.
   cache_.invalidate();
-  invalidate();
 }
 
 const render::GanttLayout& SessionState::layout() {

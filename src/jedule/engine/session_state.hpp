@@ -43,7 +43,8 @@ class SessionState {
   /// Swaps in new content (reread) while keeping the current view.
   void reset_entry(EntryPtr entry);
 
-  /// Current layout (recomputed lazily after every view change).
+  /// Current layout (recomputed lazily after every view change). It
+  /// borrows the entry's schedule; reset_entry() drops it.
   const render::GanttLayout& layout();
 
   model::TimeRange current_window() const;

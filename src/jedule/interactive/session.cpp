@@ -68,7 +68,9 @@ std::string Session::inspect(double x, double y) {
        it != lay.boxes.rend() && it->composite; ++it) {
     if (x >= it->x && x < it->x + std::max(it->w, 1.0) && y >= it->y &&
         y < it->y + std::max(it->h, 1.0)) {
-      return describe(lay.tasks[it->task_index]);
+      // The side list's task plus its member lists, built on demand.
+      return describe(
+          model::composite_as_task(lay.composites()[it->task_index]));
     }
   }
 

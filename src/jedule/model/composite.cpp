@@ -230,17 +230,22 @@ std::uint64_t begin_bits(const Visit& v) {
   return (u >> 63) ? ~u : u | (std::uint64_t{1} << 63);
 }
 
+// Fewest visits a sort chunk gets: below this a chunk's share of the
+// counting and scatter passes costs less than the thread it would run on.
+constexpr std::size_t kMinVisitsPerChunk = std::size_t{1} << 14;
+
 // Puts the visits (laid out by entry index) in (begin, entry index) order
 // with a stable LSD radix sort on begin_bits, 11-bit digits. Up to
-// `threads` contiguous chunks count and scatter their own visits in
-// parallel; offsets are laid out digit-major, chunk-minor, so every
+// `threads` contiguous chunks of at least kMinVisitsPerChunk visits count
+// and scatter their own visits in parallel (a smaller input is one chunk,
+// sorted inline); offsets are laid out digit-major, chunk-minor, so every
 // chunking yields the one stable order. Digits shared by every visit are
 // skipped.
 void sort_visits(std::vector<Visit>& visits, int threads) {
   const std::size_t n = visits.size();
-  const std::size_t chunks =
-      std::min<std::size_t>(std::max<std::size_t>(n, 1),
-                            static_cast<std::size_t>(std::max(threads, 1)));
+  const std::size_t chunks = std::clamp<std::size_t>(
+      n / kMinVisitsPerChunk, 1,
+      static_cast<std::size_t>(std::max(threads, 1)));
   const auto bound = [&](std::size_t c) { return n * c / chunks; };
   std::uint64_t varying = 0;  // bits that differ between some visits
   for (const Visit& v : visits) {
@@ -573,6 +578,35 @@ bool has_resource_conflicts(
   });
 }
 
+namespace {
+
+std::string joined_member_ids(const Composite& c) {
+  return util::join(c.member_ids, ",");
+}
+
+std::string joined_member_types(const Composite& c) {
+  return util::join(
+      std::vector<std::string>(c.member_types.begin(), c.member_types.end()),
+      ",");
+}
+
+}  // namespace
+
+std::optional<std::string> composite_property(const Composite& c,
+                                              std::string_view key) {
+  if (key == "members") return joined_member_ids(c);
+  if (key == "member_types") return joined_member_types(c);
+  if (const auto v = c.task.property(key)) return std::string(*v);
+  return std::nullopt;
+}
+
+Task composite_as_task(Composite c) {
+  Task t = std::move(c.task);
+  t.set_property("members", joined_member_ids(c));
+  t.set_property("member_types", joined_member_types(c));
+  return t;
+}
+
 Schedule with_composites(const Schedule& schedule) {
   Schedule out = schedule;
   auto composites = synthesize_composites(schedule);
@@ -584,15 +618,11 @@ Schedule with_composites(const Schedule& schedule) {
   for (const auto& t : schedule.tasks()) taken.insert(t.id());
   std::map<std::string, int> suffix;
   for (auto& comp : composites) {
-    Task t = std::move(comp.task);
+    Task t = composite_as_task(std::move(comp));
     const std::string base = t.id();
     for (int& n = suffix[base]; !taken.insert(t.id()).second;) {
       t.set_id(base + "#" + std::to_string(++n));
     }
-    t.set_property("members", util::join(comp.member_ids, ","));
-    std::vector<std::string> types(comp.member_types.begin(),
-                                   comp.member_types.end());
-    t.set_property("member_types", util::join(types, ","));
     out.add_task(std::move(t));
   }
   return out;

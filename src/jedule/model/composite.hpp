@@ -12,8 +12,10 @@
 // host ranges, yielding one composite task per maximal rectangle group.
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
@@ -70,9 +72,18 @@ bool has_resource_conflicts(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task = nullptr);
 
-/// Copy of `schedule` with every composite appended as a task; each carries
-/// properties "members" (comma-joined member ids) and "member_types"
-/// (comma-joined distinct member types) so exports keep the information.
+/// The property `key` of a composite as with_composites() writes it:
+/// "members" (comma-joined member ids) and "member_types" (comma-joined
+/// distinct member types) are joined on demand, any other key reads
+/// `c.task`. nullopt when absent.
+std::optional<std::string> composite_property(const Composite& c,
+                                              std::string_view key);
+
+/// `c.task` carrying the "members" and "member_types" properties.
+Task composite_as_task(Composite c);
+
+/// Copy of `schedule` with every composite appended as a task (see
+/// composite_as_task), so exports keep the member information.
 Schedule with_composites(const Schedule& schedule);
 
 }  // namespace jedule::model

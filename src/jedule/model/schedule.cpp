@@ -197,28 +197,6 @@ std::optional<TimeRange> Schedule::cluster_time_range(int cluster_id) const {
   return r;
 }
 
-std::map<int, TimeRange> Schedule::cluster_time_ranges() const {
-  std::map<int, TimeRange> out;
-  for (const auto& t : tasks_) {
-    int last = 0;
-    bool have_last = false;
-    for (const auto& c : t.configurations()) {
-      // Tasks repeat a cluster only in pathological inputs; skipping the
-      // immediate repeat keeps the common multi-range case one lookup.
-      if (have_last && c.cluster_id == last) continue;
-      last = c.cluster_id;
-      have_last = true;
-      auto [it, fresh] =
-          out.try_emplace(c.cluster_id, TimeRange{t.start_time(), t.end_time()});
-      if (!fresh) {
-        it->second.begin = std::min(it->second.begin, t.start_time());
-        it->second.end = std::max(it->second.end, t.end_time());
-      }
-    }
-  }
-  return out;
-}
-
 std::optional<TimeRange> Schedule::view_time_range(int cluster_id,
                                                    ViewMode mode) const {
   if (mode == ViewMode::kAligned) return time_range();

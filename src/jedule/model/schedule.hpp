@@ -194,11 +194,6 @@ class Schedule {
   std::optional<TimeRange> view_time_range(int cluster_id,
                                            ViewMode mode) const;
 
-  /// cluster_time_range for every non-empty cluster in one pass over the
-  /// tasks — the panel loop of layout_gantt would otherwise rescan all
-  /// tasks once per displayed cluster.
-  std::map<int, TimeRange> cluster_time_ranges() const;
-
   /// Tasks with at least one configuration in the cluster. This is an
   /// O(n) scan over all tasks; hot paths that already hold a TaskIndex
   /// or ScheduleArena should use TaskIndex::cluster_tasks / the arena's

@@ -1,10 +1,14 @@
 #include "jedule/render/gantt.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <map>
 #include <set>
+#include <unordered_map>
 
 #include "jedule/render/kernels.hpp"
 #include "jedule/util/error.hpp"
@@ -66,6 +70,155 @@ std::vector<double> nice_ticks(const TimeRange& range, int about) {
 
 namespace {
 
+bool type_selected(const GanttStyle& style, const std::string& type) {
+  return style.type_filter.empty() ||
+         std::find(style.type_filter.begin(), style.type_filter.end(),
+                   type) != style.type_filter.end();
+}
+
+// The palette slots of one layout. Each distinct task type resolves
+// through the colormap once, keyed by its interned pointer (Task::type()
+// is interned, so equal types share one pointer), together with the type
+// filter's verdict. Composite member-type sets and the highlight override
+// are slots in the same table.
+class Palette {
+ public:
+  struct Type {
+    std::uint32_t slot = 0;
+    bool selected = true;
+  };
+
+  Palette(const color::ColorMap& colormap, const GanttStyle& style,
+          std::vector<color::TaskStyle>* styles)
+      : colormap_(colormap), style_(style), styles_(styles) {}
+
+  const Type& type(const std::string* name) {
+    // A direct-mapped cache of resolved types in front of the map.
+    auto& hit = cache_[(reinterpret_cast<std::uintptr_t>(name) >> 4) %
+                       cache_.size()];
+    if (hit.first == name) return *hit.second;
+    auto [it, fresh] = types_.try_emplace(name);
+    if (fresh) {
+      it->second.slot = add(colormap_.style_for(*name));
+      it->second.selected = type_selected(style_, *name);
+    }
+    hit = {name, &it->second};
+    return it->second;
+  }
+
+  std::uint32_t composite(const std::set<std::string>& member_types) {
+    auto it = composites_.find(member_types);
+    if (it == composites_.end()) {
+      it = composites_
+               .emplace(member_types,
+                        add(colormap_.composite_style(member_types)))
+               .first;
+    }
+    return it->second;
+  }
+
+  std::uint32_t highlight() {
+    if (!highlight_) {
+      highlight_ = add(color::TaskStyle{
+          color::contrast_color(style_.highlight_bg), style_.highlight_bg});
+    }
+    return *highlight_;
+  }
+
+ private:
+  std::uint32_t add(const color::TaskStyle& s) {
+    JED_ASSERT(styles_->size() < TaskBox::kMaxStyleSlots);
+    styles_->push_back(s);
+    return static_cast<std::uint32_t>(styles_->size() - 1);
+  }
+
+  const color::ColorMap& colormap_;
+  const GanttStyle& style_;
+  std::vector<color::TaskStyle>* styles_;
+  std::array<std::pair<const std::string*, const Type*>, 64> cache_{};
+  std::unordered_map<const std::string*, Type> types_;  // node-stable
+  std::map<std::set<std::string>, std::uint32_t> composites_;
+  std::optional<std::uint32_t> highlight_;
+};
+
+// Cluster id -> position in Schedule::clusters(): a table for small ids
+// (the usual case), binary search for the rest. Unknown ids map to
+// size(), so per-cluster arrays of size() + 1 take them without a branch.
+class ClusterPositions {
+ public:
+  explicit ClusterPositions(const std::vector<model::Cluster>& clusters)
+      : n_(clusters.size()) {
+    constexpr int kDenseIds = 4096;
+    int max_id = -1;
+    for (const auto& c : clusters) {
+      if (c.id >= 0 && c.id < kDenseIds) max_id = std::max(max_id, c.id);
+    }
+    dense_.assign(static_cast<std::size_t>(max_id + 1), n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+      const int id = clusters[i].id;
+      if (id >= 0 && id <= max_id) {
+        dense_[static_cast<std::size_t>(id)] = i;
+      } else {
+        sparse_.emplace_back(id, i);
+      }
+    }
+    std::sort(sparse_.begin(), sparse_.end());
+  }
+
+  std::size_t size() const { return n_; }
+
+  std::size_t operator()(int id) const {
+    if (static_cast<unsigned>(id) < dense_.size()) {
+      return dense_[static_cast<unsigned>(id)];
+    }
+    const auto it = std::lower_bound(
+        sparse_.begin(), sparse_.end(), std::pair<int, std::size_t>{id, 0});
+    return it != sparse_.end() && it->first == id ? it->second : n_;
+  }
+
+ private:
+  std::size_t n_;
+  std::vector<std::size_t> dense_;
+  std::vector<std::pair<int, std::size_t>> sparse_;
+};
+
+// Time bounds of every task, and per cluster (by position) of the tasks
+// with a configuration in it.
+struct ViewRanges {
+  std::optional<TimeRange> global;
+  std::vector<std::optional<TimeRange>> cluster;
+};
+
+ViewRanges view_ranges(const Schedule& schedule,
+                       const ClusterPositions& position) {
+  // Running bounds start at (+inf, -inf): the first task sets them exactly
+  // as an explicit first-task initialization would.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t n = position.size();
+  double lo = kInf, hi = -kInf;
+  std::vector<double> cluster_lo(n + 1, kInf), cluster_hi(n + 1, -kInf);
+  for (const Task& t : schedule.tasks()) {
+    const double b = t.start_time();
+    const double e = t.end_time();
+    lo = std::min(lo, b);
+    hi = std::max(hi, e);
+    for (const auto& cfg : t.configurations()) {
+      const std::size_t p = position(cfg.cluster_id);
+      cluster_lo[p] = std::min(cluster_lo[p], b);
+      cluster_hi[p] = std::max(cluster_hi[p], e);
+    }
+  }
+  ViewRanges out;
+  if (!schedule.tasks().empty()) out.global = TimeRange{lo, hi};
+  out.cluster.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (cluster_lo[i] <= cluster_hi[i]) {
+      out.cluster[i] = TimeRange{cluster_lo[i], cluster_hi[i]};
+    }
+  }
+  return out;
+}
+
 // Closed-interval intersection count of (configuration x host range)
 // entries against `win` for one cluster, stopping at `limit` — the LOD
 // density probe when no TaskIndex is available.
@@ -101,18 +254,19 @@ void set_box_times(TaskBox* box, const PanelLayout& panel, double t0,
   }
 }
 
-void set_box_hosts(TaskBox* box, const PanelLayout& panel, int host_start,
-                   int nb, const std::optional<SnapGrid>& snap) {
+// `row_h` is the panel's row_height(), computed once per panel.
+void set_box_hosts(TaskBox* box, const PanelLayout& panel, double row_h,
+                   int host_start, int nb, const std::optional<SnapGrid>& snap) {
   if (snap) {
-    const double y0 = panel.y + panel.row_height() * host_start;
-    const double y1 = panel.y + panel.row_height() * (host_start + nb);
+    const double y0 = panel.y + row_h * host_start;
+    const double y1 = panel.y + row_h * (host_start + nb);
     box->y = std::floor(y0 + 0.5);
     box->h = std::floor(y1 + 0.5) - box->y;
   } else {
     // Bit-identical to the pre-index arithmetic (default exports must not
     // move by even a rounding ulp).
-    box->y = panel.y + panel.row_height() * host_start;
-    box->h = panel.row_height() * nb;
+    box->y = panel.y + row_h * host_start;
+    box->h = row_h * nb;
   }
 }
 
@@ -121,17 +275,15 @@ void set_box_hosts(TaskBox* box, const PanelLayout& panel, int host_start,
 // the same dominant type merge into a single 1-column-wide box. Work and
 // memory are O(columns x rows x types), independent of the task count.
 void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
-                  const Schedule& schedule, const color::ColorMap& colormap,
-                  const GanttStyle& style, const LayoutHints& hints) {
+                  const Schedule& schedule, Palette& palette,
+                  const LayoutHints& hints) {
   const PanelLayout& panel = layout->panels[panel_index];
   const TimeRange win = panel.time_range;
   const double len = win.length();
   if (!(len > 0) || panel.hosts <= 0) return;
 
-  const auto type_selected = [&style](const Task& t) {
-    return style.type_filter.empty() ||
-           std::find(style.type_filter.begin(), style.type_filter.end(),
-                     t.type()) != style.type_filter.end();
+  const auto selected = [&palette](const Task& t) {
+    return palette.type(&t.type()).selected;
   };
   // Entry stream: (begin, end, host span, type) of every visible
   // (configuration x host range) rectangle, via the index when present.
@@ -143,14 +295,14 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
           panel.cluster_id, win.begin, win.end,
           [&](const model::TaskIndex::Entry& e) {
             const Task& t = schedule.tasks()[e.task];
-            if (!type_selected(t)) return;
+            if (!selected(t)) return;
             fn(e.begin, e.end, e.host_start, e.host_end, &t.type());
           });
       return;
     }
     for (const Task& t : schedule.tasks()) {
       if (t.start_time() > win.end || t.end_time() < win.begin) continue;
-      if (!type_selected(t)) continue;
+      if (!selected(t)) continue;
       for (const auto& cfg : t.configurations()) {
         if (cfg.cluster_id != panel.cluster_id) continue;
         for (const auto& hr : cfg.hosts) {
@@ -252,9 +404,8 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
       if (run_start < 0) return;
       TaskBox box;
       box.task_index = TaskBox::kNoTask;
-      box.cluster_id = panel.cluster_id;
-      box.lod_bin = true;
-      box.style = colormap.style_for(*types[run_type]);
+      box.lod_bin = 1;
+      box.style_slot = palette.type(types[run_type]).slot;
       const double x =
           panel.x + static_cast<double>(c_lo + static_cast<long long>(c)) *
                         col_w;
@@ -269,7 +420,7 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
         box.y = y0;
         box.h = y1 - y0;
       }
-      layout->boxes.push_back(std::move(box));
+      layout->boxes.push_back(box);
       run_start = -1;
     };
     for (int r = 0; r < rows; ++r) {
@@ -593,9 +744,10 @@ GanttLayout layout_gantt(const Schedule& schedule,
   layout.axes_font_size = colormap.font_size_axes();
 
   // Which clusters, in which order.
+  const auto& clusters = schedule.clusters();
   std::vector<const model::Cluster*> shown;
   if (style.cluster_filter.empty()) {
-    for (const auto& c : schedule.clusters()) shown.push_back(&c);
+    for (const auto& c : clusters) shown.push_back(&c);
   } else {
     for (int id : style.cluster_filter) {
       shown.push_back(&schedule.cluster_by_id(id));  // throws if unknown
@@ -608,12 +760,6 @@ GanttLayout layout_gantt(const Schedule& schedule,
     for (const auto& [k, v] : schedule.meta()) parts.push_back(k + "=" + v);
     layout.header = util::join(parts, "  ");
   }
-
-  const auto type_selected = [&style](const Task& t) {
-    return style.type_filter.empty() ||
-           std::find(style.type_filter.begin(), style.type_filter.end(),
-                     t.type()) != style.type_filter.end();
-  };
 
   // Vertical space distribution: panel heights proportional to host counts.
   const double header = style.show_meta && !layout.header.empty()
@@ -631,15 +777,14 @@ GanttLayout layout_gantt(const Schedule& schedule,
   int total_hosts = 0;
   for (const auto* c : shown) total_hosts += c->hosts;
 
-  // Panel windows: every cluster's bounds in one pass over the tasks
-  // instead of one O(n) view_time_range scan per panel; the global range
-  // comes for free from the index when the caller supplied one.
-  std::map<int, TimeRange> local_ranges;
-  std::optional<TimeRange> global_range;
+  // Panel windows: every cluster's bounds and the global bounds in one
+  // pass over the tasks; the global range comes from the index when the
+  // caller supplied one.
+  const ClusterPositions position(clusters);
+  ViewRanges ranges;
   if (!style.time_window) {
-    local_ranges = schedule.cluster_time_ranges();
-    global_range = hints.index != nullptr ? hints.index->time_range()
-                                          : schedule.time_range();
+    ranges = view_ranges(schedule, position);
+    if (hints.index != nullptr) ranges.global = hints.index->time_range();
   }
 
   const double panel_x = kMarginLeft;
@@ -660,13 +805,11 @@ GanttLayout layout_gantt(const Schedule& schedule,
       // O(n) scan keeps warm interactive frames O(visible).
       panel.time_range = *style.time_window;
     } else {
-      std::optional<TimeRange> range;
-      if (style.view_mode == model::ViewMode::kAligned) {
-        range = global_range;
-      } else {
-        const auto it = local_ranges.find(c->id);
-        range = it != local_ranges.end() ? std::optional<TimeRange>(it->second)
-                                         : global_range;
+      std::optional<TimeRange> range = ranges.global;
+      if (style.view_mode == model::ViewMode::kScaled) {
+        const auto& local =
+            ranges.cluster[static_cast<std::size_t>(c - clusters.data())];
+        if (local) range = local;
       }
       if (!range || range->length() <= 0) {
         range = TimeRange{0, 1};  // empty cluster: unit axis
@@ -711,13 +854,18 @@ GanttLayout layout_gantt(const Schedule& schedule,
       std::find(layout.panel_lod.begin(), layout.panel_lod.end(), 0) !=
       layout.panel_lod.end();
 
-  // Tasks (+ composites). With an index and a time window, lay out only
-  // the tasks intersecting the window (closed intersection, a superset of
-  // what paints after clipping — so the boxes match the full layout's).
+  // Ordinary tasks are laid out by schedule index; nothing is copied.
+  // With an index and a time window, visit only the tasks intersecting the
+  // window (closed intersection, a superset of what paints after clipping
+  // — so the boxes match the full layout's).
+  const auto& tasks = schedule.tasks();
+  JED_ASSERT(tasks.size() < TaskBox::kNoTask);
+  layout.schedule = &schedule;
+  Palette palette(colormap, style, &layout.styles);
   const bool cull = hints.index != nullptr && style.time_window.has_value();
   layout.culled = cull;
+  std::vector<std::uint32_t> visible;
   if (cull) {
-    std::vector<std::uint32_t> visible;
     for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
       if (layout.panel_lod[pi]) continue;  // LOD panels draw bins, not boxes
       const PanelLayout& panel = layout.panels[pi];
@@ -726,23 +874,12 @@ GanttLayout layout_gantt(const Schedule& schedule,
     }
     std::sort(visible.begin(), visible.end());
     visible.erase(std::unique(visible.begin(), visible.end()), visible.end());
-    layout.tasks.reserve(visible.size());
-    for (std::uint32_t idx : visible) {
-      const Task& t = schedule.tasks()[idx];
-      if (type_selected(t)) layout.tasks.push_back(t);
-    }
-  } else if (any_exact_panel || layout.panels.empty()) {
-    if (style.type_filter.empty()) {
-      layout.tasks = schedule.tasks();
-    } else {
-      for (const auto& t : schedule.tasks()) {
-        if (type_selected(t)) layout.tasks.push_back(t);
-      }
-    }
+    layout.tasks_visited = visible.size();
+  } else if (any_exact_panel) {
+    layout.tasks_visited = tasks.size();
   }
-  layout.composite_begin = layout.tasks.size();
+
   if (style.show_composites && any_exact_panel) {
-    std::vector<model::Composite> composites;
     if (cull) {
       // Composite groups that intersect the window can be split (in time
       // or host ranges) by the events of any task overlapping their
@@ -751,8 +888,9 @@ GanttLayout layout_gantt(const Schedule& schedule,
       // composites bit-identical to the full layout's inside the window.
       bool have = false;
       double lo = 0, hi = 0;
-      for (std::size_t i = 0; i < layout.composite_begin; ++i) {
-        const Task& t = layout.tasks[i];
+      for (std::uint32_t idx : visible) {
+        const Task& t = tasks[idx];
+        if (!palette.type(&t.type()).selected) continue;
         lo = have ? std::min(lo, t.start_time()) : t.start_time();
         hi = have ? std::max(hi, t.end_time()) : t.end_time();
         have = true;
@@ -770,96 +908,109 @@ GanttLayout layout_gantt(const Schedule& schedule,
         Schedule sub;
         for (const auto& c : schedule.clusters()) sub.add_cluster(c);
         for (std::uint32_t idx : closure) {
-          const Task& t = schedule.tasks()[idx];
-          if (type_selected(t)) sub.add_task(t);
+          const Task& t = tasks[idx];
+          if (palette.type(&t.type()).selected) sub.add_task(t);
         }
-        composites = model::synthesize_composites(sub, nullptr, threads);
+        layout.owned_composites =
+            model::synthesize_composites(sub, nullptr, threads);
       }
     } else if (hints.composites != nullptr && style.type_filter.empty()) {
-      // The engine's incrementally-maintained list (append_composites);
-      // copied because the loop below decorates each task with properties.
-      composites = *hints.composites;
+      // The engine's incrementally-maintained list (append_composites).
+      layout.borrowed_composites = hints.composites;
     } else {
-      composites = model::synthesize_composites(schedule, type_selected,
-                                                threads);
-    }
-    for (auto& comp : composites) {
-      // Keep members on the task so click-to-inspect and the colormap's
-      // composite rules can see them.
-      comp.task.set_property("members", util::join(comp.member_ids, ","));
-      std::vector<std::string> types(comp.member_types.begin(),
-                                     comp.member_types.end());
-      comp.task.set_property("member_types", util::join(types, ","));
-      layout.tasks.push_back(std::move(comp.task));
+      std::function<bool(const Task&)> include;
+      if (!style.type_filter.empty()) {
+        include = [&style](const Task& t) {
+          return type_selected(style, t.type());
+        };
+      }
+      layout.owned_composites =
+          model::synthesize_composites(schedule, include, threads);
     }
   }
+  const auto& composites = layout.composites();
 
   // Boxes. Ordinary tasks first, composites after (paint order == z-order).
-  auto add_boxes = [&](std::size_t first, std::size_t last, bool composite) {
-    for (std::size_t i = first; i < last; ++i) {
-      const Task& t = layout.tasks[i];
-      color::TaskStyle task_style;
-      if (composite) {
-        // Recover member types for the colormap's composite rules.
-        std::set<std::string> member_types;
-        if (auto types = t.property("member_types")) {
-          for (auto& part : util::split(*types, ',')) {
-            member_types.insert(part);
-          }
+  // Per cluster position: its exact panels (LOD panels draw bins) with
+  // their row heights.
+  std::vector<std::vector<std::pair<const PanelLayout*, double>>>
+      exact_panels(position.size() + 1);
+  for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
+    const PanelLayout& panel = layout.panels[pi];
+    if (!layout.panel_lod[pi]) {
+      exact_panels[position(panel.cluster_id)].emplace_back(
+          &panel, panel.row_height());
+    }
+  }
+  const auto add_boxes = [&](const Task& t, std::uint32_t index,
+                             bool composite, std::uint32_t slot,
+                             bool highlighted) {
+    for (const auto& cfg : t.configurations()) {
+      for (const auto& [panel_ptr, row_h] :
+           exact_panels[position(cfg.cluster_id)]) {
+        const PanelLayout& panel = *panel_ptr;
+        // Clip to the panel's time window.
+        const double t0 = std::max(t.start_time(), panel.time_range.begin);
+        const double t1 = std::min(t.end_time(), panel.time_range.end);
+        if (t1 <= t0 &&
+            !(t.start_time() == t.end_time() && t0 == t.start_time())) {
+          continue;
         }
-        task_style = colormap.composite_style(member_types);
-      } else {
-        task_style = colormap.style_for(t.type());
-      }
-
-      bool highlighted = false;
-      if (!style.highlight_key.empty()) {
-        auto v = t.property(style.highlight_key);
-        if (v && *v == style.highlight_value) {
-          highlighted = true;
-          task_style.background = style.highlight_bg;
-          task_style.foreground = color::contrast_color(style.highlight_bg);
-        }
-      }
-
-      for (const auto& cfg : t.configurations()) {
-        for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
-          const PanelLayout& panel = layout.panels[pi];
-          if (panel.cluster_id != cfg.cluster_id) continue;
-          if (layout.panel_lod[pi]) continue;  // LOD panels draw bins
-          // Clip to the panel's time window.
-          const double t0 =
-              std::max(t.start_time(), panel.time_range.begin);
-          const double t1 = std::min(t.end_time(), panel.time_range.end);
-          if (t1 <= t0 && !(t.start_time() == t.end_time() &&
-                            t0 == t.start_time())) {
-            continue;
-          }
-          for (const auto& hr : cfg.hosts) {
-            TaskBox box;
-            box.task_index = i;
-            box.cluster_id = cfg.cluster_id;
-            set_box_times(&box, panel, t0, t1, hints.snap);
-            set_box_hosts(&box, panel, hr.start, hr.nb, hints.snap);
-            box.style = task_style;
-            box.label = t.id();
-            box.composite = composite;
-            box.highlighted = highlighted;
-            layout.boxes.push_back(std::move(box));
-          }
+        for (const auto& hr : cfg.hosts) {
+          TaskBox box;
+          box.task_index = index;
+          set_box_times(&box, panel, t0, t1, hints.snap);
+          set_box_hosts(&box, panel, row_h, hr.start, hr.nb, hints.snap);
+          box.style_slot = slot;
+          box.composite = composite ? 1 : 0;
+          box.highlighted = highlighted ? 1 : 0;
+          layout.boxes.push_back(box);
         }
       }
     }
   };
-  add_boxes(0, layout.composite_begin, false);
+  const bool highlight = !style.highlight_key.empty();
+  const auto add_task = [&](std::uint32_t i) {
+    const Task& t = tasks[i];
+    const Palette::Type& type = palette.type(&t.type());
+    if (!type.selected) return;
+    bool highlighted = false;
+    if (highlight) {
+      const auto v = t.property(style.highlight_key);
+      highlighted = v && *v == style.highlight_value;
+    }
+    add_boxes(t, i, false, highlighted ? palette.highlight() : type.slot,
+              highlighted);
+  };
+
+  layout.boxes.reserve(layout.tasks_visited + composites.size());
+  if (cull) {
+    for (std::uint32_t i : visible) add_task(i);
+  } else if (any_exact_panel) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      add_task(static_cast<std::uint32_t>(i));
+    }
+  }
   if (!hints.skip_lod_bins) {
     for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
       if (layout.panel_lod[pi]) {
-        add_lod_bins(&layout, pi, schedule, colormap, style, hints);
+        add_lod_bins(&layout, pi, schedule, palette, hints);
       }
     }
   }
-  add_boxes(layout.composite_begin, layout.tasks.size(), true);
+  JED_ASSERT(composites.size() < TaskBox::kNoTask);
+  for (std::size_t k = 0; k < composites.size(); ++k) {
+    const model::Composite& comp = composites[k];
+    bool highlighted = false;
+    if (highlight) {
+      const auto v = model::composite_property(comp, style.highlight_key);
+      highlighted = v && *v == style.highlight_value;
+    }
+    add_boxes(comp.task, static_cast<std::uint32_t>(k), true,
+              highlighted ? palette.highlight()
+                          : palette.composite(comp.member_types),
+              highlighted);
+  }
 
   layout_edges(&layout, schedule, style, hints);
 
@@ -918,16 +1069,45 @@ void paint_panel_chrome(const GanttLayout& layout, const PanelLayout& panel,
   canvas.stroke_rect(panel.x, panel.y, panel.w, panel.h, kFrame);
 }
 
+// Label fitting pre-check. Every canvas measures text monospaced, so a
+// non-empty label is at least one glyph wide: a box that cannot hold one
+// glyph (plus the 1 px margins) at either label size cannot show its
+// label, and is skipped before its id is looked up — the painted bytes
+// are the same as measuring every label.
+class LabelFit {
+ public:
+  LabelFit(const GanttLayout& layout, const Canvas& canvas) {
+    const int sizes[2] = {layout.label_font_size, layout.min_label_font_size};
+    for (int i = 0; i < 2; ++i) {
+      glyph_w_[i] = canvas.text_width("0", sizes[i]);
+      glyph_h_[i] = canvas.text_height(sizes[i]);
+    }
+  }
+
+  bool may_fit(const TaskBox& box) const {
+    for (int i = 0; i < 2; ++i) {
+      if (glyph_w_[i] + 2 <= box.w && glyph_h_[i] + 2 <= box.h) return true;
+    }
+    return false;
+  }
+
+ private:
+  double glyph_w_[2] = {0, 0};
+  double glyph_h_[2] = {0, 0};
+};
+
 void paint_box_label(const GanttLayout& layout, const TaskBox& box,
                      Canvas& canvas) {
+  const std::string_view label = layout.label(box);
+  if (label.empty()) return;
   // Label fitting (paper's fontsize_label / min_fontsize_label semantics):
   // try the preferred size, fall back to the minimum, else draw nothing.
   for (int size : {layout.label_font_size, layout.min_label_font_size}) {
-    const double tw = canvas.text_width(box.label, size);
+    const double tw = canvas.text_width(label, size);
     const double th = canvas.text_height(size);
     if (tw + 2 <= box.w && th + 2 <= box.h) {
-      canvas.text(box.x + (box.w - tw) / 2, box.y + (box.h - th) / 2,
-                  box.label, box.style.foreground, size);
+      canvas.text(box.x + (box.w - tw) / 2, box.y + (box.h - th) / 2, label,
+                  layout.style_of(box).foreground, size);
       return;
     }
     if (size == layout.min_label_font_size) break;
@@ -935,15 +1115,16 @@ void paint_box_label(const GanttLayout& layout, const TaskBox& box,
 }
 
 void paint_box(const GanttLayout& layout, const TaskBox& box, Canvas& canvas,
-               const GanttStyle& style, bool with_label) {
-  canvas.fill_rect(box.x, box.y, box.w, box.h, box.style.background);
+               const GanttStyle& style, const LabelFit* fit) {
+  const color::TaskStyle& colors = layout.style_of(box);
+  canvas.fill_rect(box.x, box.y, box.w, box.h, colors.background);
   if (box.w >= 3 && box.h >= 3) {
     canvas.stroke_rect(box.x, box.y, box.w, box.h, kOutline);
   }
   if (box.composite && style.hatch_composites && box.w >= 6 && box.h >= 6) {
-    canvas.hatch_rect(box.x, box.y, box.w, box.h, 6, box.style.foreground);
+    canvas.hatch_rect(box.x, box.y, box.w, box.h, 6, colors.foreground);
   }
-  if (!with_label || !style.show_labels || box.label.empty()) return;
+  if (fit == nullptr || box.lod_bin || !fit->may_fit(box)) return;
   paint_box_label(layout, box, canvas);
 }
 
@@ -969,8 +1150,10 @@ void paint_gantt_header(const GanttLayout& layout, Canvas& canvas) {
 
 void paint_gantt_boxes(const GanttLayout& layout, Canvas& canvas,
                        const GanttStyle& style, bool with_labels) {
+  const LabelFit fit(layout, canvas);
+  const LabelFit* labels = with_labels && style.show_labels ? &fit : nullptr;
   for (const auto& box : layout.boxes) {
-    paint_box(layout, box, canvas, style, with_labels);
+    paint_box(layout, box, canvas, style, labels);
   }
   canvas.flush();
 }
@@ -981,8 +1164,9 @@ void paint_gantt_labels(const GanttLayout& layout, Canvas& canvas,
     canvas.flush();
     return;
   }
+  const LabelFit fit(layout, canvas);
   for (const auto& box : layout.boxes) {
-    if (box.lod_bin || box.label.empty()) continue;
+    if (box.lod_bin || !fit.may_fit(box)) continue;
     paint_box_label(layout, box, canvas);
   }
   canvas.flush();

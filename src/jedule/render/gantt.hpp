@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "jedule/color/colormap.hpp"
@@ -130,20 +131,24 @@ struct EdgeRenderStats {
   std::size_t heat_columns = 0;  // nonzero heat-lane columns
 };
 
+/// One rectangle of the layout, 40 bytes: geometry plus indices. It owns
+/// no strings — the label (the task id) and the colors are looked up
+/// through the layout (GanttLayout::label, GanttLayout::style_of).
 struct TaskBox {
-  /// Index into GanttLayout::tasks (kNoTask for LOD density bins).
-  std::size_t task_index = 0;
-  int cluster_id = 0;
   double x = 0, y = 0, w = 0, h = 0;
-  color::TaskStyle style;
-  std::string label;
-  bool composite = false;
-  bool highlighted = false;
+  /// Ordinary box: index into the schedule's tasks(). Composite box:
+  /// index into GanttLayout::composites(). kNoTask for LOD density bins.
+  std::uint32_t task_index = 0;
+  /// Slot in GanttLayout::styles.
+  std::uint32_t style_slot : 29 = 0;
+  std::uint32_t composite : 1 = 0;
+  std::uint32_t highlighted : 1 = 0;
   /// Density bin synthesized by LOD aggregation: colored by the dominant
   /// task type of its pixel cell, no backing task, skipped by hit_test().
-  bool lod_bin = false;
+  std::uint32_t lod_bin : 1 = 0;
 
-  static constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
+  static constexpr std::uint32_t kNoTask = static_cast<std::uint32_t>(-1);
+  static constexpr std::uint32_t kMaxStyleSlots = 1u << 29;
 };
 
 struct PanelLayout {
@@ -159,15 +164,30 @@ struct PanelLayout {
   double row_height() const { return h / hosts; }
 };
 
+/// A layout refers to its tasks by index: it borrows the schedule it was
+/// computed from and, when LayoutHints::composites was consumed, that
+/// composite list. Both must outlive the layout (DESIGN.md §4k).
 struct GanttLayout {
   int width = 0;
   int height = 0;
   std::string header;
   std::vector<PanelLayout> panels;
 
-  /// Schedule tasks (by index) followed by synthesized composites.
-  std::vector<model::Task> tasks;
-  std::size_t composite_begin = 0;  // tasks[composite_begin..) are composites
+  /// The schedule the layout was computed from (borrowed).
+  const model::Schedule* schedule = nullptr;
+
+  /// Composite side list, borrowed from LayoutHints::composites or owned
+  /// (synthesized by this layout); composite boxes index into it.
+  const std::vector<model::Composite>& composites() const {
+    return borrowed_composites != nullptr ? *borrowed_composites
+                                          : owned_composites;
+  }
+  const std::vector<model::Composite>* borrowed_composites = nullptr;
+  std::vector<model::Composite> owned_composites;
+
+  /// Palette: one slot per distinct task type, composite member-type set
+  /// and the highlight override. TaskBox::style_slot indexes it.
+  std::vector<color::TaskStyle> styles;
 
   /// Ordinary boxes first, then LOD density bins, composite boxes last
   /// (paint order).
@@ -177,9 +197,12 @@ struct GanttLayout {
   /// LOD density bins instead of exact task rectangles.
   std::vector<std::uint8_t> panel_lod;
 
-  /// True when `tasks` holds only the viewport-culled subset instead of
-  /// the full task list (hints.index + style.time_window).
+  /// True when only the viewport-culled candidates were visited instead
+  /// of the full task list (hints.index + style.time_window).
   bool culled = false;
+  /// Ordinary tasks the layout visited: every task, or the window's
+  /// candidates when culled.
+  std::size_t tasks_visited = 0;
 
   /// Dependency rendering (DESIGN.md §4j): clipped arrows, per-panel heat
   /// lanes, and the counters behind `jedule info` / serve /stats. Arrows
@@ -191,6 +214,21 @@ struct GanttLayout {
   int label_font_size = 13;
   int min_label_font_size = 11;
   int axes_font_size = 12;
+
+  /// The task a box shows: the schedule task, or the composite's task
+  /// (without its "members"/"member_types" properties). Not for LOD bins.
+  const model::Task& task_of(const TaskBox& box) const {
+    return box.composite ? composites()[box.task_index].task
+                         : schedule->tasks()[box.task_index];
+  }
+  /// The box's label (its task id); empty for LOD bins.
+  std::string_view label(const TaskBox& box) const {
+    if (box.lod_bin) return {};
+    return task_of(box).id();
+  }
+  const color::TaskStyle& style_of(const TaskBox& box) const {
+    return styles[box.style_slot];
+  }
 };
 
 /// Pixel-snapping grid for the tile cache: time `t` maps to the absolute
@@ -238,6 +276,7 @@ struct LayoutHints {
   /// Consumed only when no type filter is active and the layout is not
   /// viewport-culled — the only cases the precomputed list matches;
   /// otherwise it is ignored and composites are synthesized as usual.
+  /// A layout that consumed it borrows it (GanttLayout::composites()).
   const std::vector<model::Composite>* composites = nullptr;
 
   std::optional<SnapGrid> snap;
@@ -246,11 +285,17 @@ struct LayoutHints {
 /// Computes the layout; throws ValidationError on an invalid schedule and
 /// ArgumentError on an empty time window or unknown filter clusters.
 /// `threads` parallelizes the composite-synthesis sweep (the layout itself
-/// is sequential); the layout is identical for every thread count.
+/// is sequential); the layout is identical for every thread count. The
+/// layout borrows `schedule` (see GanttLayout), so a temporary schedule
+/// does not compile.
 GanttLayout layout_gantt(const model::Schedule& schedule,
                          const color::ColorMap& colormap,
                          const GanttStyle& style, int threads = 1,
                          const LayoutHints& hints = {});
+GanttLayout layout_gantt(model::Schedule&& schedule,
+                         const color::ColorMap& colormap,
+                         const GanttStyle& style, int threads = 1,
+                         const LayoutHints& hints = {}) = delete;
 
 /// Paints a layout. The canvas must have the layout's dimensions.
 void paint_gantt(const GanttLayout& layout, Canvas& canvas,

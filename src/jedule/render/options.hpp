@@ -53,5 +53,7 @@ inline GanttLayout layout_gantt(const model::Schedule& schedule,
   return layout_gantt(schedule, options.colormap, options.style,
                       options.resolved_threads(), hints);
 }
+GanttLayout layout_gantt(model::Schedule&& schedule,
+                         const RenderOptions& options) = delete;
 
 }  // namespace jedule::render

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "jedule/engine/store.hpp"
 #include "jedule/io/file.hpp"
@@ -97,7 +99,7 @@ TEST(Session, InspectFindsTask) {
   // Center of task 1's box.
   const render::TaskBox* box = nullptr;
   for (const auto& b : layout.boxes) {
-    if (b.label == "1") box = &b;
+    if (layout.label(b) == "1") box = &b;
   }
   ASSERT_NE(box, nullptr);
   const std::string info = s.inspect(box->x + box->w / 2, box->y + box->h / 2);
@@ -106,6 +108,51 @@ TEST(Session, InspectFindsTask) {
   EXPECT_NE(info.find("start=0.000"), std::string::npos);
   EXPECT_NE(info.find("end=10.000"), std::string::npos);
   EXPECT_NE(info.find("cluster 0 hosts 0-3"), std::string::npos);
+}
+
+// Tasks 1 and 2 share c0 hosts 2-5 during [3, 4): one composite.
+Session overlap_session(render::GanttStyle style = {}) {
+  style.width = 800;
+  style.height = 480;
+  return Session(model::ScheduleBuilder()
+                     .cluster(0, "c0", 8)
+                     .task("1", "computation", 0.0, 4.0)
+                     .on(0, 0, 8)
+                     .task("2", "transfer", 3.0, 6.0)
+                     .on(0, 2, 4)
+                     .build(),
+                 color::standard_colormap(), style);
+}
+
+TEST(Session, InspectCompositeListsMembers) {
+  Session s = overlap_session();
+  const render::TaskBox* box = nullptr;
+  for (const auto& b : s.layout().boxes) {
+    if (b.composite) box = &b;
+  }
+  ASSERT_NE(box, nullptr);
+  EXPECT_EQ(s.inspect(box->x + box->w / 2, box->y + box->h / 2),
+            "task 1+2: type=composite start=3.000 end=4.000 "
+            "resources=cluster 0 hosts 2-5 members=1,2 "
+            "member_types=computation,transfer");
+}
+
+TEST(Session, HighlightByCompositePropertyMarksTheComposite) {
+  for (const auto& [key, value] :
+       {std::pair<std::string, std::string>{"members", "1,2"},
+        {"member_types", "computation,transfer"}}) {
+    render::GanttStyle style;
+    style.highlight_key = key;
+    style.highlight_value = value;
+    Session s = overlap_session(style);
+    int composites = 0;
+    for (const auto& b : s.layout().boxes) {
+      EXPECT_EQ(static_cast<bool>(b.highlighted), static_cast<bool>(b.composite))
+          << key;
+      composites += b.composite ? 1 : 0;
+    }
+    EXPECT_EQ(composites, 1) << key;
+  }
 }
 
 TEST(Session, InspectMissReportsCoordinates) {

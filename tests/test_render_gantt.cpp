@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "jedule/model/builder.hpp"
 #include "jedule/render/export.hpp"
@@ -23,8 +26,9 @@ using model::ScheduleBuilder;
 using model::TimeRange;
 using model::ViewMode;
 
-Schedule demo_schedule() {
-  return ScheduleBuilder()
+// A layout borrows its schedule, so the tests share one long-lived copy.
+const Schedule& demo_schedule() {
+  static const Schedule schedule = ScheduleBuilder()
       .cluster(0, "c0", 8)
       .cluster(1, "c1", 4)
       .meta("algorithm", "demo")
@@ -38,7 +42,10 @@ Schedule demo_schedule() {
       .on(1, 1, 2)
       .property("user", "6447")
       .build();
+  return schedule;
 }
+
+static_assert(sizeof(TaskBox) <= 40, "a box holds indices, no strings");
 
 GanttStyle default_style() {
   GanttStyle style;
@@ -96,7 +103,7 @@ TEST(Layout, BoxGeometryTracksTimeAndHosts) {
   // Find task 1's box (hosts 0-7 of c0, time 0..4).
   const TaskBox* box = nullptr;
   for (const auto& b : layout.boxes) {
-    if (!b.composite && b.label == "1") box = &b;
+    if (!b.composite && layout.label(b) == "1") box = &b;
   }
   ASSERT_NE(box, nullptr);
   EXPECT_DOUBLE_EQ(box->x, panel.x_of_time(0.0));
@@ -114,11 +121,11 @@ TEST(Layout, CompositesAppendedAfterTasks) {
   for (const auto& b : layout.boxes) {
     if (b.composite) {
       found = true;
-      EXPECT_EQ(layout.tasks[b.task_index].type(), "composite");
+      EXPECT_EQ(layout.task_of(b).type(), "composite");
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_LT(layout.composite_begin, layout.tasks.size());
+  EXPECT_FALSE(layout.composites().empty());
 }
 
 TEST(Layout, ShowCompositesOffSkipsSynthesis) {
@@ -126,7 +133,7 @@ TEST(Layout, ShowCompositesOffSkipsSynthesis) {
   style.show_composites = false;
   const auto layout =
       layout_gantt(demo_schedule(), color::standard_colormap(), style);
-  EXPECT_EQ(layout.composite_begin, layout.tasks.size());
+  EXPECT_TRUE(layout.composites().empty());
 }
 
 TEST(Layout, TimeWindowClipsBoxes) {
@@ -141,7 +148,7 @@ TEST(Layout, TimeWindowClipsBoxes) {
     EXPECT_LE(b.x + b.w, panel->x + panel->w + 0.5);
   }
   // Task "u" ([1,2)) lies outside the window -> no box for it.
-  for (const auto& b : layout.boxes) EXPECT_NE(b.label, "u");
+  for (const auto& b : layout.boxes) EXPECT_NE(layout.label(b), "u");
 }
 
 TEST(Layout, EmptyTimeWindowRejected) {
@@ -160,9 +167,9 @@ TEST(Layout, HighlightOverridesColors) {
       layout_gantt(demo_schedule(), color::standard_colormap(), style);
   bool highlighted = false;
   for (const auto& b : layout.boxes) {
-    if (b.label == "u") {
+    if (layout.label(b) == "u") {
       highlighted = b.highlighted;
-      EXPECT_EQ(b.style.background, style.highlight_bg);
+      EXPECT_EQ(layout.style_of(b).background, style.highlight_bg);
     } else if (!b.composite) {
       EXPECT_FALSE(b.highlighted);
     }
@@ -189,8 +196,8 @@ TEST(HitTest, EveryBoxCenterResolvesToItsTask) {
     // the composite; in that case the member id must appear in its label.
     if (hit != &b) {
       EXPECT_TRUE(hit->composite);
-      EXPECT_NE(hit->label.find(b.label), std::string::npos)
-          << hit->label << " vs " << b.label;
+      EXPECT_NE(layout.label(*hit).find(layout.label(b)), std::string::npos)
+          << layout.label(*hit) << " vs " << layout.label(b);
     }
   }
 }
@@ -249,7 +256,7 @@ TEST(Paint, TaskPixelsHaveTaskColors) {
   const Framebuffer fb = render_raster(schedule, options);
   // Probe a pixel inside task 1 away from labels/borders/composites.
   for (const auto& b : layout.boxes) {
-    if (b.label == "1" && !b.composite) {
+    if (layout.label(b) == "1" && !b.composite) {
       const int x = static_cast<int>(b.x + 8);
       const int y = static_cast<int>(b.y + 4);
       EXPECT_EQ(fb.pixel(x, y), cmap.style_for("computation").background);
@@ -341,9 +348,70 @@ TEST(Layout, CrossClusterTaskGetsOneBoxPerPanel) {
                                    default_style());
   std::set<int> panels_with_x;
   for (const auto& box : layout.boxes) {
-    if (box.label == "x") panels_with_x.insert(box.cluster_id);
+    if (layout.label(box) == "x") {
+      const auto* panel =
+          panel_at(layout, box.x + box.w / 2, box.y + box.h / 2);
+      ASSERT_NE(panel, nullptr);
+      panels_with_x.insert(panel->cluster_id);
+    }
   }
   EXPECT_EQ(panels_with_x, (std::set<int>{0, 1}));
+}
+
+// Records the text a paint pass draws; measures text monospaced, like
+// every real canvas.
+class TextRecorder final : public Canvas {
+ public:
+  int width() const override { return 800; }
+  int height() const override { return 500; }
+  void fill_rect(double, double, double, double, color::Color) override {}
+  void stroke_rect(double, double, double, double, color::Color) override {}
+  void line(double, double, double, double, color::Color) override {}
+  void text(double, double, std::string_view t, color::Color, int) override {
+    texts.emplace_back(t);
+  }
+  double text_width(std::string_view t, int size) const override {
+    return static_cast<double>(t.size()) * size * 0.6;
+  }
+  double text_height(int size) const override { return size; }
+
+  std::vector<std::string> texts;
+};
+
+TEST(Paint, LabelPreCheckSkipsOnlyBoxesNoLabelFits) {
+  // One- and two-character ids on boxes whose widths step across one
+  // glyph (6.6 px at the minimum label size, 7.8 px at the preferred
+  // one): every box whose label fits at either size must get it.
+  ScheduleBuilder builder;
+  builder.cluster(0, "c", 2);
+  double t = 0;
+  for (int i = 0; i < 40; ++i) {
+    const std::string id = i < 26 ? std::string(1, static_cast<char>('a' + i))
+                                  : "z" + std::to_string(i - 26);
+    const double len = 6.0 + 0.35 * (i % 26);
+    builder.task(id, "computation", t, t + len).on(0, 0, 1);
+    t += len;
+  }
+  builder.task("pad", "transfer", 0, 730).on(0, 1, 1);  // ~1 px per unit
+  const auto schedule = builder.build();
+  const auto layout = layout_gantt(schedule, color::standard_colormap(),
+                                   default_style());
+  TextRecorder canvas;
+  std::vector<std::string> want;
+  for (const auto& b : layout.boxes) {
+    const std::string label(layout.label(b));
+    for (int size : {layout.label_font_size, layout.min_label_font_size}) {
+      if (canvas.text_width(label, size) + 2 <= b.w &&
+          canvas.text_height(size) + 2 <= b.h) {
+        want.push_back(label);
+        break;
+      }
+    }
+  }
+  paint_gantt_labels(layout, canvas, default_style());
+  EXPECT_EQ(canvas.texts, want);
+  EXPECT_GT(want.size(), 1u);                    // some labels fit ...
+  EXPECT_LT(want.size(), layout.boxes.size());  // ... and some do not
 }
 
 TEST(Paint, HatchedCompositesDifferFromPlain) {

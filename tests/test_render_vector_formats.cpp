@@ -51,9 +51,10 @@ TEST(SvgExport, IsWellFormedXml) {
 }
 
 TEST(SvgExport, HasOneFilledRectPerBoxPlusChrome) {
-  const auto layout = layout_gantt(demo(), color::standard_colormap(),
+  const auto schedule = demo();
+  const auto layout = layout_gantt(schedule, color::standard_colormap(),
                                    style());
-  const std::string svg = bytes_for(demo(), "svg");
+  const std::string svg = bytes_for(schedule, "svg");
   const auto doc = xml::parse(svg);
 
   int filled_rects = 0;

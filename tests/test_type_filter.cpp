@@ -11,8 +11,9 @@
 namespace jedule::render {
 namespace {
 
-model::Schedule mixed_schedule() {
-  return model::ScheduleBuilder()
+// A layout borrows its schedule, so the tests share one long-lived copy.
+const model::Schedule& mixed_schedule() {
+  static const model::Schedule schedule = model::ScheduleBuilder()
       .cluster(0, "c", 4)
       .task("c1", "computation", 0, 4)
       .on(0, 0, 4)
@@ -21,6 +22,7 @@ model::Schedule mixed_schedule() {
       .task("io1", "io", 5, 7)
       .on(0, 0, 1)
       .build();
+  return schedule;
 }
 
 GanttStyle style_with_types(std::vector<std::string> types) {
@@ -36,9 +38,23 @@ TEST(TypeFilter, LayoutShowsOnlySelectedTypes) {
                                    color::standard_colormap(),
                                    style_with_types({"computation"}));
   for (const auto& box : layout.boxes) {
-    EXPECT_EQ(layout.tasks[box.task_index].type(), "computation");
+    EXPECT_EQ(layout.task_of(box).type(), "computation");
   }
-  EXPECT_EQ(layout.composite_begin, layout.tasks.size());  // no overlaps left
+  EXPECT_TRUE(layout.composites().empty());  // no overlaps left
+}
+
+TEST(TypeFilter, BoxesIndexTheScheduleTasks) {
+  // Filtering skips tasks but does not renumber them: every ordinary box
+  // names its task by schedule index.
+  const auto& schedule = mixed_schedule();
+  const auto layout = layout_gantt(schedule, color::standard_colormap(),
+                                   style_with_types({"transfer", "io"}));
+  std::vector<std::uint32_t> indices;
+  for (const auto& box : layout.boxes) {
+    if (!box.composite) indices.push_back(box.task_index);
+  }
+  EXPECT_EQ(indices, (std::vector<std::uint32_t>{1, 2}));  // x1, io1
+  EXPECT_EQ(layout.schedule, &schedule);
 }
 
 TEST(TypeFilter, CompositesComeFromFilteredTasksOnly) {
@@ -47,12 +63,12 @@ TEST(TypeFilter, CompositesComeFromFilteredTasksOnly) {
   const auto both = layout_gantt(mixed_schedule(),
                                  color::standard_colormap(),
                                  style_with_types({"computation", "transfer"}));
-  EXPECT_LT(both.composite_begin, both.tasks.size());
+  EXPECT_FALSE(both.composites().empty());
 
   const auto one = layout_gantt(mixed_schedule(),
                                 color::standard_colormap(),
                                 style_with_types({"computation", "io"}));
-  EXPECT_EQ(one.composite_begin, one.tasks.size());
+  EXPECT_TRUE(one.composites().empty());
 }
 
 TEST(TypeFilter, EmptyFilterShowsEverything) {

@@ -94,7 +94,37 @@ TEST(ViewportCulling, CulledLayoutIsSmallerAndMarked) {
       render::layout_gantt(s, color::standard_colormap(), style, 1, {});
   EXPECT_TRUE(culled.culled);
   EXPECT_FALSE(full.culled);
-  EXPECT_LT(culled.tasks.size(), full.tasks.size());
+  EXPECT_LT(culled.tasks_visited, full.tasks_visited);
+}
+
+TEST(ViewportCulling, BoxesIndexTheScheduleTasks) {
+  // The culled layout visits only the window's candidates, yet its boxes
+  // carry schedule indices — the same boxes, in the same order, as the
+  // full layout's.
+  const Schedule s = overlap_schedule();
+  const TaskIndex index(s);
+  GanttStyle style;
+  style.time_window = model::TimeRange{30, 45};
+  render::LayoutHints hints;
+  hints.index = &index;
+  const auto culled =
+      render::layout_gantt(s, color::standard_colormap(), style, 1, hints);
+  const auto full =
+      render::layout_gantt(s, color::standard_colormap(), style, 1, {});
+  std::vector<std::uint32_t> culled_tasks, full_tasks;
+  for (const auto& b : culled.boxes) {
+    if (b.composite) continue;
+    culled_tasks.push_back(b.task_index);
+    const model::Task& t = s.tasks()[b.task_index];
+    EXPECT_LE(t.start_time(), 45);
+    EXPECT_GE(t.end_time(), 30);
+    EXPECT_EQ(culled.label(b), t.id());
+  }
+  for (const auto& b : full.boxes) {
+    if (!b.composite) full_tasks.push_back(b.task_index);
+  }
+  EXPECT_FALSE(culled_tasks.empty());
+  EXPECT_EQ(culled_tasks, full_tasks);
 }
 
 TEST(Lod, DefaultModeStaysOffOnTheExportPath) {
@@ -265,7 +295,7 @@ TEST(InspectIndexed, MatchesHitTestOnTheFullLayout) {
       } else {
         ++hits;
         const std::string want =
-            "task " + full.tasks[box->task_index].id() + ":";
+            "task " + std::string(full.label(*box)) + ":";
         EXPECT_EQ(got.rfind(want, 0), 0u)
             << "(" << x << "," << y << ") got: " << got;
       }
