@@ -148,6 +148,17 @@ model::Schedule ragged_schedule(int tasks) {
   return builder.build();
 }
 
+/// The ragged schedule of the full-layout and ingest-tail rows, built once
+/// per size.
+const model::Schedule& shared_ragged_schedule(int tasks) {
+  static std::map<int, model::Schedule> cache;
+  auto it = cache.find(tasks);
+  if (it == cache.end()) {
+    it = cache.emplace(tasks, ragged_schedule(tasks)).first;
+  }
+  return it->second;
+}
+
 /// Memoized schedules for the interactive-frame benches: the 1M-task one is
 /// also what million_xml() serializes, so it is built exactly once.
 const model::Schedule& frame_schedule(int tasks) {
@@ -893,8 +904,8 @@ void BM_LayoutFull(benchmark::State& state) {
   // A full-view layout as `jedule render` runs it: validated entry,
   // precomputed composites, one thread; the layout's destruction is timed
   // too. bytes_per_box is the layout's heap over its box count.
-  static const model::Schedule schedule =
-      ragged_schedule(static_cast<int>(state.range(0)));
+  const model::Schedule& schedule =
+      shared_ragged_schedule(static_cast<int>(state.range(0)));
   static const auto composites =
       model::synthesize_composites(schedule, nullptr, kBenchThreads);
   render::LayoutHints hints;
@@ -916,6 +927,33 @@ void BM_LayoutFull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_LayoutFull)->Arg(500000)->Unit(benchmark::kMillisecond);
+
+// The serial tail of a text ingest on the same ragged shape (DESIGN.md
+// "ingest tail"): the merged schedule's validate() and the entry's full
+// TaskIndex build, at one thread and at four.
+void BM_Validate(benchmark::State& state) {
+  const model::Schedule& schedule =
+      shared_ragged_schedule(static_cast<int>(state.range(0)));
+  const int threads = static_cast<int>(state.range(1));
+  for (auto _ : state) schedule.validate(threads);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Validate)
+    ->Args({500000, 1})->Args({500000, 4})
+    ->Unit(benchmark::kMillisecond);
+
+void BM_TaskIndexBuild(benchmark::State& state) {
+  const model::Schedule& schedule =
+      shared_ragged_schedule(static_cast<int>(state.range(0)));
+  const int threads = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model::TaskIndex(schedule, threads));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_TaskIndexBuild)
+    ->Args({500000, 1})->Args({500000, 4})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_PngEncode(benchmark::State& state) {
   const auto schedule = big_schedule(50000);

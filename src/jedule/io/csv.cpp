@@ -329,9 +329,15 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
     if (!have_clusters) {
       schedule.add_cluster(0, "cluster-0", std::max(max_host + 1, 1));
     }
+    std::vector<std::vector<Task>> parts;
+    std::vector<std::size_t> chunk_base;  // merged index of a chunk's row 0
+    std::size_t merged = 0;
     for (auto& o : outputs) {
-      for (auto& t : o.tasks) schedule.add_task(std::move(t));
+      chunk_base.push_back(merged);
+      merged += o.tasks.size();
+      parts.push_back(std::move(o.tasks));
     }
+    schedule.append_tasks(std::move(parts), threads);
     if (has_deps) {
       // Resolve the raw dependency cells against the merged task order.
       // The serial reader only resolves against *earlier* rows; any cell
@@ -342,10 +348,9 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
       for (std::size_t i = 0; i < schedule.tasks().size(); ++i) {
         ids.emplace(schedule.tasks()[i].id(), static_cast<std::uint32_t>(i));
       }
-      std::size_t chunk_base = 0;
-      for (const auto& o : outputs) {
-        for (const auto& [local, cell] : o.deps) {
-          const auto dst = static_cast<std::uint32_t>(chunk_base + local);
+      for (std::size_t k = 0; k < outputs.size(); ++k) {
+        for (const auto& [local, cell] : outputs[k].deps) {
+          const auto dst = static_cast<std::uint32_t>(chunk_base[k] + local);
           for (const auto& token : util::split(cell, ';')) {
             if (token.empty()) continue;
             const util::DepToken dep = util::parse_dep_token(token);
@@ -356,14 +361,13 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
             schedule.add_dependency(it->second, dst, dep.data);
           }
         }
-        chunk_base += o.tasks.size();
       }
     }
     if (stats != nullptr) {
       stats->chunks = outputs.size();
       stats->parallel = true;
     }
-    schedule.validate();
+    schedule.validate(threads);
     return schedule;
   } catch (const ParseError&) {
     if (stats != nullptr) {

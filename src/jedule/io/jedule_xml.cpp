@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <deque>
+#include <iterator>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -755,15 +756,16 @@ model::Schedule read_schedule_xml_chunked(TextSource& src,
     // In-order merge: batches were submitted in document order and each
     // holds its records in document order, so this reproduces the serial
     // add_task sequence exactly.
-    for (auto& tasks : outputs) {
-      for (auto& t : tasks) schedule.add_task(std::move(t));
-    }
+    const std::size_t chunks = outputs.size();
+    schedule.append_tasks({std::make_move_iterator(outputs.begin()),
+                           std::make_move_iterator(outputs.end())},
+                          threads);
     resolve_deps(schedule, pending);
     if (stats != nullptr) {
-      stats->chunks = outputs.size();
+      stats->chunks = chunks;
       stats->parallel = true;
     }
-    schedule.validate();
+    schedule.validate(threads);
     return schedule;
   } catch (const ParseError&) {
     // The serial reader is the spec: re-run it to produce the exact

@@ -234,6 +234,10 @@ std::uint64_t begin_bits(const Visit& v) {
 // counting and scatter passes costs less than the thread it would run on.
 constexpr std::size_t kMinVisitsPerChunk = std::size_t{1} << 14;
 
+// Fewest slab intervals a sweep shard gets, by the same rule: a sweep
+// sorts and merges per interval, so a shard pays for its thread sooner.
+constexpr std::size_t kMinIntervalsPerShard = std::size_t{1} << 12;
+
 // Puts the visits (laid out by entry index) in (begin, entry index) order
 // with a stable LSD radix sort on begin_bits, 11-bit digits. Up to
 // `threads` contiguous chunks of at least kMinVisitsPerChunk visits count
@@ -373,8 +377,14 @@ GroupMap sweep_groups(const std::map<int, std::vector<Entry>>& per_cluster,
   // partitioned into contiguous shards, one per worker slot.
   std::vector<Slab> slabs = build_slabs(per_cluster, threads);
 
-  const std::size_t shards = std::min<std::size_t>(
-      slabs.size(), threads < 1 ? 1 : static_cast<std::size_t>(threads));
+  // Up to `threads` shards of at least kMinIntervalsPerShard intervals
+  // each (a small sweep is one shard, run inline), never more than slabs.
+  std::size_t intervals = 0;
+  for (const Slab& slab : slabs) intervals += slab.intervals.size();
+  const std::size_t shards = std::min(
+      slabs.size(), std::clamp<std::size_t>(
+                        intervals / kMinIntervalsPerShard, 1,
+                        static_cast<std::size_t>(std::max(threads, 1))));
   std::vector<GroupMap> shard_groups(shards > 0 ? shards : 1);
   util::parallel_for(shards, threads, [&](std::size_t s) {
     const std::size_t begin = slabs.size() * s / shards;

@@ -162,6 +162,11 @@ class Schedule {
   int global_resource_index(int cluster_id, int host) const;
 
   void add_task(Task t) { tasks_.push_back(std::move(t)); }
+  /// The in-order merge of a chunked reader: appends every task of
+  /// `parts`, part by part, exactly as add_task would. The task vector is
+  /// sized once; each part moves into its slice and frees its own storage
+  /// on a worker (util::parallel_for over `threads`).
+  void append_tasks(std::vector<std::vector<Task>> parts, int threads);
   const std::vector<Task>& tasks() const { return tasks_; }
   std::vector<Task>& mutable_tasks() { return tasks_; }
 
@@ -202,8 +207,10 @@ class Schedule {
 
   /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity and
   /// task-id uniqueness; throws jedule::ValidationError describing the first
-  /// violation found.
-  void validate() const;
+  /// violation in task order. `threads` > 1 checks large schedules in
+  /// blocks on workers first; any violation found there reruns the serial
+  /// pass, so the message never depends on the thread count.
+  void validate(int threads = 1) const;
 
  private:
   std::vector<Cluster> clusters_;
@@ -211,6 +218,13 @@ class Schedule {
   std::vector<Task> tasks_;
   std::vector<Dependency> deps_;
   std::vector<std::pair<std::string, std::string>> meta_;
+
+  class IdProbe;
+  /// Checks tasks [first, last) in order, throwing at the first violation;
+  /// with `ids`, also checks that no id repeats an earlier one.
+  void check_tasks(std::size_t first, std::size_t last, IdProbe* ids) const;
+  /// The threaded pass of validate(): whether every task is valid.
+  bool tasks_pass_in_blocks(int threads) const;
 };
 
 }  // namespace jedule::model

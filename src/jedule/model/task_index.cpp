@@ -1,6 +1,7 @@
 #include "jedule/model/task_index.hpp"
 
 #include <algorithm>
+#include <latch>
 #include <limits>
 #include <string>
 #include <utility>
@@ -22,6 +23,10 @@ using detail::fnv_u64;
 // to cost more than one amortized merge; the extension ctor compacts back
 // to a single segment.
 constexpr std::size_t kMaxSegments = 8;
+
+// Tasks per collection block of the threaded full build; a schedule of
+// fewer than two blocks is indexed by the serial pass.
+constexpr std::size_t kIndexBlock = std::size_t{1} << 15;
 
 // FNV-1a over the cluster table — the prefix of the schedule hash.
 std::uint64_t hash_clusters(const Schedule& schedule) {
@@ -130,56 +135,116 @@ TaskIndex::Segment TaskIndex::make_segment(std::vector<Entry> entries) {
   return seg;
 }
 
-void TaskIndex::extend(const Schedule& schedule, std::size_t first) {
-  const auto& tasks = schedule.tasks();
-  auto cluster_slot = [this](int id) -> ClusterIndex* {
-    for (auto& ci : clusters_) {
-      if (ci.cluster_id == id) return &ci;
-    }
-    return nullptr;
-  };
-
-  std::vector<std::vector<Entry>> fresh(clusters_.size());
-  double lo = 0, hi = 0;
-  bool any = false;
-  for (std::size_t i = first; i < tasks.size(); ++i) {
-    const Task& t = tasks[i];
-    if (!any) {
-      lo = t.start_time();
-      hi = t.end_time();
-      any = true;
-    } else {
-      lo = std::min(lo, t.start_time());
-      hi = std::max(hi, t.end_time());
-    }
-    for (const auto& cfg : t.configurations()) {
-      ClusterIndex* ci = cluster_slot(cfg.cluster_id);
-      if (ci == nullptr) continue;  // validate() rejects this anyway
-      for (const auto& hr : cfg.hosts) {
-        Entry e;
-        e.begin = t.start_time();
-        e.end = t.end_time();
-        e.host_start = hr.start;
-        e.host_end = hr.start + hr.nb - 1;
-        e.task = static_cast<std::uint32_t>(i);
-        fresh[static_cast<std::size_t>(ci - clusters_.data())].push_back(e);
-      }
-    }
-    hash_task(&tasks_hash_, t);
+void TaskIndex::Collected::widen(double begin, double end) {
+  if (!any) {
+    lo = begin;
+    hi = end;
+    any = true;
+  } else {
+    lo = std::min(lo, begin);
+    hi = std::max(hi, end);
   }
-  finish_extend(&fresh, any, lo, hi, tasks.size(), tasks_hash_);
 }
 
-void TaskIndex::finish_extend(std::vector<std::vector<Entry>>* fresh,
-                              bool any, double lo, double hi,
-                              std::size_t new_count,
-                              std::uint64_t new_tasks_hash) {
-  if (any) {
-    if (!time_range_) {
-      time_range_ = TimeRange{lo, hi};
+void TaskIndex::collect_task(const Task& t, std::size_t i,
+                             Collected* out) const {
+  out->widen(t.start_time(), t.end_time());
+  for (const auto& cfg : t.configurations()) {
+    const ClusterIndex* ci = cluster(cfg.cluster_id);
+    if (ci == nullptr) continue;  // validate() rejects this anyway
+    for (const auto& hr : cfg.hosts) {
+      Entry e;
+      e.begin = t.start_time();
+      e.end = t.end_time();
+      e.host_start = hr.start;
+      e.host_end = hr.start + hr.nb - 1;
+      e.task = static_cast<std::uint32_t>(i);
+      out->entries[static_cast<std::size_t>(ci - clusters_.data())]
+          .push_back(e);
+    }
+  }
+}
+
+void TaskIndex::extend(const Schedule& schedule, std::size_t first) {
+  const auto& tasks = schedule.tasks();
+  Collected fresh;
+  fresh.entries.resize(clusters_.size());
+  for (std::size_t i = first; i < tasks.size(); ++i) {
+    collect_task(tasks[i], i, &fresh);
+    hash_task(&tasks_hash_, tasks[i]);
+  }
+  finish_extend(&fresh, tasks.size(), tasks_hash_);
+}
+
+void TaskIndex::build_in_blocks(const Schedule& schedule) {
+  const auto& tasks = schedule.tasks();
+  const std::size_t n = tasks.size();
+  const std::size_t blocks = (n + kIndexBlock - 1) / kIndexBlock;
+  const std::size_t nc = clusters_.size();
+  std::vector<Collected> collected(blocks);
+  for (auto& block : collected) block.entries.resize(nc);
+  std::vector<Segment> built(nc);
+  std::latch all_collected(static_cast<std::ptrdiff_t>(blocks));
+  std::uint64_t chain = tasks_hash_;
+  // Piece 0 runs the serial FNV chain over every task. Pieces 1..blocks
+  // each collect one block of tasks. The last `nc` pieces each wait for
+  // the collection, concatenate one cluster's block lists in task order
+  // (the serial collection order) and build its segment. Pieces are
+  // claimed in index order and a collecting piece never waits, so every
+  // wait ends.
+  util::parallel_for(1 + blocks + nc, build_threads_, [&](std::size_t p) {
+    if (p == 0) {
+      for (const Task& t : tasks) hash_task(&chain, t);
+    } else if (p <= blocks) {
+      Collected& block = collected[p - 1];
+      const std::size_t end = std::min(n, p * kIndexBlock);
+      try {
+        for (std::size_t i = (p - 1) * kIndexBlock; i < end; ++i) {
+          collect_task(tasks[i], i, &block);
+        }
+      } catch (...) {
+        all_collected.count_down();  // no waiter may hang on a failed block
+        throw;
+      }
+      all_collected.count_down();
     } else {
-      time_range_->begin = std::min(time_range_->begin, lo);
-      time_range_->end = std::max(time_range_->end, hi);
+      all_collected.wait();
+      const std::size_t c = p - 1 - blocks;
+      std::size_t total = 0;
+      for (const auto& block : collected) total += block.entries[c].size();
+      if (total == 0) return;
+      std::vector<Entry> entries;
+      entries.reserve(total);
+      for (auto& block : collected) {
+        entries.insert(entries.end(), block.entries[c].begin(),
+                       block.entries[c].end());
+        std::vector<Entry>().swap(block.entries[c]);
+      }
+      built[c] = make_segment(std::move(entries));
+    }
+  });
+  for (std::size_t c = 0; c < nc; ++c) {
+    if (built[c].count > 0) {
+      clusters_[c].segments.push_back(std::move(built[c]));
+    }
+  }
+  // The segments are installed; the tail only folds bounds and the hash.
+  Collected rest;
+  rest.entries.resize(nc);
+  for (const auto& block : collected) {
+    if (block.any) rest.widen(block.lo, block.hi);
+  }
+  finish_extend(&rest, n, chain);
+}
+
+void TaskIndex::finish_extend(Collected* fresh, std::size_t new_count,
+                              std::uint64_t new_tasks_hash) {
+  if (fresh->any) {
+    if (!time_range_) {
+      time_range_ = TimeRange{fresh->lo, fresh->hi};
+    } else {
+      time_range_->begin = std::min(time_range_->begin, fresh->lo);
+      time_range_->end = std::max(time_range_->end, fresh->hi);
     }
   }
 
@@ -188,12 +253,12 @@ void TaskIndex::finish_extend(std::vector<std::vector<Entry>>* fresh,
   // of the entry lists, so the index is identical at any thread count.
   std::vector<std::size_t> pending;
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    if (!(*fresh)[c].empty()) pending.push_back(c);
+    if (!fresh->entries[c].empty()) pending.push_back(c);
   }
   if (build_threads_ > 1 && pending.size() > 1) {
     std::vector<Segment> built(pending.size());
     util::parallel_for(pending.size(), build_threads_, [&](std::size_t k) {
-      built[k] = make_segment(std::move((*fresh)[pending[k]]));
+      built[k] = make_segment(std::move(fresh->entries[pending[k]]));
     });
     for (std::size_t k = 0; k < pending.size(); ++k) {
       clusters_[pending[k]].segments.push_back(std::move(built[k]));
@@ -201,7 +266,8 @@ void TaskIndex::finish_extend(std::vector<std::vector<Entry>>* fresh,
     }
   } else {
     for (const std::size_t c : pending) {
-      clusters_[c].segments.push_back(make_segment(std::move((*fresh)[c])));
+      clusters_[c].segments.push_back(
+          make_segment(std::move(fresh->entries[c])));
       compact_cluster(&clusters_[c]);
     }
   }
@@ -234,7 +300,11 @@ TaskIndex::TaskIndex(const Schedule& schedule, int threads)
     clusters_.push_back(std::move(ci));
   }
   tasks_hash_ = hash_clusters(schedule);
-  extend(schedule, 0);
+  if (build_threads_ > 1 && schedule.tasks().size() >= 2 * kIndexBlock) {
+    build_in_blocks(schedule);
+  } else {
+    extend(schedule, 0);
+  }
 }
 
 TaskIndex::TaskIndex(const TaskIndex& base, const Schedule& schedule,
@@ -270,29 +340,14 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
   }
 
   const ScheduleArena::ColumnsView cols = arena.columns();
-  auto cluster_slot = [this](int id) -> ClusterIndex* {
-    for (auto& ci : clusters_) {
-      if (ci.cluster_id == id) return &ci;
-    }
-    return nullptr;
-  };
-
-  std::vector<std::vector<Entry>> fresh(clusters_.size());
-  double lo = 0, hi = 0;
-  bool any = false;
+  Collected fresh;
+  fresh.entries.resize(clusters_.size());
   for (std::size_t i = first_new; i < cols.tasks; ++i) {
     const double b = cols.start[i];
     const double e = cols.end[i];
-    if (!any) {
-      lo = b;
-      hi = e;
-      any = true;
-    } else {
-      lo = std::min(lo, b);
-      hi = std::max(hi, e);
-    }
+    fresh.widen(b, e);
     for (std::uint32_t c = cols.cfg_off[i]; c < cols.cfg_off[i + 1]; ++c) {
-      ClusterIndex* ci = cluster_slot(cols.cfg_cluster[c]);
+      const ClusterIndex* ci = cluster(cols.cfg_cluster[c]);
       if (ci == nullptr) continue;  // append() rejects this anyway
       for (std::uint32_t r = cols.range_off[c]; r < cols.range_off[c + 1];
            ++r) {
@@ -302,13 +357,14 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
         en.host_start = cols.ranges[r].start;
         en.host_end = cols.ranges[r].start + cols.ranges[r].nb - 1;
         en.task = static_cast<std::uint32_t>(i);
-        fresh[static_cast<std::size_t>(ci - clusters_.data())].push_back(en);
+        fresh.entries[static_cast<std::size_t>(ci - clusters_.data())]
+            .push_back(en);
       }
     }
   }
   // The arena extended the same running FNV chain row by row; adopting it
   // skips rehashing and stays byte-identical to the AoS extension path.
-  finish_extend(&fresh, any, lo, hi, cols.tasks, arena.tasks_hash());
+  finish_extend(&fresh, cols.tasks, arena.tasks_hash());
   JED_ASSERT(content_hash_ == arena.content_hash());
 }
 

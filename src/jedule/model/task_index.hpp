@@ -58,7 +58,8 @@ class TaskIndex {
 
   /// Builds the index in O(n log n). The schedule must outlive nothing —
   /// the index copies what it needs (times, host spans, task indices).
-  /// `threads` > 1 sorts/augments the per-cluster segments concurrently
+  /// `threads` > 1 collects entries in task blocks and sorts/augments the
+  /// per-cluster segments on workers while the serial hash chain runs
   /// (util::parallel_for); the segments — and therefore every query
   /// result and the content hash — are identical at any thread count.
   explicit TaskIndex(const Schedule& schedule, int threads = 1);
@@ -172,15 +173,29 @@ class TaskIndex {
     std::vector<Segment> segments;
   };
 
+  /// Entries collected per cluster slot, and the time bounds of the
+  /// collected tasks (`any`: at least one task seen).
+  struct Collected {
+    std::vector<std::vector<Entry>> entries;
+    bool any = false;
+    double lo = 0;
+    double hi = 0;
+    void widen(double begin, double end);
+  };
+
   /// Builds a heap-backed segment from unsorted entries.
   static Segment make_segment(std::vector<Entry> entries);
+  /// Adds task `i`'s entries and times to `out`.
+  void collect_task(const Task& t, std::size_t i, Collected* out) const;
   /// Indexes tasks [first, size) of `schedule`, appending one segment per
   /// cluster that gains entries, and extends hash/bounds/count.
   void extend(const Schedule& schedule, std::size_t first);
-  /// Shared tail of the extension paths: installs the per-cluster fresh
+  /// The threaded full build: extend(schedule, 0) with the serial hash
+  /// chain overlapping a block-wise collection and the segment builds.
+  void build_in_blocks(const Schedule& schedule);
+  /// Shared tail of the build paths: installs the per-cluster fresh
   /// entry lists as segments, widens the bounds, refolds the count.
-  void finish_extend(std::vector<std::vector<Entry>>* fresh, bool any,
-                     double lo, double hi, std::size_t new_count,
+  void finish_extend(Collected* fresh, std::size_t new_count,
                      std::uint64_t new_tasks_hash);
   void compact_cluster(ClusterIndex* ci);
 

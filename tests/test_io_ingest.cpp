@@ -217,40 +217,72 @@ TEST(IngestAdversarial, XmlCommentsBetweenRecordsStayIdentical) {
   }
 }
 
+// The error a read throws, as "<kind>: <message>"; "" when it succeeds.
+template <typename Read>
+std::string read_error(Read&& read) {
+  try {
+    read();
+  } catch (const ParseError& e) {
+    return std::string("ParseError: ") + e.what();
+  } catch (const ValidationError& e) {
+    return std::string("ValidationError: ") + e.what();
+  }
+  return "";
+}
+
 TEST(IngestAdversarial, ErrorMessagesMatchSerialExactly) {
   // A worker-visible parse error must surface as the *serial* diagnostic:
-  // the chunked readers fall back and re-derive it.
+  // the chunked readers fall back and re-derive it. A duplicate id in a
+  // later chunk parses fine and fails the merged schedule's validate(),
+  // which must name the same first violation as the serial reader's.
   struct Case {
+    const char* name;
     std::string text;
     model::Schedule (*serial)(std::string_view);
     model::Schedule (*chunked)(TextSource&, const IngestOptions&,
                                IngestStats*);
+    std::size_t chunk_bytes;  // worker chunk size of the chunked read
   };
   std::string bad_xml = big_xml(20);
-  const auto v = bad_xml.find("value=\"1.5\"");
-  if (v != std::string::npos) bad_xml.replace(v + 7, 3, "zap");
+  const auto v = bad_xml.find("value=\"1.500\"");
+  if (v != std::string::npos) bad_xml.replace(v + 7, 5, "zap");
   std::string bad_csv = big_csv(20);
   bad_csv += "broken,t,zero,1,0:0\n";
+  // "t17" becomes a second "t3", many chunks after the first.
+  const auto duplicate = [](std::string text, const std::string& from,
+                            const std::string& to) {
+    const auto at = text.find(from);
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+    return text;
+  };
+  const std::string dup_xml =
+      duplicate(big_xml(20), "value=\"t17\"", "value=\"t3\"");
+  const std::string dup_csv = duplicate(big_csv(20), "\nt17,", "\nt3,");
+  // Large enough for the block-parallel validate (> 2 blocks of tasks).
+  const std::string dup_big_csv =
+      duplicate(big_csv(40000), "\nt39000,", "\nt20,");
   const Case cases[] = {
-      {bad_xml, read_schedule_xml, read_schedule_xml_chunked},
-      {bad_csv, read_schedule_csv, read_schedule_csv_chunked},
+      {"xml parse", bad_xml, read_schedule_xml, read_schedule_xml_chunked, 64},
+      {"csv parse", bad_csv, read_schedule_csv, read_schedule_csv_chunked, 64},
+      {"xml duplicate", dup_xml, read_schedule_xml, read_schedule_xml_chunked,
+       64},
+      {"csv duplicate", dup_csv, read_schedule_csv, read_schedule_csv_chunked,
+       64},
+      {"large csv duplicate", dup_big_csv, read_schedule_csv,
+       read_schedule_csv_chunked, 1 << 16},
   };
   for (const auto& c : cases) {
-    std::string serial_msg;
-    try {
-      c.serial(c.text);
-    } catch (const ParseError& e) {
-      serial_msg = e.what();
+    const std::string serial = read_error([&] { c.serial(c.text); });
+    if (serial.empty()) {
+      ADD_FAILURE() << c.name << ": fixture should not load";
+      continue;
     }
-    if (serial_msg.empty()) continue;  // fixture happened to stay valid
     for (int t : kThreadCounts) {
+      IngestOptions opt = tiny(t);
+      opt.target_chunk_bytes = c.chunk_bytes;
       TextSource src(c.text);
-      try {
-        c.chunked(src, tiny(t), nullptr);
-        FAIL() << "expected ParseError at threads=" << t;
-      } catch (const ParseError& e) {
-        EXPECT_EQ(std::string(e.what()), serial_msg) << "threads=" << t;
-      }
+      EXPECT_EQ(read_error([&] { c.chunked(src, opt, nullptr); }), serial)
+          << c.name << " threads=" << t;
     }
   }
 }

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "jedule/model/builder.hpp"
 #include "jedule/util/error.hpp"
 
@@ -194,6 +198,156 @@ TEST(Validate, ZeroDurationTaskIsLegal) {
   t.allocate(0, 0, 1);
   s.add_task(t);
   EXPECT_NO_THROW(s.validate());
+}
+
+// -- threaded validate: same verdict and message at every thread count ---
+
+// A valid schedule of more than three validate blocks (blocks are 2^14
+// tasks): two clusters, single- and multi-range configurations, and a
+// forward dependency chain.
+constexpr std::size_t kParityTasks = 52000;
+
+Schedule parity_schedule() {
+  Schedule s;
+  s.add_cluster(0, "c0", 64);
+  s.add_cluster(1, "c1", 32);
+  for (std::size_t i = 0; i < kParityTasks; ++i) {
+    const double t = static_cast<double>(i % 977);
+    Task task("t" + std::to_string(i), i % 3 ? "computation" : "transfer", t,
+              t + 1.5);
+    if (i % 5 == 0) {
+      Configuration cfg;
+      cfg.cluster_id = 0;
+      cfg.hosts = {{0, 2}, {5, 3}, {2, 2}};
+      task.add_configuration(cfg);
+    } else {
+      task.allocate(static_cast<int>(i % 2), static_cast<int>(i % 24), 4);
+    }
+    s.add_task(std::move(task));
+    if (i > 0 && i % 3 == 0) {
+      s.add_dependency(static_cast<std::uint32_t>(i - 1),
+                       static_cast<std::uint32_t>(i), 1.0);
+    }
+  }
+  return s;
+}
+
+// The ValidationError text at `threads`, or "" when the schedule is valid.
+std::string validate_message(const Schedule& s, int threads) {
+  try {
+    s.validate(threads);
+  } catch (const ValidationError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+void expect_same_message(const Schedule& s, const std::string& what) {
+  const std::string serial = validate_message(s, 1);
+  EXPECT_FALSE(serial.empty()) << what << ": the defect went unnoticed";
+  for (int t : {2, 8}) {
+    EXPECT_EQ(validate_message(s, t), serial) << what << " threads=" << t;
+  }
+}
+
+Task replacement(const Task& old) {
+  return Task(old.id(), old.type(), old.start_time(), old.end_time());
+}
+
+TEST(ValidateParity, ValidScheduleIsValidAtEveryThreadCount) {
+  const Schedule s = parity_schedule();
+  for (int t : {1, 2, 8}) EXPECT_EQ(validate_message(s, t), "") << t;
+}
+
+TEST(ValidateParity, EveryTaskDefectAtFirstMiddleAndLastTask) {
+  const Schedule base = parity_schedule();
+  const std::size_t positions[] = {0, kParityTasks / 2, kParityTasks - 1};
+  const std::pair<const char*, void (*)(std::vector<Task>&, std::size_t)>
+      defects[] = {
+          {"empty id", [](std::vector<Task>& ts, std::size_t p) {
+             ts[p].set_id("");
+           }},
+          {"duplicate id", [](std::vector<Task>& ts, std::size_t p) {
+             // The repeat of task p's id sits at p + 1 for the first
+             // position, else at p (a repeat of an earlier task).
+             if (p == 0) {
+               ts[1].set_id(ts[0].id());
+             } else {
+               ts[p].set_id(ts[p - 1].id());
+             }
+           }},
+          {"end before start", [](std::vector<Task>& ts, std::size_t p) {
+             ts[p].set_times(5.0, 4.0);
+           }},
+          {"no configuration", [](std::vector<Task>& ts, std::size_t p) {
+             ts[p] = replacement(ts[p]);
+           }},
+          {"unknown cluster", [](std::vector<Task>& ts, std::size_t p) {
+             Task t = replacement(ts[p]);
+             t.allocate(7, 0, 1);
+             ts[p] = std::move(t);
+           }},
+          {"host range past the cluster", [](std::vector<Task>& ts,
+                                             std::size_t p) {
+             Task t = replacement(ts[p]);
+             t.allocate(1, 30, 4);  // cluster 1 has 32 hosts
+             ts[p] = std::move(t);
+           }},
+          {"repeated host", [](std::vector<Task>& ts, std::size_t p) {
+             Task t = replacement(ts[p]);
+             Configuration cfg;
+             cfg.cluster_id = 0;
+             cfg.hosts = {{0, 2}, {6, 2}, {1, 1}};  // host 1 twice
+             t.add_configuration(cfg);
+             ts[p] = std::move(t);
+           }},
+      };
+  for (const auto& [what, plant] : defects) {
+    for (const std::size_t p : positions) {
+      Schedule s = base;
+      plant(s.mutable_tasks(), p);
+      expect_same_message(s, std::string(what) + " at " + std::to_string(p));
+    }
+  }
+}
+
+TEST(ValidateParity, DuplicatePairsAcrossBlocks) {
+  const Schedule base = parity_schedule();
+  // Adjacent across the first block seam, and far apart.
+  const std::pair<std::size_t, std::size_t> pairs[] = {
+      {16383, 16384}, {100, kParityTasks - 100}, {0, kParityTasks - 1}};
+  for (const auto& [a, b] : pairs) {
+    Schedule s = base;
+    s.mutable_tasks()[b].set_id(s.tasks()[a].id());
+    expect_same_message(s, "duplicate " + std::to_string(a) + "/" +
+                               std::to_string(b));
+  }
+}
+
+TEST(ValidateParity, EarliestOfSeveralDefectsWins) {
+  Schedule s = parity_schedule();
+  auto& ts = s.mutable_tasks();
+  ts[kParityTasks - 10].set_id(ts[3].id());  // late duplicate
+  ts[30000].set_times(2.0, 1.0);             // earlier time defect
+  ts[45000].set_id("");
+  expect_same_message(s, "several defects");
+  EXPECT_NE(validate_message(s, 8).find("end_time"), std::string::npos);
+}
+
+TEST(ValidateParity, DependencyDefectsAtFirstMiddleAndLastEdge) {
+  const Schedule base = parity_schedule();
+  const std::size_t edges = base.dependencies().size();
+  for (const std::size_t k : {std::size_t{0}, edges / 2, edges - 1}) {
+    Schedule backward = base;
+    auto& d = backward.mutable_dependencies()[k];
+    std::swap(d.src, d.dst);
+    expect_same_message(backward, "backward edge " + std::to_string(k));
+
+    Schedule out_of_range = base;
+    out_of_range.mutable_dependencies()[k].dst =
+        static_cast<std::uint32_t>(kParityTasks);
+    expect_same_message(out_of_range, "out-of-range edge " + std::to_string(k));
+  }
 }
 
 // -- builder ------------------------------------------------------------

@@ -213,6 +213,49 @@ TEST(TaskIndex, ContentHashDetectsChanges) {
   EXPECT_NE(TaskIndex(a).content_hash(), TaskIndex(d).content_hash());
 }
 
+TEST(TaskIndex, ThreadedBuildMatchesSerialBuild) {
+  // More than two collection blocks (2^15 tasks each), plus a cluster that
+  // gets no entries, so every piece of the threaded build runs.
+  Schedule s = random_schedule(70000, 21);
+  s.add_cluster(5, "idle", 4);
+  const TaskIndex serial(s, 1);
+  const TaskIndex threaded(s, 4);
+  EXPECT_EQ(threaded.content_hash(), serial.content_hash());
+  EXPECT_EQ(threaded.tasks_hash(), serial.tasks_hash());
+  EXPECT_EQ(threaded.content_hash(), TaskIndex::hash_schedule(s));
+  EXPECT_EQ(threaded.time_range(), serial.time_range());
+  EXPECT_EQ(threaded.task_count(), serial.task_count());
+  for (int c : {0, 1, 5}) {
+    EXPECT_EQ(threaded.entry_count(c), serial.entry_count(c)) << c;
+    EXPECT_EQ(threaded.cluster_tasks(c), serial.cluster_tasks(c)) << c;
+    for (double t0 = -5.0; t0 < 110.0; t0 += 9.5) {
+      for (double width : {0.0, 0.7, 12.0, 200.0}) {
+        std::vector<std::uint32_t> a, b;
+        serial.collect_tasks(c, t0, t0 + width, &a);
+        threaded.collect_tasks(c, t0, t0 + width, &b);
+        EXPECT_EQ(b, a) << "cluster " << c << " [" << t0 << ", "
+                        << t0 + width << "]";
+      }
+    }
+  }
+  // The flattened form is what a snapshot stores: entry order included.
+  const auto fs = serial.flatten();
+  const auto ft = threaded.flatten();
+  ASSERT_EQ(ft.size(), fs.size());
+  for (std::size_t c = 0; c < fs.size(); ++c) {
+    EXPECT_EQ(ft[c].cluster_id, fs[c].cluster_id);
+    ASSERT_EQ(ft[c].entries.size(), fs[c].entries.size());
+    EXPECT_TRUE(std::equal(
+        fs[c].entries.begin(), fs[c].entries.end(), ft[c].entries.begin(),
+        [](const TaskIndex::Entry& x, const TaskIndex::Entry& y) {
+          return x.begin == y.begin && x.end == y.end &&
+                 x.host_start == y.host_start && x.host_end == y.host_end &&
+                 x.task == y.task;
+        }));
+    EXPECT_EQ(ft[c].max_end, fs[c].max_end);
+  }
+}
+
 TEST(TaskIndex, EmptyScheduleIsWellFormed) {
   Schedule s;
   s.add_cluster(0, "c", 2);
