@@ -307,7 +307,7 @@ FrameSetup frame_setup(int tasks) {
 
 render::TileCache::Request frame_request(const FrameSetup& setup, double t0) {
   render::TileCache::Request req;
-  req.schedule = setup.schedule;
+  req.tasks = *setup.schedule;
   req.colormap = &bench_colormap();
   req.style = frame_style();
   req.style.time_window = model::TimeRange{t0, t0 + setup.len};
@@ -1255,6 +1255,86 @@ void BM_AppendDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendDelta)
     ->Arg(200000)->Arg(1000000)->Unit(benchmark::kMillisecond);
+
+/// The chain shape of the `.jbin` window workload: single-host tasks
+/// chained per host on one 4096-host cluster, cut by a full-width barrier
+/// every 5000 tasks; each task depends on its host predecessor (or the
+/// last barrier), each barrier on the latest-finishing task before it.
+model::Schedule chain_schedule(int tasks) {
+  constexpr int kHosts = 4096, kBarrier = 5000;
+  static const char* const kTypes[] = {"computation", "transfer", "io"};
+  util::Rng rng(17);
+  model::ScheduleBuilder builder;
+  builder.cluster(0, "cluster-0", kHosts);
+  std::vector<double> host_end(kHosts, 0.0);
+  std::vector<int> host_last(kHosts, -1);
+  int barrier = -1, latest = -1;
+  double barrier_end = 0, latest_end = 0;
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < tasks; ++i) {
+    if ((i + 1) % kBarrier == 0) {
+      const double start =
+          latest_end + static_cast<double>(rng.uniform_int(1, 20));
+      barrier_end = start + static_cast<double>(rng.uniform_int(5, 50));
+      builder.task("t" + std::to_string(i), "sync", start, barrier_end)
+          .on(0, 0, kHosts);
+      edges.emplace_back(latest >= 0 ? latest : barrier, i);
+      barrier = i;
+      latest = -1;
+      std::fill(host_last.begin(), host_last.end(), -1);
+      std::fill(host_end.begin(), host_end.end(), barrier_end);
+      continue;
+    }
+    const auto h = static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1));
+    const double start = std::max(host_end[h], barrier_end) +
+                         static_cast<double>(rng.uniform_int(0, 30));
+    const double end = start + static_cast<double>(rng.uniform_int(10, 400));
+    builder.task("t" + std::to_string(i), kTypes[rng.uniform_int(0, 2)], start,
+                 end)
+        .on(0, static_cast<int>(h), 1);
+    edges.emplace_back(host_last[h] >= 0 ? host_last[h] : barrier, i);
+    host_end[h] = end;
+    host_last[h] = i;
+    if (end > latest_end) {
+      latest_end = end;
+      latest = i;
+    }
+  }
+  model::Schedule s = builder.build();
+  for (const auto& [src, dst] : edges) {
+    if (src >= 0) {
+      s.add_dependency(static_cast<std::uint32_t>(src),
+                       static_cast<std::uint32_t>(dst));
+    }
+  }
+  return s;
+}
+
+// A `.jbin` window render end to end, as `jedule render FILE.jbin
+// --window` runs it: the snapshot load, a 5% window PNG through the
+// RenderService (read from the arena columns), and the entry teardown.
+void BM_SnapshotWindow(benchmark::State& state) {
+  const std::string path = bench_snapshot_path("bench_scale_window.jbin");
+  model::TimeRange window;
+  {
+    const auto entry = engine::make_entry(
+        chain_schedule(static_cast<int>(state.range(0))));
+    io::save_snapshot(entry->arena(), entry->index, path, &entry->edges);
+    const model::TimeRange full = entry->full_range;
+    window = {full.begin + full.length() * 0.40,
+              full.begin + full.length() * 0.45};
+  }
+  auto options = bench_options(kBenchThreads);
+  options.style.time_window = window;
+  for (auto _ : state) {
+    const auto entry = engine::load_entry(path);
+    benchmark::DoNotOptimize(
+        engine::RenderService().render(entry, options, "png"));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  std::filesystem::remove(path);
+}
+BENCHMARK(BM_SnapshotWindow)->Arg(500000)->Unit(benchmark::kMillisecond);
 
 // Dependency-edge rows recorded in BENCH_scale.json (DESIGN.md §4j), all
 // on the 1M-task/2M-edge schedule. Warm: tile-cache pans with the edge

@@ -158,8 +158,9 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
     // The entry's index makes windowed renders O(visible), the edge
     // index makes dependency layout O(log n + visible), and the entry's
     // cached composite list replaces the per-render overlap sweep; bytes
-    // are identical with or without any of them, so all stay out of the
-    // cache key.
+    // are identical with or without any of them, and from either resident
+    // form, so all stay out of the cache key. Only the full-view
+    // composite list materializes the AoS form of a columnar entry.
     options.task_index = &entry->index;
     options.edge_index = &entry->edges;
     options.assume_validated = true;  // entries validate at ingest
@@ -168,13 +169,15 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.edge_renders;
     }
+    // A forced-LOD layout draws no exact boxes, so needs no composites.
     std::shared_ptr<const std::vector<model::Composite>> composites;
     if (options.style.show_composites && options.style.type_filter.empty() &&
-        !options.style.time_window) {
+        !options.style.time_window &&
+        options.style.lod != render::LodMode::kForce) {
       composites = entry->composites(util::resolve_threads(options.threads));
       options.composites = composites.get();
     }
-    std::string bytes = exporter.render(entry->schedule(), options);
+    std::string bytes = exporter.render(entry->tasks(), options);
     const std::size_t raw = bytes.size();
     return Made{std::move(bytes), raw};
   });
@@ -194,7 +197,10 @@ RenderService::Artifact RenderService::render_tile(
                         std::to_string(x) + " at zoom " +
                         std::to_string(zoom) + ")");
   }
-  const auto& clusters = entry->schedule().clusters();
+  // The cluster table of the resident form: a cached tile of a columnar
+  // entry must not materialize the AoS form just for this bounds check.
+  const model::TaskView tasks = entry->tasks();
+  const auto& clusters = tasks.clusters();
   if (y >= static_cast<long long>(clusters.size())) {
     throw ArgumentError("tile y must be a cluster row in [0, " +
                         std::to_string(clusters.size()) + ") or omitted");
@@ -216,7 +222,7 @@ RenderService::Artifact RenderService::render_tile(
   const Key key{entry->content_hash, req.h};
   return cached(key, media_type_for("png"), Encoding::identity, [&] {
     render::TileCache::Request tile_req;
-    tile_req.schedule = &entry->schedule();
+    tile_req.tasks = tasks;
     tile_req.colormap = &options.colormap;
     tile_req.style = options.style;
     tile_req.index = &entry->index;

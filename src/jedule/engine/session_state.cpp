@@ -49,7 +49,7 @@ const render::GanttLayout& SessionState::layout() {
     hints.edge_index = &entry_->edges;
     hints.assume_validated = true;  // entries validate at ingest
     hints.interactive = true;
-    layout_ = render::layout_gantt(schedule(), colormap_, style_,
+    layout_ = render::layout_gantt(tasks(), colormap_, style_,
                                    /*threads=*/1, hints);
   }
   return *layout_;
@@ -158,7 +158,7 @@ void SessionState::reset_view() {
 
 void SessionState::select_clusters(std::vector<int> cluster_ids) {
   for (int id : cluster_ids) {
-    if (!schedule().has_cluster(id)) {
+    if (!tasks().has_cluster(id)) {
       throw ArgumentError("unknown cluster id " + std::to_string(id));
     }
   }
@@ -215,7 +215,7 @@ void SessionState::set_edge_density(int per_column) {
 
 const render::Framebuffer& SessionState::frame() {
   render::TileCache::Request req;
-  req.schedule = &schedule();
+  req.tasks = tasks();
   req.colormap = &colormap_;
   req.style = style_;
   req.style.time_window = current_window();

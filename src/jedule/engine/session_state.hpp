@@ -35,7 +35,9 @@ class SessionState {
                render::GanttStyle style);
 
   const EntryPtr& entry() const { return entry_; }
-  const model::Schedule& schedule() const { return entry_->schedule(); }
+  /// The entry's resident form (ScheduleEntry::tasks); what layouts and
+  /// frames read.
+  model::TaskView tasks() const { return entry_->tasks(); }
   const model::TaskIndex& index() const { return entry_->index; }
   const render::GanttStyle& style() const { return style_; }
   const color::ColorMap& colormap() const { return colormap_; }

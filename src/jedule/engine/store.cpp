@@ -25,7 +25,7 @@ std::string hex_id(std::uint64_t hash) {
 
 // Rough resident footprint of a materialized AoS schedule; exact
 // accounting would walk every string's capacity, which isn't worth it for
-// a /stats gauge. Computed once when the materialization happens.
+// a /stats gauge. Computed once, by the first resident() call.
 std::size_t estimate_schedule_bytes(const model::Schedule& s) {
   std::size_t n = s.tasks().capacity() * sizeof(model::Task);
   for (const auto& t : s.tasks()) {
@@ -66,7 +66,6 @@ ScheduleEntry::ScheduleEntry(model::Schedule schedule_in,
   content_hash = combined_hash_of(index.content_hash(), edges);
   id = hex_id(content_hash);
   if (const auto range = index.time_range()) full_range = *range;
-  aos_bytes_ = estimate_schedule_bytes(*schedule_);
   first_new_ = task_count();
 }
 
@@ -118,18 +117,18 @@ ScheduleEntry::ScheduleEntry(
   }
 }
 
-std::size_t ScheduleEntry::cluster_count() const {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  return arena_ ? arena_->clusters().size() : schedule_->clusters().size();
-}
-
 const model::Schedule& ScheduleEntry::schedule_locked() const {
   if (!schedule_) {
     schedule_ =
         std::make_shared<const model::Schedule>(arena_->to_schedule());
-    aos_bytes_ = estimate_schedule_bytes(*schedule_);
   }
   return *schedule_;
+}
+
+model::TaskView ScheduleEntry::tasks() const {
+  std::lock_guard<std::mutex> lock(lazy_mu_);
+  if (schedule_) return model::TaskView(*schedule_);
+  return model::TaskView(*arena_);
 }
 
 const model::Schedule& ScheduleEntry::schedule() const {
@@ -170,7 +169,10 @@ ScheduleEntry::Resident ScheduleEntry::resident() const {
     r.mmap_bytes = arena_->mmap_bytes();
     r.heap_bytes = arena_->heap_bytes();
   }
-  if (schedule_) r.heap_bytes += aos_bytes_;
+  if (schedule_) {
+    if (!aos_bytes_) aos_bytes_ = estimate_schedule_bytes(*schedule_);
+    r.heap_bytes += *aos_bytes_;
+  }
   if (composites_) {
     r.heap_bytes += composites_->size() * sizeof(model::Composite);
   }

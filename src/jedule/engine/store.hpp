@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +29,7 @@
 #include "jedule/model/edge_index.hpp"
 #include "jedule/model/schedule.hpp"
 #include "jedule/model/task_index.hpp"
+#include "jedule/model/task_view.hpp"
 
 namespace jedule::engine {
 
@@ -37,13 +39,14 @@ namespace jedule::engine {
 /// doubles as the HTTP resource name.
 ///
 /// An entry carries up to two representations of the task table: the AoS
-/// model::Schedule (what layout and the exporters consume) and the
-/// columnar model::ScheduleArena (what snapshots and the live-append path
-/// produce). Each materializes lazily from the other on first use, so a
-/// `.jbin` load stays a zero-copy validation pass over the mapping until
-/// someone actually renders, and an appended entry defers the O(n) AoS
-/// rebuild the same way. The identity surface (id, content_hash, index,
-/// full_range) is always eager.
+/// model::Schedule (what text parsers produce) and the columnar
+/// model::ScheduleArena (what snapshots and the live-append path produce).
+/// Renders read whichever the entry has through tasks(); each form
+/// materializes lazily from the other only for the consumers that need
+/// it (schedule(): info, convert, profile, full-view composites; arena():
+/// snapshots, appends). So a `.jbin` or appended entry renders windows
+/// and tiles straight from its columns. The identity surface (id,
+/// content_hash, index, full_range) is always eager.
 struct ScheduleEntry {
   /// AoS ingest: indexes and hashes an already-validated schedule (parser
   /// output, or make_entry after its validate()). `ingest_in` records what
@@ -83,8 +86,10 @@ struct ScheduleEntry {
 
   std::size_t task_count() const { return index.task_count(); }
 
-  /// Cluster count without forcing a representation into existence.
-  std::size_t cluster_count() const;
+  /// A read view of the form the entry already has (the AoS schedule when
+  /// it exists, else the arena); never builds the other. Valid while the
+  /// entry lives.
+  model::TaskView tasks() const;
 
   /// The AoS schedule, materialized from the columns on first use.
   const model::Schedule& schedule() const;
@@ -114,7 +119,9 @@ struct ScheduleEntry {
   mutable std::shared_ptr<const model::Schedule> schedule_;
   mutable std::shared_ptr<const model::ScheduleArena> arena_;
   mutable std::shared_ptr<const std::vector<model::Composite>> composites_;
-  mutable std::size_t aos_bytes_ = 0;  // estimate, set at materialization
+  // AoS footprint estimate, computed by the first resident() that sees
+  // the AoS form.
+  mutable std::optional<std::size_t> aos_bytes_;
   // Append provenance: the base's composite list (when it was already
   // computed) and the first appended task index, so composites() can
   // extend instead of resynthesize.

@@ -91,18 +91,18 @@ std::string Session::inspect(double x, double y) {
            (px - panel->x) / panel->w * panel->time_range.length();
   };
   const auto& type_filter = state_.style().type_filter;
-  const auto type_selected = [&type_filter](const model::Task& t) {
+  const model::TaskView tasks = state_.tasks();
+  const auto type_selected = [&](std::uint32_t i) {
     return type_filter.empty() ||
-           std::find(type_filter.begin(), type_filter.end(), t.type()) !=
-               type_filter.end();
+           std::find(type_filter.begin(), type_filter.end(),
+                     *tasks.type(i)) != type_filter.end();
   };
 
   long long best = -1;
   state_.index().query(
       panel->cluster_id, time_of_x(x - 1.0), time_of_x(x),
       [&](const model::TaskIndex::Entry& e) {
-        const model::Task& t = schedule().tasks()[e.task];
-        if (!type_selected(t)) return;
+        if (!type_selected(e.task)) return;
         // Replicate the layout's clipping and box arithmetic exactly so
         // the answer matches what hit_test on a full layout would return.
         const double t0 = std::max(e.begin, panel->time_range.begin);
@@ -119,7 +119,7 @@ std::string Session::inspect(double x, double y) {
         }
       });
   if (best < 0) return miss;
-  return describe(schedule().tasks()[static_cast<std::size_t>(best)]);
+  return describe(tasks.task(static_cast<std::size_t>(best)));
 }
 
 std::string Session::info() const {
@@ -360,7 +360,8 @@ std::string Session::execute(const std::string& command) {
     ao.cluster_filter = style.cluster_filter;
     ao.type_filter = style.type_filter;
     ao.view_mode = style.view_mode;
-    return render::render_ascii(schedule(), ao);
+    ao.assume_validated = true;  // entries validate at ingest
+    return render::render_ascii(state_.tasks(), ao);
   }
   if (op == "reread") {
     need_args(0);

@@ -53,7 +53,10 @@ class Session {
   Session(engine::EntryPtr entry, color::ColorMap colormap,
           render::GanttStyle style = {});
 
-  const model::Schedule& schedule() const { return state_.schedule(); }
+  /// The AoS schedule (materialized from a columnar entry on first use).
+  const model::Schedule& schedule() const {
+    return state_.entry()->schedule();
+  }
   const render::GanttStyle& style() const { return state_.style(); }
 
   /// Current layout (recomputed lazily after every view change).

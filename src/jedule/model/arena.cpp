@@ -187,6 +187,7 @@ ScheduleArena::ScheduleArena(const Schedule& schedule) {
     }
   }
 
+  intern_new_types();
   build_derived();
 
   tasks_hash_ = detail::kFnvOffset;
@@ -232,6 +233,7 @@ ScheduleArena::ScheduleArena(Raw raw)
     }
   }
   check_structure();
+  intern_new_types();
   build_derived();
 }
 
@@ -719,41 +721,39 @@ void ScheduleArena::validate_columns() const {
 // ---------------------------------------------------------------------------
 // Materialization
 
+Task ScheduleArena::task(std::size_t i) const {
+  Task t;
+  t.set_id(std::string(task_id(i)));
+  t.set_interned_type(interned_types_[type_id_[i]]);
+  t.set_times(start_[i], end_[i]);
+  for (std::size_t c = cfg_off_[i]; c < cfg_off_[i + 1]; ++c) {
+    Configuration cfg;
+    cfg.cluster_id = cfg_cluster_[c];
+    cfg.hosts.assign(ranges_.data() + range_off_[c],
+                     ranges_.data() + range_off_[c + 1]);
+    t.add_configuration(std::move(cfg));
+  }
+  for (std::size_t p = prop_off_[i]; p < prop_off_[i + 1]; ++p) {
+    const char* pool = prop_pool_.data();
+    t.set_property(
+        std::string(pool + prop_slices_[4 * p],
+                    static_cast<std::size_t>(prop_slices_[4 * p + 1])),
+        std::string(pool + prop_slices_[4 * p + 2],
+                    static_cast<std::size_t>(prop_slices_[4 * p + 3])));
+  }
+  return t;
+}
+
 Schedule ScheduleArena::to_schedule() const {
   Schedule out;
   for (const auto& c : clusters_) out.add_cluster(c);
   for (const auto& [k, v] : meta_) out.set_meta(k, v);
 
-  // Intern each distinct type once instead of per task — at a million
-  // tasks the per-row intern lookup would be the materialization cost.
-  std::vector<const std::string*> interned;
-  interned.reserve(types_.size());
-  for (const auto& t : types_) interned.push_back(detail::intern_task_type(t));
-
   const std::size_t n = task_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    Task t;
-    t.set_id(std::string(task_id(i)));
-    t.set_interned_type(interned[type_id_[i]]);
-    t.set_times(start_[i], end_[i]);
-    for (std::size_t c = cfg_off_[i]; c < cfg_off_[i + 1]; ++c) {
-      Configuration cfg;
-      cfg.cluster_id = cfg_cluster_[c];
-      cfg.hosts.assign(ranges_.data() + range_off_[c],
-                       ranges_.data() + range_off_[c + 1]);
-      t.add_configuration(std::move(cfg));
-    }
-    for (std::size_t p = prop_off_[i]; p < prop_off_[i + 1]; ++p) {
-      const char* pool = prop_pool_.data();
-      t.set_property(
-          std::string(pool + prop_slices_[4 * p],
-                      static_cast<std::size_t>(prop_slices_[4 * p + 1])),
-          std::string(pool + prop_slices_[4 * p + 2],
-                      static_cast<std::size_t>(prop_slices_[4 * p + 3])));
-    }
-    out.add_task(std::move(t));
-  }
+  out.mutable_tasks().reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.add_task(task(i));
   if (!dep_off_.empty()) {
+    out.mutable_dependencies().reserve(dep_src_.size());
     for (std::size_t i = 0; i < n; ++i) {
       for (std::uint64_t k = dep_off_[i]; k < dep_off_[i + 1]; ++k) {
         out.add_dependency(dep_src_[k], static_cast<std::uint32_t>(i),
@@ -852,24 +852,22 @@ void ScheduleArena::append(const std::vector<Event>& events) {
     }
   }
   if (batch_has_deps && dep_off_.empty()) materialize_dep_offsets();
-  std::map<std::string_view, std::uint32_t> type_slot;
-  for (std::size_t t = 0; t < types_.size(); ++t) {
-    type_slot[*detail::intern_task_type(types_[t])] =
-        static_cast<std::uint32_t>(t);
-  }
   for (std::size_t ev = 0; ev < events.size(); ++ev) {
     const Event& e = events[ev];
     const auto i = static_cast<std::uint32_t>(task_count());
     start_.owned().push_back(e.start);
     end_.owned().push_back(e.end);
 
-    auto ts = type_slot.find(e.type);
-    if (ts == type_slot.end()) {
-      const auto slot = static_cast<std::uint32_t>(types_.size());
+    // Interned pointers compare equal exactly when the types do.
+    const std::string* type = detail::intern_task_type(e.type);
+    const auto slot = static_cast<std::uint32_t>(
+        std::find(interned_types_.begin(), interned_types_.end(), type) -
+        interned_types_.begin());
+    if (slot == types_.size()) {
       types_.push_back(e.type);
-      ts = type_slot.emplace(*detail::intern_task_type(e.type), slot).first;
+      interned_types_.push_back(type);
     }
-    type_id_.owned().push_back(ts->second);
+    type_id_.owned().push_back(slot);
 
     auto& id_pool = id_pool_.owned();
     id_pool.insert(id_pool.end(), e.id.begin(), e.id.end());
@@ -919,6 +917,14 @@ void ScheduleArena::append(const std::vector<Event>& events) {
     hash_row(i);
   }
   ++version_;
+}
+
+void ScheduleArena::intern_new_types() {
+  // At a million rows a per-row intern lookup would dominate
+  // materialization; each distinct type is interned once instead.
+  for (std::size_t t = interned_types_.size(); t < types_.size(); ++t) {
+    interned_types_.push_back(detail::intern_task_type(types_[t]));
+  }
 }
 
 void ScheduleArena::materialize_dep_offsets() {

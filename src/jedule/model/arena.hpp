@@ -224,6 +224,10 @@ class ScheduleArena {
     return meta_;
   }
   const std::vector<std::string>& types() const { return types_; }
+  /// types() through detail::intern_task_type, by type id.
+  const std::vector<const std::string*>& interned_types() const {
+    return interned_types_;
+  }
 
   std::optional<TimeRange> time_range() const;
   /// O(1): bounds of the tasks with a configuration in `cluster_id`,
@@ -265,7 +269,12 @@ class ScheduleArena {
   /// cheaper than validate() on large arenas.
   void validate_columns() const;
 
-  /// Materializes the AoS schedule (snapshot load / render path).
+  /// Row i as an AoS Task (one row of to_schedule()).
+  Task task(std::size_t i) const;
+
+  /// Materializes the AoS schedule, for consumers that still need it
+  /// (info, convert, profile, full-view composite synthesis); renders read
+  /// the columns through model::TaskView instead.
   Schedule to_schedule() const;
 
   /// Appends `events` as new tasks: validates them (duplicate ids via the
@@ -300,6 +309,7 @@ class ScheduleArena {
   void hash_row(std::size_t i);  // folds row i into tasks_hash_
   void hash_edge(std::uint32_t src, std::uint32_t dst, double data);
   void materialize_dep_offsets();  // dep_off_: empty -> task_count()+1 zeros
+  void intern_new_types();         // extends interned_types_ to types_
 
   detail::Column<double> start_, end_;
   detail::Column<std::uint32_t> type_id_;
@@ -321,6 +331,7 @@ class ScheduleArena {
   detail::Column<double> dep_data_;
 
   std::vector<std::string> types_;
+  std::vector<const std::string*> interned_types_;  // parallel to types_
   std::vector<Cluster> clusters_;
   std::map<int, std::size_t> cluster_slot_;  // id -> clusters_ index
   std::vector<std::pair<std::string, std::string>> meta_;

@@ -11,7 +11,6 @@ namespace jedule::render {
 
 namespace {
 
-using model::Schedule;
 using model::TimeRange;
 
 char letter_for(std::map<std::string, char>& legend, const std::string& type) {
@@ -38,9 +37,8 @@ char letter_for(std::map<std::string, char>& legend, const std::string& type) {
 
 }  // namespace
 
-std::string render_ascii(const Schedule& schedule,
-                         const AsciiOptions& options) {
-  schedule.validate();
+std::string render_ascii(model::TaskView tasks, const AsciiOptions& options) {
+  if (!options.assume_validated) tasks.validate();
   if (options.width < 10) throw ArgumentError("ascii: width below 10");
   if (options.max_rows_per_cluster < 1) {
     throw ArgumentError("ascii: need at least one row per cluster");
@@ -49,14 +47,14 @@ std::string render_ascii(const Schedule& schedule,
   std::map<std::string, char> legend;
   std::string out;
 
-  for (const auto& cluster : schedule.clusters()) {
+  for (const auto& cluster : tasks.clusters()) {
     if (!options.cluster_filter.empty() &&
         std::find(options.cluster_filter.begin(),
                   options.cluster_filter.end(),
                   cluster.id) == options.cluster_filter.end()) {
       continue;
     }
-    auto range = schedule.view_time_range(cluster.id, options.view_mode);
+    auto range = tasks.view_time_range(cluster.id, options.view_mode);
     if (!range || range->length() <= 0) range = TimeRange{0, 1};
     const TimeRange window =
         options.time_window ? *options.time_window : *range;
@@ -77,16 +75,17 @@ std::string render_ascii(const Schedule& schedule,
         static_cast<std::size_t>(rows),
         std::string(static_cast<std::size_t>(options.width), 0));
 
-    for (const auto& task : schedule.tasks()) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const std::string& type = *tasks.type(i);
       if (!options.type_filter.empty() &&
           std::find(options.type_filter.begin(), options.type_filter.end(),
-                    task.type()) == options.type_filter.end()) {
+                    type) == options.type_filter.end()) {
         continue;
       }
-      for (const auto& cfg : task.configurations()) {
+      for (const model::ConfigRef cfg : tasks.configs(i)) {
         if (cfg.cluster_id != cluster.id) continue;
-        const double t0 = std::max(task.start_time(), window.begin);
-        const double t1 = std::min(task.end_time(), window.end);
+        const double t0 = std::max(tasks.start(i), window.begin);
+        const double t1 = std::min(tasks.end(i), window.end);
         if (t1 <= t0) continue;
         int c0 = static_cast<int>((t0 - window.begin) / window.length() *
                                   options.width);
@@ -94,7 +93,7 @@ std::string render_ascii(const Schedule& schedule,
                                   options.width);
         c0 = std::clamp(c0, 0, options.width - 1);
         c1 = std::clamp(c1, c0, options.width - 1);
-        const char letter = letter_for(legend, task.type());
+        const char letter = letter_for(legend, type);
         for (const auto& hr : cfg.hosts) {
           for (int h = hr.start; h < hr.start + hr.nb; ++h) {
             const int row = h / hosts_per_row;

@@ -8,7 +8,7 @@
 
 #include <string>
 
-#include "jedule/model/schedule.hpp"
+#include "jedule/model/task_view.hpp"
 
 namespace jedule::render {
 
@@ -32,11 +32,14 @@ struct AsciiOptions {
   bool show_legend = true;
 
   model::ViewMode view_mode = model::ViewMode::kScaled;
+
+  /// Skip validation (the caller validated at ingest).
+  bool assume_validated = false;
 };
 
 /// Renders the schedule as text. Cells: '.' idle, a type letter where one
 /// type occupies the cell, '*' where several types mix.
-std::string render_ascii(const model::Schedule& schedule,
+std::string render_ascii(model::TaskView tasks,
                          const AsciiOptions& options = {});
 
 }  // namespace jedule::render

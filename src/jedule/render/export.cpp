@@ -8,9 +8,9 @@
 
 namespace jedule::render {
 
-Framebuffer render_raster(const model::Schedule& schedule,
+Framebuffer render_raster(model::TaskView tasks,
                           const RenderOptions& options) {
-  const GanttLayout layout = layout_gantt(schedule, options);
+  const GanttLayout layout = layout_gantt(tasks, options);
   Framebuffer fb(options.style.width, options.style.height);
   const int threads = options.resolved_threads();
   const int bands = std::min(threads, fb.height());

@@ -6,7 +6,7 @@
 // export_schedule from there, or render_raster below for direct
 // framebuffer access.
 
-#include "jedule/model/schedule.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/render/framebuffer.hpp"
 #include "jedule/render/options.hpp"
 
@@ -17,7 +17,7 @@ namespace jedule::render {
 /// workers; every band replays the full paint sequence clipped to its
 /// rows, so the pixels are byte-identical for every thread count (the
 /// single-thread path paints the whole image directly).
-Framebuffer render_raster(const model::Schedule& schedule,
+Framebuffer render_raster(model::TaskView tasks,
                           const RenderOptions& options);
 
 }  // namespace jedule::render

@@ -22,9 +22,9 @@ class PngExporter final : public Exporter {
   std::string description() const override {
     return "raster PNG (parallel band painting + chunked deflate)";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
-    return encode_png(render_raster(schedule, options),
+    return encode_png(render_raster(tasks, options),
                       options.resolved_threads());
   }
 };
@@ -36,9 +36,9 @@ class PpmExporter final : public Exporter {
   std::string description() const override {
     return "binary PPM (P6) raster";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
-    return encode_ppm(render_raster(schedule, options));
+    return encode_ppm(render_raster(tasks, options));
   }
 };
 
@@ -49,9 +49,9 @@ class SvgExporter final : public Exporter {
   std::string description() const override {
     return "scalable vector graphics";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
-    const GanttLayout layout = layout_gantt(schedule, options);
+    const GanttLayout layout = layout_gantt(tasks, options);
     SvgCanvas canvas(options.style.width, options.style.height);
     paint_gantt(layout, canvas, options.style);
     return canvas.finish();
@@ -67,9 +67,9 @@ class SvgzExporter final : public Exporter {
   std::string description() const override {
     return "gzip-compressed scalable vector graphics";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
-    const GanttLayout layout = layout_gantt(schedule, options);
+    const GanttLayout layout = layout_gantt(tasks, options);
     SvgCanvas canvas(options.style.width, options.style.height);
     paint_gantt(layout, canvas, options.style);
     const std::string svg = canvas.finish();
@@ -87,9 +87,9 @@ class PdfExporter final : public Exporter {
   std::string description() const override {
     return "single-page vector PDF (/FlateDecode content stream)";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
-    const GanttLayout layout = layout_gantt(schedule, options);
+    const GanttLayout layout = layout_gantt(tasks, options);
     PdfCanvas canvas(options.style.width, options.style.height);
     paint_gantt(layout, canvas, options.style);
     return canvas.finish(options.resolved_threads());
@@ -103,14 +103,15 @@ class AsciiExporter final : public Exporter {
   std::string description() const override {
     return "plain-text Gantt chart for terminals";
   }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions& options) const override {
     AsciiOptions ascii;
     ascii.time_window = options.style.time_window;
     ascii.cluster_filter = options.style.cluster_filter;
     ascii.type_filter = options.style.type_filter;
     ascii.view_mode = options.style.view_mode;
-    return render_ascii(schedule, ascii);
+    ascii.assume_validated = options.assume_validated;
+    return render_ascii(tasks, ascii);
   }
 };
 
@@ -197,19 +198,17 @@ const Exporter& ExporterRegistry::resolve(const std::string& format,
                       ")");
 }
 
-std::string render_to_bytes(const model::Schedule& schedule,
+std::string render_to_bytes(model::TaskView tasks,
                             const RenderOptions& options,
                             const std::string& format) {
-  return ExporterRegistry::instance().resolve(format).render(schedule,
-                                                             options);
+  return ExporterRegistry::instance().resolve(format).render(tasks, options);
 }
 
-void export_schedule(const model::Schedule& schedule,
-                     const RenderOptions& options, const std::string& path,
-                     const std::string& format) {
+void export_schedule(model::TaskView tasks, const RenderOptions& options,
+                     const std::string& path, const std::string& format) {
   io::write_file(path, ExporterRegistry::instance()
                            .resolve(format, path)
-                           .render(schedule, options));
+                           .render(tasks, options));
 }
 
 }  // namespace jedule::render

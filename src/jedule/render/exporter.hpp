@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "jedule/model/schedule.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/render/options.hpp"
 
 namespace jedule::render {
@@ -30,8 +30,9 @@ class Exporter {
   /// One-line description for the CLI's format help.
   virtual std::string description() const = 0;
 
-  /// Renders `schedule` and returns the complete file bytes.
-  virtual std::string render(const model::Schedule& schedule,
+  /// Renders the viewed schedule (either resident form, see
+  /// model::TaskView) and returns the complete file bytes.
+  virtual std::string render(model::TaskView tasks,
                              const RenderOptions& options) const = 0;
 };
 
@@ -71,15 +72,14 @@ class ExporterRegistry {
 
 /// Renders with the registered exporter named `format`; throws
 /// ArgumentError (ExporterRegistry::resolve) when no such exporter exists.
-std::string render_to_bytes(const model::Schedule& schedule,
+std::string render_to_bytes(model::TaskView tasks,
                             const RenderOptions& options,
                             const std::string& format);
 
 /// Renders and writes `path`. A nonempty `format` selects the exporter by
 /// name; otherwise the (case-insensitive) extension decides. Throws
 /// ArgumentError (ExporterRegistry::resolve) when nothing matches.
-void export_schedule(const model::Schedule& schedule,
-                     const RenderOptions& options, const std::string& path,
-                     const std::string& format = "");
+void export_schedule(model::TaskView tasks, const RenderOptions& options,
+                     const std::string& path, const std::string& format = "");
 
 }  // namespace jedule::render

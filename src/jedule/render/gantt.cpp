@@ -19,7 +19,7 @@ namespace jedule::render {
 namespace {
 
 using model::Schedule;
-using model::Task;
+using model::TaskView;
 using model::TimeRange;
 
 // Fixed chrome dimensions (pixels).
@@ -189,7 +189,7 @@ struct ViewRanges {
   std::vector<std::optional<TimeRange>> cluster;
 };
 
-ViewRanges view_ranges(const Schedule& schedule,
+ViewRanges view_ranges(const TaskView& tasks,
                        const ClusterPositions& position) {
   // Running bounds start at (+inf, -inf): the first task sets them exactly
   // as an explicit first-task initialization would.
@@ -197,19 +197,21 @@ ViewRanges view_ranges(const Schedule& schedule,
   const std::size_t n = position.size();
   double lo = kInf, hi = -kInf;
   std::vector<double> cluster_lo(n + 1, kInf), cluster_hi(n + 1, -kInf);
-  for (const Task& t : schedule.tasks()) {
-    const double b = t.start_time();
-    const double e = t.end_time();
-    lo = std::min(lo, b);
-    hi = std::max(hi, e);
-    for (const auto& cfg : t.configurations()) {
-      const std::size_t p = position(cfg.cluster_id);
-      cluster_lo[p] = std::min(cluster_lo[p], b);
-      cluster_hi[p] = std::max(cluster_hi[p], e);
+  tasks.visit([&](const auto& rows) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const double b = rows.start(i);
+      const double e = rows.end(i);
+      lo = std::min(lo, b);
+      hi = std::max(hi, e);
+      for (const auto& cfg : rows.configs(i)) {
+        const std::size_t p = position(cfg.cluster_id);
+        cluster_lo[p] = std::min(cluster_lo[p], b);
+        cluster_hi[p] = std::max(cluster_hi[p], e);
+      }
     }
-  }
+  });
   ViewRanges out;
-  if (!schedule.tasks().empty()) out.global = TimeRange{lo, hi};
+  if (tasks.size() > 0) out.global = TimeRange{lo, hi};
   out.cluster.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (cluster_lo[i] <= cluster_hi[i]) {
@@ -222,12 +224,12 @@ ViewRanges view_ranges(const Schedule& schedule,
 // Closed-interval intersection count of (configuration x host range)
 // entries against `win` for one cluster, stopping at `limit` — the LOD
 // density probe when no TaskIndex is available.
-std::size_t density_count(const Schedule& schedule, int cluster_id,
+std::size_t density_count(const TaskView& tasks, int cluster_id,
                           const TimeRange& win, std::size_t limit) {
   std::size_t n = 0;
-  for (const Task& t : schedule.tasks()) {
-    if (t.start_time() > win.end || t.end_time() < win.begin) continue;
-    for (const auto& cfg : t.configurations()) {
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    if (tasks.start(i) > win.end || tasks.end(i) < win.begin) continue;
+    for (const model::ConfigRef cfg : tasks.configs(i)) {
       if (cfg.cluster_id != cluster_id) continue;
       n += cfg.hosts.size();
       if (n >= limit) return n;
@@ -275,15 +277,15 @@ void set_box_hosts(TaskBox* box, const PanelLayout& panel, double row_h,
 // the same dominant type merge into a single 1-column-wide box. Work and
 // memory are O(columns x rows x types), independent of the task count.
 void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
-                  const Schedule& schedule, Palette& palette,
+                  const TaskView& tasks, Palette& palette,
                   const LayoutHints& hints) {
   const PanelLayout& panel = layout->panels[panel_index];
   const TimeRange win = panel.time_range;
   const double len = win.length();
   if (!(len > 0) || panel.hosts <= 0) return;
 
-  const auto selected = [&palette](const Task& t) {
-    return palette.type(&t.type()).selected;
+  const auto selected = [&](std::size_t i) {
+    return palette.type(tasks.type(i)).selected;
   };
   // Entry stream: (begin, end, host span, type) of every visible
   // (configuration x host range) rectangle, via the index when present.
@@ -294,23 +296,23 @@ void add_lod_bins(GanttLayout* layout, std::size_t panel_index,
       hints.index->query(
           panel.cluster_id, win.begin, win.end,
           [&](const model::TaskIndex::Entry& e) {
-            const Task& t = schedule.tasks()[e.task];
-            if (!selected(t)) return;
-            fn(e.begin, e.end, e.host_start, e.host_end, &t.type());
+            if (!selected(e.task)) return;
+            fn(e.begin, e.end, e.host_start, e.host_end, tasks.type(e.task));
           });
       return;
     }
-    for (const Task& t : schedule.tasks()) {
-      if (t.start_time() > win.end || t.end_time() < win.begin) continue;
-      if (!selected(t)) continue;
-      for (const auto& cfg : t.configurations()) {
-        if (cfg.cluster_id != panel.cluster_id) continue;
-        for (const auto& hr : cfg.hosts) {
-          fn(t.start_time(), t.end_time(), hr.start, hr.start + hr.nb - 1,
-             &t.type());
+    tasks.visit([&](const auto& rows) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        const double b = rows.start(i), e = rows.end(i);
+        if (b > win.end || e < win.begin || !selected(i)) continue;
+        for (const auto& cfg : rows.configs(i)) {
+          if (cfg.cluster_id != panel.cluster_id) continue;
+          for (const auto& hr : cfg.hosts) {
+            fn(b, e, hr.start, hr.start + hr.nb - 1, rows.type(i));
+          }
         }
       }
-    }
+    });
   };
 
   // Column mapping, in device-pixel units relative to panel.x.
@@ -504,18 +506,17 @@ bool entry_before(const model::EdgeIndex::Entry& a,
 
 // Lays out dependency arrows / heat lanes for every panel. With an
 // EdgeIndex hint a panel costs O(log n + visible); the fallback scans
-// Schedule::dependencies() per panel and produces the identical layout
+// the schedule's dependencies per panel and produces the identical layout
 // (same entries, same sort, same critical path — the differential tests
 // rely on this, and the bench uses it as the brute-force baseline).
-void layout_edges(GanttLayout* layout, const Schedule& schedule,
+void layout_edges(GanttLayout* layout, const TaskView& tasks,
                   const GanttStyle& style, const LayoutHints& hints) {
   const EdgeMode mode =
       style.edges == EdgeMode::kDefault ? EdgeMode::kAuto : style.edges;
   if (mode == EdgeMode::kOff) return;
   const model::EdgeIndex* index = hints.edge_index;
   if (index != nullptr && index->empty()) index = nullptr;
-  if (index == nullptr && schedule.dependencies().empty()) return;
-  const auto& tasks = schedule.tasks();
+  if (index == nullptr && tasks.dep_count() == 0) return;
   constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
   // The critical path: persistent DP in the index, or the identical
@@ -525,15 +526,16 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
   if (index != nullptr) {
     path = &index->critical_path();
   } else {
-    const auto& deps = schedule.dependencies();
     const std::size_t n = tasks.size();
     std::vector<std::size_t> off(n + 1, 0);
-    for (const auto& d : deps) ++off[d.dst + 1];
+    tasks.for_each_dependency(
+        [&](std::uint32_t, std::uint32_t dst, double) { ++off[dst + 1]; });
     for (std::size_t i = 0; i < n; ++i) off[i + 1] += off[i];
-    std::vector<std::uint32_t> src(deps.size());
+    std::vector<std::uint32_t> src(tasks.dep_count());
     {
       std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-      for (const auto& d : deps) src[cur[d.dst]++] = d.src;
+      tasks.for_each_dependency([&](std::uint32_t s, std::uint32_t dst,
+                                    double) { src[cur[dst]++] = s; });
     }
     std::vector<double> finish(n);
     std::vector<std::uint32_t> via(n, kNone);
@@ -547,7 +549,7 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
           via[i] = src[k];
         }
       }
-      finish[i] = start + tasks[i].duration();
+      finish[i] = start + (tasks.end(i) - tasks.start(i));
       if (finish[i] > best_time) {
         best_time = finish[i];
         best = static_cast<std::uint32_t>(i);
@@ -558,15 +560,6 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
     }
     std::reverse(local_path.begin(), local_path.end());
   }
-
-  auto rep_host = [&tasks](std::uint32_t task, int cid) -> std::int32_t {
-    for (const auto& cfg : tasks[task].configurations()) {
-      if (cfg.cluster_id == cid && !cfg.hosts.empty()) {
-        return cfg.hosts.front().start;
-      }
-    }
-    return -1;
-  };
 
   using Entry = model::EdgeIndex::Entry;
   for (std::size_t pi = 0; pi < layout->panels.size(); ++pi) {
@@ -582,26 +575,37 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
             index->query(panel.cluster_id, win.begin, win.end, fn);
             return;
           }
-          const auto in_cluster = [&](std::uint32_t t) {
-            for (const auto& cfg : tasks[t].configurations()) {
-              if (cfg.cluster_id == panel.cluster_id) return true;
-            }
-            return false;
-          };
-          for (const auto& d : schedule.dependencies()) {
-            Entry e;
-            e.begin = std::min(tasks[d.src].end_time(),
-                               tasks[d.dst].start_time());
-            e.end = std::max(tasks[d.src].end_time(),
-                             tasks[d.dst].start_time());
-            if (e.begin > win.end || e.end < win.begin) continue;
-            if (!in_cluster(d.src) && !in_cluster(d.dst)) continue;
-            e.src = d.src;
-            e.dst = d.dst;
-            e.src_host = rep_host(d.src, panel.cluster_id);
-            e.dst_host = rep_host(d.dst, panel.cluster_id);
-            fn(e);
-          }
+          tasks.visit([&](const auto& rows) {
+            // First host of the task's first range in this panel's
+            // cluster, or -1 when it has none there.
+            const auto rep_host = [&](std::uint32_t t) -> std::int32_t {
+              for (const auto& cfg : rows.configs(t)) {
+                if (cfg.cluster_id == panel.cluster_id && !cfg.hosts.empty()) {
+                  return cfg.hosts.front().start;
+                }
+              }
+              return -1;
+            };
+            const auto in_cluster = [&](std::uint32_t t) {
+              for (const auto& cfg : rows.configs(t)) {
+                if (cfg.cluster_id == panel.cluster_id) return true;
+              }
+              return false;
+            };
+            tasks.for_each_dependency([&](std::uint32_t src, std::uint32_t dst,
+                                          double) {
+              Entry e;
+              e.begin = std::min(rows.end(src), rows.start(dst));
+              e.end = std::max(rows.end(src), rows.start(dst));
+              if (e.begin > win.end || e.end < win.begin) return;
+              if (!in_cluster(src) && !in_cluster(dst)) return;
+              e.src = src;
+              e.dst = dst;
+              e.src_host = rep_host(src);
+              e.dst_host = rep_host(dst);
+              fn(e);
+            });
+          });
         };
 
     const double row_h = panel.row_height();
@@ -610,9 +614,9 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
       // the heat lane but have no arrow geometry in this panel.
       if (e.src_host < 0 || e.dst_host < 0) return;
       EdgeArrow a;
-      a.x0 = panel.x_of_time(tasks[e.src].end_time());
+      a.x0 = panel.x_of_time(tasks.end(e.src));
       a.y0 = panel.y + row_h * (e.src_host + 0.5);
-      a.x1 = panel.x_of_time(tasks[e.dst].start_time());
+      a.x1 = panel.x_of_time(tasks.start(e.dst));
       a.y1 = panel.y + row_h * (e.dst_host + 0.5);
       a.critical = critical;
       if (!clip_arrow(&a, panel.x, panel.y, panel.x + panel.w,
@@ -724,11 +728,10 @@ void layout_edges(GanttLayout* layout, const Schedule& schedule,
 
 }  // namespace
 
-GanttLayout layout_gantt(const Schedule& schedule,
-                         const color::ColorMap& colormap,
+GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
                          const GanttStyle& style, int threads,
                          const LayoutHints& hints) {
-  if (!hints.assume_validated) schedule.validate();
+  if (!hints.assume_validated) tasks.validate();
   if (style.width < 160 || style.height < 120) {
     throw ArgumentError("gantt: canvas smaller than 160x120");
   }
@@ -744,20 +747,20 @@ GanttLayout layout_gantt(const Schedule& schedule,
   layout.axes_font_size = colormap.font_size_axes();
 
   // Which clusters, in which order.
-  const auto& clusters = schedule.clusters();
+  const auto& clusters = tasks.clusters();
   std::vector<const model::Cluster*> shown;
   if (style.cluster_filter.empty()) {
     for (const auto& c : clusters) shown.push_back(&c);
   } else {
     for (int id : style.cluster_filter) {
-      shown.push_back(&schedule.cluster_by_id(id));  // throws if unknown
+      shown.push_back(&tasks.cluster_by_id(id));  // throws if unknown
     }
   }
 
   // Header.
-  if (style.show_meta && !schedule.meta().empty()) {
+  if (style.show_meta && !tasks.meta().empty()) {
     std::vector<std::string> parts;
-    for (const auto& [k, v] : schedule.meta()) parts.push_back(k + "=" + v);
+    for (const auto& [k, v] : tasks.meta()) parts.push_back(k + "=" + v);
     layout.header = util::join(parts, "  ");
   }
 
@@ -783,7 +786,7 @@ GanttLayout layout_gantt(const Schedule& schedule,
   const ClusterPositions position(clusters);
   ViewRanges ranges;
   if (!style.time_window) {
-    ranges = view_ranges(schedule, position);
+    ranges = view_ranges(tasks, position);
     if (hints.index != nullptr) ranges.global = hints.index->time_range();
   }
 
@@ -845,7 +848,7 @@ GanttLayout layout_gantt(const Schedule& schedule,
               ? hints.index->count_upto(panel.cluster_id,
                                         panel.time_range.begin,
                                         panel.time_range.end, limit + 1)
-              : density_count(schedule, panel.cluster_id, panel.time_range,
+              : density_count(tasks, panel.cluster_id, panel.time_range,
                               limit + 1);
       layout.panel_lod[pi] = n > limit ? 1 : 0;
     }
@@ -858,10 +861,12 @@ GanttLayout layout_gantt(const Schedule& schedule,
   // With an index and a time window, visit only the tasks intersecting the
   // window (closed intersection, a superset of what paints after clipping
   // — so the boxes match the full layout's).
-  const auto& tasks = schedule.tasks();
   JED_ASSERT(tasks.size() < TaskBox::kNoTask);
-  layout.schedule = &schedule;
+  layout.tasks = tasks;
   Palette palette(colormap, style, &layout.styles);
+  const auto selected = [&](std::uint32_t i) {
+    return palette.type(tasks.type(i)).selected;
+  };
   const bool cull = hints.index != nullptr && style.time_window.has_value();
   layout.culled = cull;
   std::vector<std::uint32_t> visible;
@@ -880,6 +885,9 @@ GanttLayout layout_gantt(const Schedule& schedule,
   }
 
   if (style.show_composites && any_exact_panel) {
+    // Tasks whose selected members are swept as a schedule of their own,
+    // when the sweep cannot filter an AoS schedule in place.
+    std::vector<std::uint32_t> sweep;
     if (cull) {
       // Composite groups that intersect the window can be split (in time
       // or host ranges) by the events of any task overlapping their
@@ -889,43 +897,46 @@ GanttLayout layout_gantt(const Schedule& schedule,
       bool have = false;
       double lo = 0, hi = 0;
       for (std::uint32_t idx : visible) {
-        const Task& t = tasks[idx];
-        if (!palette.type(&t.type()).selected) continue;
-        lo = have ? std::min(lo, t.start_time()) : t.start_time();
-        hi = have ? std::max(hi, t.end_time()) : t.end_time();
+        if (!selected(idx)) continue;
+        lo = have ? std::min(lo, tasks.start(idx)) : tasks.start(idx);
+        hi = have ? std::max(hi, tasks.end(idx)) : tasks.end(idx);
         have = true;
       }
       if (have) {
-        std::vector<std::uint32_t> closure;
         for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
           if (layout.panel_lod[pi]) continue;
           hints.index->collect_tasks(layout.panels[pi].cluster_id, lo, hi,
-                                     &closure);
+                                     &sweep);
         }
-        std::sort(closure.begin(), closure.end());
-        closure.erase(std::unique(closure.begin(), closure.end()),
-                      closure.end());
-        Schedule sub;
-        for (const auto& c : schedule.clusters()) sub.add_cluster(c);
-        for (std::uint32_t idx : closure) {
-          const Task& t = tasks[idx];
-          if (palette.type(&t.type()).selected) sub.add_task(t);
-        }
-        layout.owned_composites =
-            model::synthesize_composites(sub, nullptr, threads);
+        std::sort(sweep.begin(), sweep.end());
+        sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
       }
     } else if (hints.composites != nullptr && style.type_filter.empty()) {
       // The engine's incrementally-maintained list (append_composites).
       layout.borrowed_composites = hints.composites;
-    } else {
-      std::function<bool(const Task&)> include;
+    } else if (tasks.schedule() != nullptr) {
+      std::function<bool(const model::Task&)> include;
       if (!style.type_filter.empty()) {
-        include = [&style](const Task& t) {
+        include = [&style](const model::Task& t) {
           return type_selected(style, t.type());
         };
       }
       layout.owned_composites =
-          model::synthesize_composites(schedule, include, threads);
+          model::synthesize_composites(*tasks.schedule(), include, threads);
+    } else {
+      sweep.resize(tasks.size());
+      for (std::size_t i = 0; i < sweep.size(); ++i) {
+        sweep[i] = static_cast<std::uint32_t>(i);
+      }
+    }
+    if (!sweep.empty()) {
+      Schedule sub;
+      for (const auto& c : clusters) sub.add_cluster(c);
+      for (std::uint32_t idx : sweep) {
+        if (selected(idx)) sub.add_task(tasks.task(idx));
+      }
+      layout.owned_composites =
+          model::synthesize_composites(sub, nullptr, threads);
     }
   }
   const auto& composites = layout.composites();
@@ -942,20 +953,17 @@ GanttLayout layout_gantt(const Schedule& schedule,
           &panel, panel.row_height());
     }
   }
-  const auto add_boxes = [&](const Task& t, std::uint32_t index,
-                             bool composite, std::uint32_t slot,
-                             bool highlighted) {
-    for (const auto& cfg : t.configurations()) {
+  const auto add_boxes = [&](double start, double end, const auto& configs,
+                             std::uint32_t index, bool composite,
+                             std::uint32_t slot, bool highlighted) {
+    for (const auto& cfg : configs) {
       for (const auto& [panel_ptr, row_h] :
            exact_panels[position(cfg.cluster_id)]) {
         const PanelLayout& panel = *panel_ptr;
         // Clip to the panel's time window.
-        const double t0 = std::max(t.start_time(), panel.time_range.begin);
-        const double t1 = std::min(t.end_time(), panel.time_range.end);
-        if (t1 <= t0 &&
-            !(t.start_time() == t.end_time() && t0 == t.start_time())) {
-          continue;
-        }
+        const double t0 = std::max(start, panel.time_range.begin);
+        const double t1 = std::min(end, panel.time_range.end);
+        if (t1 <= t0 && !(start == end && t0 == start)) continue;
         for (const auto& hr : cfg.hosts) {
           TaskBox box;
           box.task_index = index;
@@ -970,31 +978,31 @@ GanttLayout layout_gantt(const Schedule& schedule,
     }
   };
   const bool highlight = !style.highlight_key.empty();
-  const auto add_task = [&](std::uint32_t i) {
-    const Task& t = tasks[i];
-    const Palette::Type& type = palette.type(&t.type());
-    if (!type.selected) return;
-    bool highlighted = false;
-    if (highlight) {
-      const auto v = t.property(style.highlight_key);
-      highlighted = v && *v == style.highlight_value;
-    }
-    add_boxes(t, i, false, highlighted ? palette.highlight() : type.slot,
-              highlighted);
-  };
-
   layout.boxes.reserve(layout.tasks_visited + composites.size());
-  if (cull) {
-    for (std::uint32_t i : visible) add_task(i);
-  } else if (any_exact_panel) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      add_task(static_cast<std::uint32_t>(i));
+  tasks.visit([&](const auto& rows) {
+    const auto add_task = [&](std::uint32_t i) {
+      const Palette::Type& type = palette.type(rows.type(i));
+      if (!type.selected) return;
+      bool highlighted = false;
+      if (highlight) {
+        const auto v = rows.property(i, style.highlight_key);
+        highlighted = v && *v == style.highlight_value;
+      }
+      add_boxes(rows.start(i), rows.end(i), rows.configs(i), i, false,
+                highlighted ? palette.highlight() : type.slot, highlighted);
+    };
+    if (cull) {
+      for (std::uint32_t i : visible) add_task(i);
+    } else if (any_exact_panel) {
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        add_task(static_cast<std::uint32_t>(i));
+      }
     }
-  }
+  });
   if (!hints.skip_lod_bins) {
     for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
       if (layout.panel_lod[pi]) {
-        add_lod_bins(&layout, pi, schedule, palette, hints);
+        add_lod_bins(&layout, pi, tasks, palette, hints);
       }
     }
   }
@@ -1006,13 +1014,14 @@ GanttLayout layout_gantt(const Schedule& schedule,
       const auto v = model::composite_property(comp, style.highlight_key);
       highlighted = v && *v == style.highlight_value;
     }
-    add_boxes(comp.task, static_cast<std::uint32_t>(k), true,
+    add_boxes(comp.task.start_time(), comp.task.end_time(),
+              comp.task.configurations(), static_cast<std::uint32_t>(k), true,
               highlighted ? palette.highlight()
                           : palette.composite(comp.member_types),
               highlighted);
   }
 
-  layout_edges(&layout, schedule, style, hints);
+  layout_edges(&layout, tasks, style, hints);
 
   return layout;
 }

@@ -22,6 +22,7 @@
 #include "jedule/model/edge_index.hpp"
 #include "jedule/model/schedule.hpp"
 #include "jedule/model/task_index.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/render/canvas.hpp"
 
 namespace jedule::render {
@@ -136,7 +137,7 @@ struct EdgeRenderStats {
 /// through the layout (GanttLayout::label, GanttLayout::style_of).
 struct TaskBox {
   double x = 0, y = 0, w = 0, h = 0;
-  /// Ordinary box: index into the schedule's tasks(). Composite box:
+  /// Ordinary box: task index in GanttLayout::tasks. Composite box:
   /// index into GanttLayout::composites(). kNoTask for LOD density bins.
   std::uint32_t task_index = 0;
   /// Slot in GanttLayout::styles.
@@ -165,8 +166,9 @@ struct PanelLayout {
 };
 
 /// A layout refers to its tasks by index: it borrows the schedule it was
-/// computed from and, when LayoutHints::composites was consumed, that
-/// composite list. Both must outlive the layout (DESIGN.md §4k).
+/// computed from (through its TaskView) and, when LayoutHints::composites
+/// was consumed, that composite list. Both must outlive the layout
+/// (DESIGN.md §4k).
 struct GanttLayout {
   int width = 0;
   int height = 0;
@@ -174,7 +176,7 @@ struct GanttLayout {
   std::vector<PanelLayout> panels;
 
   /// The schedule the layout was computed from (borrowed).
-  const model::Schedule* schedule = nullptr;
+  model::TaskView tasks;
 
   /// Composite side list, borrowed from LayoutHints::composites or owned
   /// (synthesized by this layout); composite boxes index into it.
@@ -215,16 +217,17 @@ struct GanttLayout {
   int min_label_font_size = 11;
   int axes_font_size = 12;
 
-  /// The task a box shows: the schedule task, or the composite's task
-  /// (without its "members"/"member_types" properties). Not for LOD bins.
-  const model::Task& task_of(const TaskBox& box) const {
-    return box.composite ? composites()[box.task_index].task
-                         : schedule->tasks()[box.task_index];
-  }
   /// The box's label (its task id); empty for LOD bins.
   std::string_view label(const TaskBox& box) const {
     if (box.lod_bin) return {};
-    return task_of(box).id();
+    return box.composite ? composites()[box.task_index].task.id()
+                         : tasks.id(box.task_index);
+  }
+  /// The type of the task a box shows ("composite" for composites). Not
+  /// for LOD bins.
+  const std::string& type_of(const TaskBox& box) const {
+    return box.composite ? composites()[box.task_index].task.type()
+                         : *tasks.type(box.task_index);
   }
   const color::TaskStyle& style_of(const TaskBox& box) const {
     return styles[box.style_slot];
@@ -251,8 +254,8 @@ struct LayoutHints {
   const model::TaskIndex* index = nullptr;
 
   /// O(log n + k) window queries over the dependency edges. Without it an
-  /// active EdgeMode falls back to a brute-force scan of
-  /// Schedule::dependencies() per panel — the resulting layout is
+  /// active EdgeMode falls back to a brute-force scan of the schedule's
+  /// dependencies per panel — the resulting layout is
   /// identical, just O(m) instead of O(visible).
   const model::EdgeIndex* edge_index = nullptr;
 
@@ -285,17 +288,13 @@ struct LayoutHints {
 /// Computes the layout; throws ValidationError on an invalid schedule and
 /// ArgumentError on an empty time window or unknown filter clusters.
 /// `threads` parallelizes the composite-synthesis sweep (the layout itself
-/// is sequential); the layout is identical for every thread count. The
-/// layout borrows `schedule` (see GanttLayout), so a temporary schedule
-/// does not compile.
-GanttLayout layout_gantt(const model::Schedule& schedule,
+/// is sequential); the layout is identical for every thread count, and
+/// for either form `tasks` views. The layout borrows the viewed schedule
+/// (see GanttLayout); a TaskView of a temporary does not compile.
+GanttLayout layout_gantt(model::TaskView tasks,
                          const color::ColorMap& colormap,
                          const GanttStyle& style, int threads = 1,
                          const LayoutHints& hints = {});
-GanttLayout layout_gantt(model::Schedule&& schedule,
-                         const color::ColorMap& colormap,
-                         const GanttStyle& style, int threads = 1,
-                         const LayoutHints& hints = {}) = delete;
 
 /// Paints a layout. The canvas must have the layout's dimensions.
 void paint_gantt(const GanttLayout& layout, Canvas& canvas,

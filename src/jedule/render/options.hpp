@@ -35,25 +35,23 @@ struct RenderOptions {
   /// so repeated/appended renders skip the full overlap sweep.
   const std::vector<model::Composite>* composites = nullptr;
 
-  /// Skip Schedule::validate() inside the layout — set by callers that
-  /// validated at ingest (the engine's entries always are).
+  /// Skip validation inside the layout and the ASCII exporter — set by
+  /// callers that validated at ingest (the engine's entries always are).
   bool assume_validated = false;
 
   int resolved_threads() const { return util::resolve_threads(threads); }
 };
 
 /// layout_gantt with the bundled colormap/style/threads.
-inline GanttLayout layout_gantt(const model::Schedule& schedule,
+inline GanttLayout layout_gantt(model::TaskView tasks,
                                 const RenderOptions& options) {
   LayoutHints hints;
   hints.index = options.task_index;
   hints.edge_index = options.edge_index;
   hints.composites = options.composites;
   hints.assume_validated = options.assume_validated;
-  return layout_gantt(schedule, options.colormap, options.style,
+  return layout_gantt(tasks, options.colormap, options.style,
                       options.resolved_threads(), hints);
 }
-GanttLayout layout_gantt(model::Schedule&& schedule,
-                         const RenderOptions& options) = delete;
 
 }  // namespace jedule::render

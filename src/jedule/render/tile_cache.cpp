@@ -115,8 +115,7 @@ void TileCache::drop_tiles() {
 }
 
 Framebuffer TileCache::render_frame(const Request& req) {
-  JED_ASSERT(req.schedule != nullptr && req.colormap != nullptr &&
-             req.index != nullptr);
+  JED_ASSERT(req.colormap != nullptr && req.index != nullptr);
   const auto t_start = Clock::now();
   last_ = profile::FrameStats{};
 
@@ -191,7 +190,7 @@ Framebuffer TileCache::render_frame(const Request& req) {
   LayoutHints frame_hints = base_hints;
   frame_hints.skip_lod_bins = true;
   frame_hints.snap = SnapGrid{grid.anchor, grid.cols_per_time, j};
-  GanttLayout layout = layout_gantt(*req.schedule, *req.colormap, frame_style,
+  GanttLayout layout = layout_gantt(req.tasks, *req.colormap, frame_style,
                                     /*threads=*/opt_.threads, frame_hints);
   last_.layout_ms = ms_since(t_layout);
   last_.boxes = layout.boxes.size();
@@ -309,7 +308,7 @@ Framebuffer TileCache::render_tile(const Request& req, const Grid& grid,
   hints.snap = SnapGrid{grid.anchor, grid.cols_per_time,
                         tile_col * tw + static_cast<long long>(panel_x)};
 
-  GanttLayout layout = layout_gantt(*req.schedule, *req.colormap, style,
+  GanttLayout layout = layout_gantt(req.tasks, *req.colormap, style,
                                     /*threads=*/1, hints);
   Framebuffer fb(static_cast<int>(tw), req.style.height, color::kWhite);
   RasterCanvas canvas(fb);
@@ -323,7 +322,7 @@ Framebuffer TileCache::render_direct(const Request& req,
   GanttStyle style = req.style;
   style.time_window = win;
   const auto t_layout = Clock::now();
-  GanttLayout layout = layout_gantt(*req.schedule, *req.colormap, style,
+  GanttLayout layout = layout_gantt(req.tasks, *req.colormap, style,
                                     /*threads=*/opt_.threads, base_hints);
   last_.layout_ms = ms_since(t_layout);
   last_.boxes = layout.boxes.size();

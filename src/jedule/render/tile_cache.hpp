@@ -24,8 +24,8 @@
 #include <optional>
 
 #include "jedule/color/colormap.hpp"
-#include "jedule/model/schedule.hpp"
 #include "jedule/model/task_index.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/render/frame_profile.hpp"
 #include "jedule/render/framebuffer.hpp"
 #include "jedule/render/gantt.hpp"
@@ -42,7 +42,7 @@ class TileCache {
 
   struct Request {
     /// Must already be validated: layouts run with assume_validated.
-    const model::Schedule* schedule = nullptr;
+    model::TaskView tasks;
     const color::ColorMap* colormap = nullptr;
     /// style.time_window is the view window (falls back to the schedule
     /// bounds when unset). LodMode::kDefault resolves to kAuto here —

@@ -66,7 +66,7 @@ std::string entry_json(const engine::ScheduleEntry& entry) {
   std::string out = "{\"id\":\"" + entry.id + "\"";
   out += ",\"source\":\"" + json_escape(entry.source) + "\"";
   out += ",\"tasks\":" + std::to_string(entry.task_count());
-  out += ",\"clusters\":" + std::to_string(entry.cluster_count());
+  out += ",\"clusters\":" + std::to_string(entry.tasks().clusters().size());
   out += ",\"time\":{\"begin\":" + std::to_string(entry.full_range.begin) +
          ",\"end\":" + std::to_string(entry.full_range.end) + "}}";
   return out;

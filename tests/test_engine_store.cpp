@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -409,7 +411,7 @@ TEST(ScheduleEntry, SnapshotEntryStaysMappedUntilRendered) {
   EXPECT_EQ(loaded->id, source->id);
   EXPECT_EQ(loaded->content_hash, source->content_hash);
   EXPECT_EQ(loaded->task_count(), 64u);
-  EXPECT_EQ(loaded->cluster_count(), 2u);
+  EXPECT_EQ(loaded->tasks().clusters().size(), 2u);
 
   // Before anything renders, the entry serves straight off the mapping.
   const auto cold = loaded->resident();
@@ -434,11 +436,128 @@ TEST(ScheduleEntry, SnapshotEntryStaysMappedUntilRendered) {
   std::filesystem::remove(path);
 }
 
+/// Overlapping tasks on two clusters (composites), a "user" property on
+/// the first tasks (highlight) and forward edges, some crossing clusters.
+/// Task i does not depend on n, so a shorter schedule is a prefix.
+model::Schedule columnar_schedule(int n) {
+  model::ScheduleBuilder b;
+  b.cluster(0, "c0", 16).cluster(1, "c1", 8);
+  for (int i = 0; i < n; ++i) {
+    const double start = (i * 7 % 40) * 0.5;
+    b.task("t" + std::to_string(i), i % 3 ? "computation" : "transfer", start,
+           start + 1.0 + (i % 4) * 0.75)
+        .on(i % 2, i % 5 + (i % 2 ? 0 : 6), 1 + i % 3);
+    if (i < 40) b.property("user", i % 4 ? "a" : "b");
+  }
+  model::Schedule s = b.build();
+  for (int i = 1; i < n; ++i) {
+    for (int back : {1, 3}) {
+      if (i < back) continue;
+      const auto src = static_cast<std::uint32_t>(i - back);
+      if (s.tasks()[src].end_time() <= s.tasks()[i].start_time()) {
+        s.add_dependency(src, static_cast<std::uint32_t>(i), back);
+      }
+    }
+  }
+  s.validate();
+  return s;
+}
+
+/// Every windowed render and tile the columnar path serves: all six
+/// exporters over three window styles, and tiles at zoom 0-4 over all
+/// clusters and the first, with auto and forced LOD. Highlight and edges
+/// are on throughout.
+std::vector<std::string> columnar_renders(const EntryPtr& entry, int threads) {
+  render::RenderOptions base;
+  base.style.width = 240;
+  base.style.height = 160;
+  base.style.highlight_key = "user";
+  base.style.highlight_value = "b";
+  base.style.edges = render::EdgeMode::kAuto;
+  base.threads = threads;
+  std::vector<render::RenderOptions> windows(3, base);
+  for (auto& options : windows) {
+    options.style.time_window = model::TimeRange{6.0, 14.5};
+  }
+  windows[1].style.lod = render::LodMode::kForce;
+  windows[2].style.edges = render::EdgeMode::kForce;
+  std::vector<render::RenderOptions> tiles(2, base);
+  tiles[1].style.lod = render::LodMode::kForce;
+
+  // A fresh service per call: artifacts are keyed by content hash, which
+  // the columnar entries share with the text entry they are compared to.
+  RenderService service;
+  std::vector<std::string> out;
+  for (const auto& options : windows) {
+    for (const auto& format :
+         render::ExporterRegistry::instance().exporter_names()) {
+      out.push_back(*service.render(entry, options, format).bytes);
+    }
+  }
+  for (const auto& options : tiles) {
+    for (int zoom = 0; zoom <= 4; ++zoom) {
+      for (long long x = 0; x < (1ll << zoom); ++x) {
+        for (long long y : {-1, 0}) {
+          out.push_back(*service.render_tile(entry, x, y, zoom, options).bytes);
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(ScheduleEntry, ColumnarRendersMatchAosAndNeverMaterialize) {
+  // A `.jbin` entry and an entry appended to one render windows and tiles
+  // from their arena columns: the bytes equal the text-loaded entry's,
+  // and no render materializes the AoS form (it would show as heap).
+  const model::Schedule full = columnar_schedule(80);
+  const EntryPtr text = make_entry(full, "text");
+  const std::string stem = std::filesystem::temp_directory_path().string() +
+                           "/jedule_columnar_" + std::to_string(::getpid());
+  const std::string full_path = stem + "_full.jbin";
+  const std::string base_path = stem + "_base.jbin";
+  io::save_snapshot(text->arena(), text->index, full_path, &text->edges);
+  const EntryPtr base_text = make_entry(columnar_schedule(60), "base");
+  io::save_snapshot(base_text->arena(), base_text->index, base_path,
+                    &base_text->edges);
+
+  const EntryPtr jbin = load_entry(full_path);
+  const EntryPtr appended =
+      append_entry(load_entry(base_path), events_from_tasks(full, 60));
+  ASSERT_EQ(appended->id, text->id);
+  ASSERT_GT(appended->edges.edge_count(), 0u);
+
+  for (const EntryPtr& entry : {jbin, appended}) {
+    ASSERT_EQ(entry->tasks().schedule(), nullptr);
+    const std::size_t heap = entry->resident().heap_bytes;
+    for (int threads : {1, 4}) {
+      const auto want = columnar_renders(text, threads);
+      // Two readers of one arena at once, as serve workers are.
+      std::vector<std::string> got[2];
+      std::thread other([&] { got[1] = columnar_renders(entry, threads); });
+      got[0] = columnar_renders(entry, threads);
+      other.join();
+      for (const auto& bytes : got) {
+        ASSERT_EQ(bytes.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(bytes[i], want[i]) << "render " << i << " threads="
+                                       << threads;
+        }
+      }
+    }
+    EXPECT_EQ(entry->tasks().schedule(), nullptr);
+    EXPECT_EQ(entry->resident().heap_bytes, heap);
+  }
+  std::filesystem::remove(full_path);
+  std::filesystem::remove(base_path);
+}
+
 TEST(SessionState, ViewsShareOneEntry) {
   const EntryPtr entry = make_entry(sample_schedule());
   SessionState a(entry, color::standard_colormap(), {});
   SessionState b(entry, color::standard_colormap(), {});
-  EXPECT_EQ(&a.schedule(), &b.schedule());
+  ASSERT_NE(a.tasks().schedule(), nullptr);
+  EXPECT_EQ(a.tasks().schedule(), b.tasks().schedule());
   EXPECT_EQ(&a.index(), &b.index());
 
   a.zoom_to_time(1.0, 3.0);

@@ -233,8 +233,10 @@ Case demo_case(const std::string& name) {
 
 /// Edges without composites, so the engine and direct paths differ only in
 /// the edge pass: EdgeIndex queries vs the brute-force dependency scan.
+/// The `.jbin` path lays the edges out from the arena columns.
 Case edge_case(model::Schedule s, render::EdgeMode mode) {
-  Case c{std::move(s), sized(160, 200), {Path::kEngine, Path::kDirect}};
+  Case c{std::move(s), sized(160, 200),
+         {Path::kEngine, Path::kDirect, Path::kJbin}};
   c.options.style.edges = mode;
   c.options.style.show_composites = false;
   return c;
@@ -259,13 +261,16 @@ const std::map<std::string, std::function<Case()>>& case_builders() {
       {"thunder", [] { return demo_case("thunder"); }},
       {"window",
        [] {
-         Case c{mixed_schedule(), sized(240, 160)};
+         // The `.jbin` path renders the window from the arena columns.
+         Case c{mixed_schedule(), sized(240, 160),
+                {Path::kEngine, Path::kJbin}};
          c.options.style.time_window = model::TimeRange{6.0, 14.5};
          return c;
        }},
       {"lod-force",
        [] {
-         Case c{mixed_schedule(), sized(240, 160)};
+         Case c{mixed_schedule(), sized(240, 160),
+                {Path::kEngine, Path::kJbin}};
          c.options.style.lod = render::LodMode::kForce;
          return c;
        }},

@@ -10,14 +10,17 @@
 namespace jedule::render {
 namespace {
 
-model::Schedule demo() {
-  return model::ScheduleBuilder()
-      .cluster(0, "c0", 4)
-      .task("1", "computation", 0.0, 6.0)
-      .on(0, 0, 4)
-      .task("2", "transfer", 4.0, 10.0)
-      .on(0, 1, 2)
-      .build();
+// A named schedule: render_ascii views its input, and a view of a
+// temporary does not compile.
+const model::Schedule& demo() {
+  static const model::Schedule s = model::ScheduleBuilder()
+                                       .cluster(0, "c0", 4)
+                                       .task("1", "computation", 0.0, 6.0)
+                                       .on(0, 0, 4)
+                                       .task("2", "transfer", 4.0, 10.0)
+                                       .on(0, 1, 2)
+                                       .build();
+  return s;
 }
 
 TEST(Ascii, OneLinePerHostWithLabels) {
@@ -78,7 +81,8 @@ TEST(Ascii, TallClustersGroupHosts) {
   builder.task("1", "job", 0, 1).on(0, 0, 64);
   AsciiOptions options;
   options.max_rows_per_cluster = 8;
-  const std::string text = render_ascii(builder.build(), options);
+  const model::Schedule s = builder.build();
+  const std::string text = render_ascii(s, options);
   EXPECT_NE(text.find("8 hosts/row"), std::string::npos);
   EXPECT_NE(text.find("   0 |"), std::string::npos);
   EXPECT_NE(text.find("  56 |"), std::string::npos);

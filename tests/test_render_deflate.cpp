@@ -241,7 +241,8 @@ std::vector<std::uint8_t> real_render_input() {
   options.style.width = 800;
   options.style.height = 500;
   options.threads = 1;
-  return filter_scanlines(render_raster(builder.build(), options), 1);
+  const model::Schedule schedule = builder.build();
+  return filter_scanlines(render_raster(schedule, options), 1);
 }
 
 class DeflateDifferential

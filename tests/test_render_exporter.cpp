@@ -106,9 +106,9 @@ class CountedExporter : public Exporter {
   std::string name() const override { return "test-fmt"; }
   std::vector<std::string> extensions() const override { return {".tfmt"}; }
   std::string description() const override { return description_; }
-  std::string render(const model::Schedule& schedule,
+  std::string render(model::TaskView tasks,
                      const RenderOptions&) const override {
-    return "test-fmt:" + std::to_string(schedule.tasks().size());
+    return "test-fmt:" + std::to_string(tasks.size());
   }
 
  private:
@@ -135,7 +135,8 @@ TEST(ExporterRegistry, DuplicateRegistrationReplaces) {
   const Exporter* by_ext = registry.find_for_path("x.TFMT");
   ASSERT_NE(by_ext, nullptr);
   EXPECT_EQ(by_ext->name(), "test-fmt");
-  EXPECT_EQ(render_to_bytes(demo_schedule(), small_options(), "test-fmt"),
+  const model::Schedule schedule = demo_schedule();
+  EXPECT_EQ(render_to_bytes(schedule, small_options(), "test-fmt"),
             "test-fmt:2");
 }
 

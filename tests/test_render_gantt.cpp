@@ -121,7 +121,7 @@ TEST(Layout, CompositesAppendedAfterTasks) {
   for (const auto& b : layout.boxes) {
     if (b.composite) {
       found = true;
-      EXPECT_EQ(layout.task_of(b).type(), "composite");
+      EXPECT_EQ(layout.type_of(b), "composite");
     }
   }
   EXPECT_TRUE(found);

@@ -78,7 +78,8 @@ TEST(ParallelRender, BandedRasterMatchesSerialPixels) {
 }
 
 TEST(ParallelRender, EncodePngIsThreadCountInvariant) {
-  const auto fb = render_raster(fig3_schedule(), options_with_threads(1));
+  const auto schedule = fig3_schedule();
+  const auto fb = render_raster(schedule, options_with_threads(1));
   const std::string serial = encode_png(fb, 1);
   for (int threads : kThreadCounts) {
     EXPECT_EQ(encode_png(fb, threads), serial) << threads << " threads";

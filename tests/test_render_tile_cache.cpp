@@ -48,7 +48,7 @@ TileCache::Request request(const model::Schedule& s,
                            const model::TaskIndex& index,
                            const GanttStyle& style, double t0, double t1) {
   TileCache::Request req;
-  req.schedule = &s;
+  req.tasks = s;
   req.colormap = &cmap;
   req.style = style;
   req.style.time_window = model::TimeRange{t0, t1};

@@ -38,7 +38,7 @@ TEST(TypeFilter, LayoutShowsOnlySelectedTypes) {
                                    color::standard_colormap(),
                                    style_with_types({"computation"}));
   for (const auto& box : layout.boxes) {
-    EXPECT_EQ(layout.task_of(box).type(), "computation");
+    EXPECT_EQ(layout.type_of(box), "computation");
   }
   EXPECT_TRUE(layout.composites().empty());  // no overlaps left
 }
@@ -54,7 +54,7 @@ TEST(TypeFilter, BoxesIndexTheScheduleTasks) {
     if (!box.composite) indices.push_back(box.task_index);
   }
   EXPECT_EQ(indices, (std::vector<std::uint32_t>{1, 2}));  // x1, io1
-  EXPECT_EQ(layout.schedule, &schedule);
+  EXPECT_EQ(layout.tasks.schedule(), &schedule);
 }
 
 TEST(TypeFilter, CompositesComeFromFilteredTasksOnly) {
