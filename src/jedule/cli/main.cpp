@@ -158,7 +158,8 @@ std::string usage() {
 io::IngestOptions ingest_options_from_args(const Args& args) {
   io::IngestOptions opt;
   if (const auto t = args.value("threads")) {
-    opt.threads = engine::parse_positive_int(*t, "threads");
+    opt.threads =
+        engine::parse_positive_int(*t, "threads", util::kMaxThreads);
   }
   return opt;
 }
@@ -545,7 +546,8 @@ int cmd_serve(const Args& args) {
     opt.port = static_cast<int>(*v);
   }
   if (const auto t = args.value("threads")) {
-    opt.threads = engine::parse_positive_int(*t, "threads");
+    opt.threads =
+        engine::parse_positive_int(*t, "threads", util::kMaxThreads);
   }
   if (const auto q = args.value("queue")) {
     opt.queue_capacity =

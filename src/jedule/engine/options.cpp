@@ -2,6 +2,7 @@
 
 #include "jedule/io/colormap_xml.hpp"
 #include "jedule/util/error.hpp"
+#include "jedule/util/parallel.hpp"
 #include "jedule/util/strings.hpp"
 
 namespace jedule::engine {
@@ -54,11 +55,12 @@ std::vector<int> parse_cluster_ids(std::string_view value) {
   return ids;
 }
 
-int parse_positive_int(std::string_view value, const std::string& name) {
+int parse_positive_int(std::string_view value, const std::string& name,
+                       int max) {
   const auto v = util::parse_int(value);
-  if (!v || *v <= 0 || *v > (1 << 24)) {
-    throw ArgumentError(name + " must be a positive integer (got " +
-                        quoted(value) + ")");
+  if (!v || *v <= 0 || *v > max) {
+    throw ArgumentError(name + " must be an integer from 1 to " +
+                        std::to_string(max) + " (got " + quoted(value) + ")");
   }
   return static_cast<int>(*v);
 }
@@ -145,7 +147,8 @@ render::RenderOptions render_options_from(const OptionLookup& get,
                                 ? color::standard_colormap().grayscale()
                                 : color::standard_colormap());
   if (const auto threads = get("threads")) {
-    options.threads = parse_positive_int(*threads, "threads");
+    options.threads =
+        parse_positive_int(*threads, "threads", util::kMaxThreads);
   }
   return options;
 }

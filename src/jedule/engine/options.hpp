@@ -45,8 +45,10 @@ model::TimeRange parse_time_window(std::string_view value);
 /// Comma-separated integer cluster ids; throws ArgumentError otherwise.
 std::vector<int> parse_cluster_ids(std::string_view value);
 
-/// Strictly positive integer; `name` labels the error message.
-int parse_positive_int(std::string_view value, const std::string& name);
+/// Integer in [1, max] (util::kMaxThreads for thread counts); `name`
+/// labels the error message.
+int parse_positive_int(std::string_view value, const std::string& name,
+                       int max = 1 << 24);
 
 /// Boolean option value: unset -> false; "", "1", "true", "on", "yes" ->
 /// true; "0", "false", "off", "no" -> false; anything else throws.

@@ -237,14 +237,7 @@ void parse_csv_chunk(std::string_view chunk, bool has_deps, CsvChunk* out) {
 model::Schedule read_schedule_csv_chunked(TextSource& src,
                                           const IngestOptions& opt,
                                           IngestStats* stats) {
-  const int threads = std::max(1, opt.threads);
-  if (threads <= 1) return read_schedule_csv(src.all());
-  if (!src.gzip()) {
-    const TextSource::View head = src.wait_for(0);
-    if (head.complete && head.size < opt.min_parallel_bytes) {
-      return read_schedule_csv(src.all());
-    }
-  }
+  if (parse_serially(src, opt)) return read_schedule_csv(src.all());
   try {
     LineScanner scan(src);
     Schedule schedule;
@@ -304,25 +297,15 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
 
     // Data lines: deterministic byte-threshold chunks cut at newlines.
     std::deque<CsvChunk> outputs;
-    ChunkExecutor exec(threads);
-    if (data_begin != LineScanner::npos) {
-      std::size_t begin = data_begin;
-      while (true) {
-        scan.ensure(begin + 1);
-        if (scan.complete() && begin >= scan.size()) break;
-        const std::size_t nl = scan.find_newline(begin + opt.target_chunk_bytes);
-        const std::size_t end =
-            nl == LineScanner::npos ? scan.size() : nl + 1;
-        outputs.emplace_back();
-        CsvChunk* out = &outputs.back();
-        const std::string_view chunk = scan.slice(begin, end);
-        exec.submit(
-            [chunk, has_deps, out] { parse_csv_chunk(chunk, has_deps, out); });
-        if (nl == LineScanner::npos) break;
-        begin = end;
-      }
-    }
-    exec.finish();
+    util::TaskGroup group(opt.threads);
+    submit_line_chunks(scan, data_begin, opt.target_chunk_bytes, group,
+                       [&](std::string_view chunk) {
+                         CsvChunk* out = &outputs.emplace_back();
+                         return [chunk, has_deps, out] {
+                           parse_csv_chunk(chunk, has_deps, out);
+                         };
+                       });
+    group.wait();
 
     int max_host = -1;
     for (const auto& o : outputs) max_host = std::max(max_host, o.max_host);
@@ -337,7 +320,7 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
       merged += o.tasks.size();
       parts.push_back(std::move(o.tasks));
     }
-    schedule.append_tasks(std::move(parts), threads);
+    schedule.append_tasks(std::move(parts), opt.threads);
     if (has_deps) {
       // Resolve the raw dependency cells against the merged task order.
       // The serial reader only resolves against *earlier* rows; any cell
@@ -367,7 +350,7 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
       stats->chunks = outputs.size();
       stats->parallel = true;
     }
-    schedule.validate(threads);
+    schedule.validate(opt.threads);
     return schedule;
   } catch (const ParseError&) {
     if (stats != nullptr) {

@@ -181,92 +181,28 @@ std::size_t LineScanner::find_newline(std::size_t from) {
 }
 
 // ---------------------------------------------------------------------------
-// ChunkExecutor
+// Chunking
 
-ChunkExecutor::ChunkExecutor(int threads) : threads_(std::max(1, threads)) {
-  if (threads_ <= 1) return;
-  workers_.reserve(static_cast<std::size_t>(threads_));
-  for (int i = 0; i < threads_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
+bool parse_serially(TextSource& src, const IngestOptions& opt) {
+  if (opt.threads <= 1) return true;
+  if (src.gzip()) return false;
+  const TextSource::View head = src.wait_for(0);
+  return head.complete && head.size < opt.min_parallel_bytes;
 }
 
-ChunkExecutor::~ChunkExecutor() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void ChunkExecutor::run_one(const Job& job) {
-  try {
-    job.fn();
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (job.index < error_index_) {
-      error_index_ = job.index;
-      error_ = std::current_exception();
-    }
-  }
-}
-
-void ChunkExecutor::submit(std::function<void()> job) {
-  if (threads_ <= 1) {
-    const Job j{next_index_++, std::move(job)};
-    if (!failed()) run_one(j);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(Job{next_index_++, std::move(job)});
-  }
-  cv_work_.notify_one();
-}
-
-void ChunkExecutor::finish() {
-  if (threads_ > 1) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_idle_.wait(lock, [&] { return queue_.empty() && active_ == 0; });
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (error_ != nullptr) {
-    auto err = error_;
-    error_ = nullptr;
-    error_index_ = static_cast<std::size_t>(-1);
-    std::rethrow_exception(err);
-  }
-}
-
-bool ChunkExecutor::failed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return error_ != nullptr;
-}
-
-void ChunkExecutor::worker_loop() {
+void submit_line_chunks(
+    LineScanner& scan, std::size_t begin, std::size_t target_chunk_bytes,
+    util::TaskGroup& group,
+    const std::function<std::function<void()>(std::string_view)>& job_for) {
+  if (begin == LineScanner::npos) return;
   while (true) {
-    Job job;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ with a drained queue
-      job = std::move(queue_.front());
-      queue_.pop_front();
-      if (error_ != nullptr) {
-        // A lower-or-unknown-index job failed: drop the rest, the caller
-        // falls back to the serial parse anyway.
-        if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-        continue;
-      }
-      ++active_;
-    }
-    run_one(job);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --active_;
-      if (queue_.empty() && active_ == 0) cv_idle_.notify_all();
-    }
+    scan.ensure(begin + 1);
+    if (scan.complete() && begin >= scan.size()) return;
+    const std::size_t nl = scan.find_newline(begin + target_chunk_bytes);
+    const std::size_t end = nl == LineScanner::npos ? scan.size() : nl + 1;
+    group.submit(job_for(scan.slice(begin, end)));
+    if (nl == LineScanner::npos) return;
+    begin = end;
   }
 }
 

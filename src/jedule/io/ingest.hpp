@@ -10,15 +10,14 @@
 //   * TextSource — the input text, with transparent *pipelined* gzip: a
 //     producer thread inflates into a pre-sized buffer and publishes a
 //     growing prefix, so scanning/parsing overlap with decompression,
-//   * ChunkExecutor — an order-aware worker pool with deterministic
-//     (lowest-submission-index) error selection,
+//   * submit_line_chunks — the newline chunk cutter of CSV and SWF,
+//     feeding a util::TaskGroup (lowest-submission-index errors),
 //   * IngestOptions / IngestStats / per-format counters — the knobs and
 //     the observability surface (serve /stats, CLI --ingest-stats).
 
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <map>
@@ -31,6 +30,7 @@
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
+#include "jedule/util/parallel.hpp"
 
 namespace jedule::io {
 
@@ -192,44 +192,17 @@ struct TypeInternCache {
   }
 };
 
-/// Order-aware chunk executor. submit() hands jobs to `threads` workers
-/// (or runs them inline when threads <= 1) while the caller keeps
-/// scanning; finish() drains the queue and rethrows the exception of the
-/// *lowest-index* failed job, so the reported error does not depend on
-/// worker timing. After any failure, queued jobs are dropped — the caller
-/// reacts by re-running the serial parse, which re-derives the exact
-/// serial error (or, for a chunk-local fluke, the correct result).
-class ChunkExecutor {
- public:
-  explicit ChunkExecutor(int threads);
-  ~ChunkExecutor();
-  ChunkExecutor(const ChunkExecutor&) = delete;
-  ChunkExecutor& operator=(const ChunkExecutor&) = delete;
+/// Whether a chunked reader parses serially: at one thread, or a plain
+/// input under `min_parallel_bytes` (a gzip input's size is not known yet).
+bool parse_serially(TextSource& src, const IngestOptions& opt);
 
-  void submit(std::function<void()> job);
-  /// Waits for every submitted job; rethrows the deterministic error.
-  void finish();
-  bool failed() const;
-
- private:
-  struct Job {
-    std::size_t index;
-    std::function<void()> fn;
-  };
-  void worker_loop();
-  void run_one(const Job& job);
-
-  int threads_;
-  std::vector<std::thread> workers_;
-  mutable std::mutex mu_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_idle_;
-  std::deque<Job> queue_;
-  std::size_t next_index_ = 0;
-  std::size_t active_ = 0;
-  bool stop_ = false;
-  std::size_t error_index_ = static_cast<std::size_t>(-1);
-  std::exception_ptr error_;
-};
+/// The chunk cutter of CSV and SWF: from `begin` (npos: nothing) to the end
+/// of the text, each chunk closes at the first newline at or after
+/// `target_chunk_bytes`, a pure function of the text. Submits
+/// `job_for(chunk)` to `group` per chunk, in text order, while scanning on.
+void submit_line_chunks(
+    LineScanner& scan, std::size_t begin, std::size_t target_chunk_bytes,
+    util::TaskGroup& group,
+    const std::function<std::function<void()>(std::string_view)>& job_for);
 
 }  // namespace jedule::io

@@ -590,13 +590,13 @@ void parse_record_batch(const RecordBatch& batch, std::vector<Task>* out) {
   }
 }
 
-/// Scans the document, dispatching record batches to `exec` as they are
+/// Scans the document, dispatching record batches to `group` as they are
 /// discovered (so workers overlap with the scan — and, for gzip, with
 /// decompression). Returns false to bail to the serial reader. On success,
 /// `records` holds every record span in document order and `batch_count`
 /// the number of submitted jobs.
 bool scan_and_dispatch(ChunkScanner& scan, const IngestOptions& opt,
-                       ChunkExecutor& exec,
+                       util::TaskGroup& group,
                        std::deque<std::vector<Task>>& outputs,
                        std::vector<std::pair<std::size_t, std::size_t>>& records) {
   // Prolog: XML declaration / comments / DOCTYPE until the root start tag.
@@ -667,7 +667,7 @@ bool scan_and_dispatch(ChunkScanner& scan, const IngestOptions& opt,
     if (batch.spans.empty()) return;
     batch.base = scan.view().data();
     outputs.emplace_back();
-    exec.submit([b = std::move(batch), out = &outputs.back()] {
+    group.submit([b = std::move(batch), out = &outputs.back()] {
       parse_record_batch(b, out);
     });
     batch = RecordBatch{};
@@ -710,25 +710,15 @@ model::Schedule read_schedule_xml(std::string_view xml_text) {
 model::Schedule read_schedule_xml_chunked(TextSource& src,
                                           const IngestOptions& opt,
                                           IngestStats* stats) {
-  const int threads = std::max(1, opt.threads);
-  if (threads <= 1) return read_schedule_xml(src.all());
-  if (!src.gzip()) {
-    // Small plain inputs: chunk bookkeeping costs more than it saves.
-    // (Gzip inputs always take the pipelined path — the decoded size is
-    // not known yet, and the overlap pays for itself.)
-    const TextSource::View head = src.wait_for(0);
-    if (head.complete && head.size < opt.min_parallel_bytes) {
-      return read_schedule_xml(head.text());
-    }
-  }
+  if (parse_serially(src, opt)) return read_schedule_xml(src.all());
 
   std::deque<std::vector<Task>> outputs;
   std::vector<std::pair<std::size_t, std::size_t>> records;
   try {
     ChunkScanner scan(src);
-    ChunkExecutor exec(threads);
-    const bool scanned = scan_and_dispatch(scan, opt, exec, outputs, records);
-    exec.finish();  // rethrows the lowest-index worker error
+    util::TaskGroup group(opt.threads);
+    const bool scanned = scan_and_dispatch(scan, opt, group, outputs, records);
+    group.wait();  // rethrows the lowest-index worker error
     if (!scanned) return read_schedule_xml(src.all());
 
     // Skeleton pass: the full text minus the record spans, parsed
@@ -759,13 +749,13 @@ model::Schedule read_schedule_xml_chunked(TextSource& src,
     const std::size_t chunks = outputs.size();
     schedule.append_tasks({std::make_move_iterator(outputs.begin()),
                            std::make_move_iterator(outputs.end())},
-                          threads);
+                          opt.threads);
     resolve_deps(schedule, pending);
     if (stats != nullptr) {
       stats->chunks = chunks;
       stats->parallel = true;
     }
-    schedule.validate(threads);
+    schedule.validate(opt.threads);
     return schedule;
   } catch (const ParseError&) {
     // The serial reader is the spec: re-run it to produce the exact

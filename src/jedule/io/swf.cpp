@@ -120,14 +120,7 @@ SwfTrace read_swf(std::string_view text) {
 
 SwfTrace read_swf_chunked(TextSource& src, const IngestOptions& opt,
                           IngestStats* stats) {
-  const int threads = std::max(1, opt.threads);
-  if (threads <= 1) return read_swf(src.all());
-  if (!src.gzip()) {
-    const TextSource::View head = src.wait_for(0);
-    if (head.complete && head.size < opt.min_parallel_bytes) {
-      return read_swf(src.all());
-    }
-  }
+  if (parse_serially(src, opt)) return read_swf(src.all());
   try {
     LineScanner scan(src);
     SwfTrace trace;
@@ -153,25 +146,13 @@ SwfTrace read_swf_chunked(TextSource& src, const IngestOptions& opt,
     }
 
     std::deque<std::vector<SwfJob>> outputs;
-    ChunkExecutor exec(threads);
-    if (data_begin != LineScanner::npos) {
-      std::size_t begin = data_begin;
-      while (true) {
-        scan.ensure(begin + 1);
-        if (scan.complete() && begin >= scan.size()) break;
-        const std::size_t nl =
-            scan.find_newline(begin + opt.target_chunk_bytes);
-        const std::size_t end =
-            nl == LineScanner::npos ? scan.size() : nl + 1;
-        outputs.emplace_back();
-        std::vector<SwfJob>* out = &outputs.back();
-        const std::string_view chunk = scan.slice(begin, end);
-        exec.submit([chunk, out] { parse_swf_chunk(chunk, out); });
-        if (nl == LineScanner::npos) break;
-        begin = end;
-      }
-    }
-    exec.finish();
+    util::TaskGroup group(opt.threads);
+    submit_line_chunks(scan, data_begin, opt.target_chunk_bytes, group,
+                       [&](std::string_view chunk) {
+                         std::vector<SwfJob>* out = &outputs.emplace_back();
+                         return [chunk, out] { parse_swf_chunk(chunk, out); };
+                       });
+    group.wait();
 
     std::size_t total = 0;
     for (const auto& o : outputs) total += o.size();

@@ -113,20 +113,13 @@ void EdgeIndex::install_fresh(std::vector<std::vector<Entry>>* fresh) {
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
     if (!(*fresh)[c].empty()) pending.push_back(c);
   }
-  if (build_threads_ > 1 && pending.size() > 1) {
-    std::vector<Segment> built(pending.size());
-    util::parallel_for(pending.size(), build_threads_, [&](std::size_t k) {
-      built[k] = make_segment(std::move((*fresh)[pending[k]]));
-    });
-    for (std::size_t k = 0; k < pending.size(); ++k) {
-      clusters_[pending[k]].segments.push_back(std::move(built[k]));
-      compact_cluster(&clusters_[pending[k]]);
-    }
-  } else {
-    for (const std::size_t c : pending) {
-      clusters_[c].segments.push_back(make_segment(std::move((*fresh)[c])));
-      compact_cluster(&clusters_[c]);
-    }
+  std::vector<Segment> built(pending.size());
+  util::parallel_for(pending.size(), build_threads_, [&](std::size_t k) {
+    built[k] = make_segment(std::move((*fresh)[pending[k]]));
+  });
+  for (std::size_t k = 0; k < pending.size(); ++k) {
+    clusters_[pending[k]].segments.push_back(std::move(built[k]));
+    compact_cluster(&clusters_[pending[k]]);
   }
 }
 

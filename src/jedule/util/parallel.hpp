@@ -1,43 +1,39 @@
 #pragma once
 
-// Minimal threading helpers for the render/export pipeline. The design
-// constraint is determinism: callers partition work into indexed pieces,
-// workers may claim pieces in any order, and results are merged by index,
-// so the output never depends on the thread count or on scheduling.
+// Threading helpers. The design constraint is determinism: callers
+// partition work into indexed pieces, workers may claim pieces in any
+// interleaving, and results are merged by index, so the output never
+// depends on the thread count or on scheduling. Every fan-out runs on one
+// lazily started, process-wide WorkerPool (DESIGN.md §4n).
 
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 namespace jedule::util {
 
+/// Upper bound on a thread count from any source: a flag or query value
+/// above it is rejected, an environment value above it is ignored.
+inline constexpr int kMaxThreads = 256;
+
 /// std::thread::hardware_concurrency(), never less than 1.
 int hardware_threads();
 
 /// Resolves a requested worker count: `requested` >= 1 is used as-is;
-/// anything else falls back to the JEDULE_THREADS environment variable when
-/// it holds a positive integer, and to hardware_threads() otherwise.
+/// anything else falls back to JEDULE_THREADS when it holds an integer in
+/// [1, kMaxThreads], and to hardware_threads() otherwise.
 int resolve_threads(int requested);
 
-/// Runs fn(i) for every i in [0, n), spreading the calls over up to
-/// `threads` workers (the calling thread included). Workers claim indices
-/// from a shared counter, so uneven pieces balance automatically. Runs
-/// inline when threads <= 1 or n <= 1. The first exception thrown by any
-/// call is rethrown on the calling thread after all workers finish.
-void parallel_for(std::size_t n, int threads,
-                  const std::function<void(std::size_t)>& fn);
-
-/// Fixed pool of long-lived worker threads over a bounded job queue — the
-/// admission-control building block of `jedule serve` (parallel_for spreads
-/// one computation over transient workers; WorkerPool multiplexes many
-/// independent jobs with backpressure). try_submit() refuses instead of
-/// blocking when the queue is full, so callers can shed load explicitly
-/// (HTTP 429) rather than stall. Jobs must not throw; escaped exceptions
-/// are swallowed (workers must survive any request).
+/// Fixed pool of long-lived worker threads over a bounded job queue, the
+/// only class that owns compute threads. try_submit() refuses instead of
+/// blocking when the queue is full, so `jedule serve` (which runs
+/// connections on an instance of its own) can shed load with HTTP 429.
+/// Jobs must not throw; escaped exceptions are swallowed.
 class WorkerPool {
  public:
   /// Spawns max(1, threads) workers; at most `queue_capacity` jobs wait.
@@ -63,7 +59,6 @@ class WorkerPool {
 
   int threads() const { return static_cast<int>(workers_.size()); }
   std::size_t queued() const;
-  std::size_t running() const;
 
  private:
   void worker_loop();
@@ -76,6 +71,39 @@ class WorkerPool {
   std::size_t capacity_;
   std::size_t running_ = 0;
   bool stopping_ = false;
+};
+
+namespace detail { struct Fanout; }  // shared by parallel_for and TaskGroup
+
+/// Runs fn(i) for every i in [0, n) on up to `threads` threads: the caller
+/// is worker 0, helpers come from the shared pool. Pieces are claimed in
+/// index order, so uneven pieces balance. Runs inline when threads <= 1 or
+/// n <= 1. Every index runs; the lowest failing index's exception is
+/// rethrown on the caller once no piece is running.
+void parallel_for(std::size_t n, int threads,
+                  const std::function<void(std::size_t)>& fn);
+
+/// Jobs submitted one by one while the caller works on (the chunked readers
+/// scan while earlier chunks parse), claimed in submission order by up to
+/// `threads` pool helpers and by wait(); at threads <= 1 each runs inline
+/// in submit(). After a failure, unclaimed jobs are dropped, and wait()
+/// rethrows the lowest-index error, so it does not depend on timing.
+class TaskGroup {
+ public:
+  explicit TaskGroup(int threads);
+  /// Drops the jobs not yet claimed and waits for the running ones.
+  ~TaskGroup();
+  TaskGroup(const TaskGroup&) = delete;
+  TaskGroup& operator=(const TaskGroup&) = delete;
+
+  void submit(std::function<void()> job);
+  /// Runs the unclaimed jobs on this thread, waits for the running ones
+  /// and rethrows the deterministic error (clearing it).
+  void wait();
+  bool failed() const;
+
+ private:
+  std::shared_ptr<detail::Fanout> state_;
 };
 
 }  // namespace jedule::util

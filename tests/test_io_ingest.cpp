@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -356,7 +355,7 @@ TEST(IngestAdversarial, CorruptGzipBodyKeepsSerialError) {
       ParseError);
 }
 
-// --- TextSource / LineScanner / ChunkExecutor units ---------------------
+// --- TextSource / LineScanner units -------------------------------------
 
 TEST(TextSource, PlainInputIsCompleteImmediately) {
   TextSource src(std::string("hello\nworld\n"));
@@ -403,39 +402,6 @@ TEST(LineScanner, WorksAcrossGzipPublishSteps) {
     pos = nl + 1;
   }
   EXPECT_EQ(lines, 50000u);
-}
-
-TEST(ChunkExecutor, ReportsLowestIndexError) {
-  for (int threads : kThreadCounts) {
-    ChunkExecutor exec(threads);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 16; ++i) {
-      exec.submit([i, &ran] {
-        ++ran;
-        if (i == 11) throw ParseError("late failure");
-        if (i == 5) throw ParseError("early failure");
-      });
-    }
-    try {
-      exec.finish();
-      FAIL() << "expected ParseError at threads=" << threads;
-    } catch (const ParseError& e) {
-      EXPECT_STREQ(e.what(), "early failure") << "threads=" << threads;
-    }
-    EXPECT_FALSE(exec.failed());  // finish() rethrew and reset the state
-    EXPECT_GE(ran.load(), 6);
-  }
-}
-
-TEST(ChunkExecutor, RunsEverythingWithoutErrors) {
-  ChunkExecutor exec(4);
-  std::atomic<int> sum{0};
-  for (int i = 0; i < 100; ++i) {
-    exec.submit([i, &sum] { sum += i; });
-  }
-  exec.finish();
-  EXPECT_FALSE(exec.failed());
-  EXPECT_EQ(sum.load(), 4950);
 }
 
 // --- Registry integration: stats, counters, mapped loads ----------------

@@ -208,6 +208,14 @@ TEST(ParallelFor, ThreadResolutionHonorsEnvironment) {
   EXPECT_EQ(util::resolve_threads(0), 3);
   ::setenv("JEDULE_THREADS", "garbage", 1);
   EXPECT_EQ(util::resolve_threads(0), util::hardware_threads());
+  // The cap holds for the environment too: above it counts as garbage.
+  ::setenv("JEDULE_THREADS", std::to_string(util::kMaxThreads).c_str(), 1);
+  EXPECT_EQ(util::resolve_threads(0), util::kMaxThreads);
+  ::setenv("JEDULE_THREADS", std::to_string(util::kMaxThreads + 1).c_str(),
+           1);
+  EXPECT_EQ(util::resolve_threads(0), util::hardware_threads());
+  ::setenv("JEDULE_THREADS", "65536", 1);
+  EXPECT_EQ(util::resolve_threads(0), util::hardware_threads());
   ::unsetenv("JEDULE_THREADS");
   EXPECT_EQ(util::resolve_threads(0), util::hardware_threads());
   EXPECT_EQ(util::resolve_threads(-2), util::hardware_threads());

@@ -467,6 +467,18 @@ TEST_F(ServeHttp, ErrorMappingMirrorsTheCli) {
                           "/schedules/" + id + "/render.png?cmap=/etc/x");
   EXPECT_EQ(cmap.status, 400);
 
+  // Thread counts stop at util::kMaxThreads: above it is a 400, the cap
+  // itself renders (on the shared pool's fixed workers).
+  const auto many = fetch(server_->port(), "GET",
+                          "/schedules/" + id +
+                              "/render.png?width=320&threads=100000");
+  EXPECT_EQ(many.status, 400);
+  EXPECT_NE(many.body.find("threads"), std::string::npos) << many.body;
+  EXPECT_EQ(fetch(server_->port(), "GET",
+                  "/schedules/" + id + "/render.png?width=320&threads=256")
+                .status,
+            200);
+
   // Tile parameter validation.
   EXPECT_EQ(fetch(server_->port(), "GET", "/schedules/" + id + "/tile")
                 .status,
