@@ -148,6 +148,60 @@ model::Schedule ragged_schedule(int tasks) {
   return builder.build();
 }
 
+/// The chain shape of the `.jbin` window workload: single-host tasks
+/// chained per host on one 4096-host cluster, cut by a full-width barrier
+/// every 5000 tasks; each task depends on its host predecessor (or the
+/// last barrier), each barrier on the latest-finishing task before it.
+model::Schedule chain_schedule(int tasks) {
+  constexpr int kHosts = 4096, kBarrier = 5000;
+  static const char* const kTypes[] = {"computation", "transfer", "io"};
+  util::Rng rng(17);
+  model::ScheduleBuilder builder;
+  builder.cluster(0, "cluster-0", kHosts);
+  std::vector<double> host_end(kHosts, 0.0);
+  std::vector<int> host_last(kHosts, -1);
+  int barrier = -1, latest = -1;
+  double barrier_end = 0, latest_end = 0;
+  std::vector<std::pair<int, int>> edges;
+  for (int i = 0; i < tasks; ++i) {
+    if ((i + 1) % kBarrier == 0) {
+      const double start =
+          latest_end + static_cast<double>(rng.uniform_int(1, 20));
+      barrier_end = start + static_cast<double>(rng.uniform_int(5, 50));
+      builder.task("t" + std::to_string(i), "sync", start, barrier_end)
+          .on(0, 0, kHosts);
+      edges.emplace_back(latest >= 0 ? latest : barrier, i);
+      barrier = i;
+      latest = -1;
+      std::fill(host_last.begin(), host_last.end(), -1);
+      std::fill(host_end.begin(), host_end.end(), barrier_end);
+      continue;
+    }
+    const auto h = static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1));
+    const double start = std::max(host_end[h], barrier_end) +
+                         static_cast<double>(rng.uniform_int(0, 30));
+    const double end = start + static_cast<double>(rng.uniform_int(10, 400));
+    builder.task("t" + std::to_string(i), kTypes[rng.uniform_int(0, 2)], start,
+                 end)
+        .on(0, static_cast<int>(h), 1);
+    edges.emplace_back(host_last[h] >= 0 ? host_last[h] : barrier, i);
+    host_end[h] = end;
+    host_last[h] = i;
+    if (end > latest_end) {
+      latest_end = end;
+      latest = i;
+    }
+  }
+  model::Schedule s = builder.build();
+  for (const auto& [src, dst] : edges) {
+    if (src >= 0) {
+      s.add_dependency(static_cast<std::uint32_t>(src),
+                       static_cast<std::uint32_t>(dst));
+    }
+  }
+  return s;
+}
+
 /// The ragged schedule of the full-layout and ingest-tail rows, built once
 /// per size.
 const model::Schedule& shared_ragged_schedule(int tasks) {
@@ -188,6 +242,13 @@ const std::string& million_xml() {
   static const std::string xml = [] {
     return io::write_schedule_xml(frame_schedule(1000000));
   }();
+  return xml;
+}
+
+/// The 500k-task chain schedule as XML: one <precedence> per task, so the
+/// chunked reader's precedence path has rows of its own.
+const std::string& chain_xml() {
+  static const std::string xml = io::write_schedule_xml(chain_schedule(500000));
   return xml;
 }
 
@@ -620,6 +681,36 @@ void report() {
                    " MiB compressed)");
     report_check("gzip-pipelined ingest matches the plain parse",
                  io::write_schedule_xml(via_gz) == mxml);
+  }
+
+  // The same at 1 and 8 threads on the 500k-task chain document, whose
+  // 500k <precedence> records the workers parse and one id table resolves.
+  {
+    const auto& cxml = chain_xml();
+    io::IngestOptions opt;
+    opt.threads = 1;
+    watch.reset();
+    io::TextSource serial_src(std::string_view(cxml), nullptr);
+    const auto via_serial =
+        io::read_schedule_xml_chunked(serial_src, opt, nullptr);
+    const double chain_1t = watch.seconds();
+    report_row("500k chain chunked ingest, 500k edges (1 thread)",
+               fmt(chain_1t, 2) + " s");
+
+    opt.threads = kBenchThreads;
+    io::IngestStats stats;
+    watch.reset();
+    io::TextSource parallel_src(std::string_view(cxml), nullptr);
+    const auto via_parallel =
+        io::read_schedule_xml_chunked(parallel_src, opt, &stats);
+    const double chain_8t = watch.seconds();
+    report_row("500k chain chunked ingest, 500k edges (" +
+                   std::to_string(kBenchThreads) + " threads)",
+               fmt(chain_8t, 2) + " s (" + fmt(chain_1t / chain_8t, 1) +
+                   "x, " + std::to_string(stats.chunks) + " chunks)");
+    report_check("chain ingest is byte-identical at every thread count",
+                 io::write_schedule_xml(via_serial) == cxml &&
+                     io::write_schedule_xml(via_parallel) == cxml);
   }
 
   // Interactive frames on the 1M-task schedule: warm tile-cache pans at a
@@ -1083,11 +1174,10 @@ void BM_IngestPull(benchmark::State& state) {
 }
 BENCHMARK(BM_IngestPull)->Unit(benchmark::kMillisecond);
 
-// The chunked parallel reader on the same document; arg = worker threads.
-// The 1-thread row is the serial baseline the speedup target measures
+// The chunked parallel reader on a document; arg = worker threads. The
+// 1-thread row is the serial baseline the speedup target measures
 // against, and every row parses to the identical schedule.
-void BM_IngestParallel(benchmark::State& state) {
-  const auto& xml = million_xml();
+void BM_IngestParallel(benchmark::State& state, const std::string& xml) {
   io::IngestOptions opt;
   opt.threads = static_cast<int>(state.range(0));
   for (auto _ : state) {
@@ -1097,7 +1187,19 @@ void BM_IngestParallel(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(xml.size()));
 }
+// The million-task document.
+void BM_IngestParallel(benchmark::State& state) {
+  BM_IngestParallel(state, million_xml());
+}
 BENCHMARK(BM_IngestParallel)
+    ->Arg(1)->Arg(2)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+// The 500k-task chain document with its 500k precedences.
+void BM_IngestParallelChain(benchmark::State& state) {
+  BM_IngestParallel(state, chain_xml());
+}
+BENCHMARK(BM_IngestParallelChain)
     ->Arg(1)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
@@ -1255,60 +1357,6 @@ void BM_AppendDelta(benchmark::State& state) {
 }
 BENCHMARK(BM_AppendDelta)
     ->Arg(200000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-
-/// The chain shape of the `.jbin` window workload: single-host tasks
-/// chained per host on one 4096-host cluster, cut by a full-width barrier
-/// every 5000 tasks; each task depends on its host predecessor (or the
-/// last barrier), each barrier on the latest-finishing task before it.
-model::Schedule chain_schedule(int tasks) {
-  constexpr int kHosts = 4096, kBarrier = 5000;
-  static const char* const kTypes[] = {"computation", "transfer", "io"};
-  util::Rng rng(17);
-  model::ScheduleBuilder builder;
-  builder.cluster(0, "cluster-0", kHosts);
-  std::vector<double> host_end(kHosts, 0.0);
-  std::vector<int> host_last(kHosts, -1);
-  int barrier = -1, latest = -1;
-  double barrier_end = 0, latest_end = 0;
-  std::vector<std::pair<int, int>> edges;
-  for (int i = 0; i < tasks; ++i) {
-    if ((i + 1) % kBarrier == 0) {
-      const double start =
-          latest_end + static_cast<double>(rng.uniform_int(1, 20));
-      barrier_end = start + static_cast<double>(rng.uniform_int(5, 50));
-      builder.task("t" + std::to_string(i), "sync", start, barrier_end)
-          .on(0, 0, kHosts);
-      edges.emplace_back(latest >= 0 ? latest : barrier, i);
-      barrier = i;
-      latest = -1;
-      std::fill(host_last.begin(), host_last.end(), -1);
-      std::fill(host_end.begin(), host_end.end(), barrier_end);
-      continue;
-    }
-    const auto h = static_cast<std::size_t>(rng.uniform_int(0, kHosts - 1));
-    const double start = std::max(host_end[h], barrier_end) +
-                         static_cast<double>(rng.uniform_int(0, 30));
-    const double end = start + static_cast<double>(rng.uniform_int(10, 400));
-    builder.task("t" + std::to_string(i), kTypes[rng.uniform_int(0, 2)], start,
-                 end)
-        .on(0, static_cast<int>(h), 1);
-    edges.emplace_back(host_last[h] >= 0 ? host_last[h] : barrier, i);
-    host_end[h] = end;
-    host_last[h] = i;
-    if (end > latest_end) {
-      latest_end = end;
-      latest = i;
-    }
-  }
-  model::Schedule s = builder.build();
-  for (const auto& [src, dst] : edges) {
-    if (src >= 0) {
-      s.add_dependency(static_cast<std::uint32_t>(src),
-                       static_cast<std::uint32_t>(dst));
-    }
-  }
-  return s;
-}
 
 // A `.jbin` window render end to end, as `jedule render FILE.jbin
 // --window` runs it: the snapshot load, a 5% window PNG through the

@@ -491,6 +491,7 @@ int cmd_profile(const Args& args) {
   if (const auto h = args.value("height")) {
     style.height = engine::parse_positive_int(*h, "height");
   }
+  engine::check_canvas(style.width, style.height);
   if (auto types = args.value("types")) {
     style.type_filter = util::split(*types, ',');
   }

@@ -1,6 +1,7 @@
 #include "jedule/engine/options.hpp"
 
 #include "jedule/io/colormap_xml.hpp"
+#include "jedule/render/framebuffer.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/parallel.hpp"
 #include "jedule/util/strings.hpp"
@@ -65,6 +66,15 @@ int parse_positive_int(std::string_view value, const std::string& name,
   return static_cast<int>(*v);
 }
 
+void check_canvas(int width, int height) {
+  if (static_cast<std::int64_t>(width) * height > render::kMaxPixels) {
+    throw ArgumentError("width x height must be at most " +
+                        std::to_string(render::kMaxPixels) + " pixels (got " +
+                        std::to_string(width) + "x" + std::to_string(height) +
+                        ")");
+  }
+}
+
 bool parse_bool(const std::optional<std::string>& value,
                 const std::string& name) {
   if (!value) return false;
@@ -85,6 +95,7 @@ render::GanttStyle style_from_options(const OptionLookup& get) {
   if (const auto h = get("height")) {
     style.height = parse_positive_int(*h, "height");
   }
+  check_canvas(style.width, style.height);
   if (parse_bool(get("aligned"), "aligned")) {
     style.view_mode = model::ViewMode::kAligned;
   }

@@ -50,6 +50,10 @@ std::vector<int> parse_cluster_ids(std::string_view value);
 int parse_positive_int(std::string_view value, const std::string& name,
                        int max = 1 << 24);
 
+/// Throws ArgumentError unless width x height is at most
+/// render::kMaxPixels.
+void check_canvas(int width, int height);
+
 /// Boolean option value: unset -> false; "", "1", "true", "on", "yes" ->
 /// true; "0", "false", "off", "no" -> false; anything else throws.
 bool parse_bool(const std::optional<std::string>& value,

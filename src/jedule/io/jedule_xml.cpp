@@ -1,14 +1,21 @@
 #include "jedule/io/jedule_xml.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <deque>
+#include <functional>
 #include <iterator>
-#include <unordered_map>
+#include <limits>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "jedule/io/file.hpp"
 #include "jedule/util/error.hpp"
+#include "jedule/util/interner.hpp"
+#include "jedule/util/parallel.hpp"
 #include "jedule/util/strings.hpp"
 #include "jedule/xml/pull.hpp"
 #include "jedule/xml/xml.hpp"
@@ -257,44 +264,35 @@ Task read_node(PullParser& p, TypeInternCache* types = nullptr) {
   return t;
 }
 
-// A `<precedence src=... dst=... data=...>` record as parsed, before the
-// task ids are resolved to indices. Resolution is deferred until every
-// task is known, so a <precedences> section may precede <node_infos> —
-// and so the chunked reader can resolve after its worker merge.
+// A `<precedence src=... dst=... data=...>` record as parsed, before its
+// task ids resolve to indices. `src` and `dst` view the document text, or
+// the reader's arena for an id that held an entity reference. Resolution
+// waits until every task is known, so a <precedences> section may precede
+// <node_infos>, and the chunked reader resolves after its merge.
 struct PendingDep {
-  std::string src;
-  std::string dst;
+  std::string_view src;
+  std::string_view dst;
   double data = 0;
-  long line = 0;
 };
 
-void resolve_deps(Schedule& schedule, const std::vector<PendingDep>& pending) {
-  if (pending.empty()) return;
-  std::unordered_map<std::string_view, std::uint32_t> ids;
-  ids.reserve(schedule.tasks().size());
-  for (std::size_t i = 0; i < schedule.tasks().size(); ++i) {
-    ids.emplace(schedule.tasks()[i].id(), static_cast<std::uint32_t>(i));
+// `value` if it views `text`, else its copy in `arena`: the pull parser
+// hands out views into its input, except for entity-decoded values, which
+// live only until its next event.
+std::string_view keep(std::string_view value, std::string_view text,
+                      util::Arena& arena) {
+  const std::less_equal<const char*> le;
+  if (le(text.data(), value.data()) &&
+      le(value.data() + value.size(), text.data() + text.size())) {
+    return value;
   }
-  for (const auto& p : pending) {
-    const auto s = ids.find(p.src);
-    if (s == ids.end()) {
-      throw ParseError("<precedence> references unknown task '" + p.src + "'",
-                       p.line);
-    }
-    const auto d = ids.find(p.dst);
-    if (d == ids.end()) {
-      throw ParseError("<precedence> references unknown task '" + p.dst + "'",
-                       p.line);
-    }
-    schedule.add_dependency(s->second, d->second, p.data);
-  }
+  return arena.store(value);
 }
 
-PendingDep read_precedence(const PullParser& p) {
+PendingDep read_precedence(const PullParser& p, std::string_view text,
+                           util::Arena& arena) {
   PendingDep d;
-  d.src = std::string(p.require_attr("src"));
-  d.dst = std::string(p.require_attr("dst"));
-  d.line = p.line();
+  d.src = keep(p.require_attr("src"), text, arena);
+  d.dst = keep(p.require_attr("dst"), text, arena);
   if (const auto data = p.attr("data")) {
     const auto v = util::parse_double(*data);
     if (!v) {
@@ -306,11 +304,127 @@ PendingDep read_precedence(const PullParser& p) {
   return d;
 }
 
-// When `defer` is non-null the <precedences> records are returned raw
-// instead of resolved — the chunked reader resolves them only after the
-// worker batches are merged back in.
-Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate,
-                                std::vector<PendingDep>* defer = nullptr) {
+constexpr std::size_t kNpos = std::string_view::npos;
+
+// Task id -> task index over one flat open-addressed table, in the style
+// of Schedule::IdProbe. For a repeated id the first task wins, as a map's
+// emplace would. A slot holds the index and 32 bits of the id's hash, so
+// a probe reads a task's id only on a tag match. The build is one serial
+// pass: split over threads it was no faster on 500k tasks, because it is
+// bound by memory, not by the hashing.
+class IdTable {
+ public:
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  explicit IdTable(const std::vector<Task>& tasks)
+      : tasks_(tasks),
+        mask_(std::bit_ceil(tasks.size() * 2 + 16) - 1),
+        slots_(mask_ + 1) {
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      const std::string_view id = tasks[i].id();
+      const std::size_t h = hash(id);
+      for (std::size_t at = h & mask_;; at = (at + 1) & mask_) {
+        Slot& slot = slots_[at];
+        if (slot.index == kMissing) {
+          slot = {tag_of(h), static_cast<std::uint32_t>(i)};
+          break;
+        }
+        if (slot.tag == tag_of(h) && tasks[slot.index].id() == id) {
+          break;  // a repeated id: the first task keeps it
+        }
+      }
+    }
+  }
+
+  /// Index of the first task with this id, or kMissing.
+  std::uint32_t find(std::string_view id) const {
+    const std::size_t h = hash(id);
+    for (std::size_t at = h & mask_;; at = (at + 1) & mask_) {
+      const Slot& slot = slots_[at];
+      if (slot.index == kMissing) return kMissing;
+      if (slot.tag == tag_of(h) && tasks_[slot.index].id() == id) {
+        return slot.index;
+      }
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t index = kMissing;
+  };
+
+  static std::size_t hash(std::string_view id) {
+    return std::hash<std::string_view>{}(id);
+  }
+  static std::uint32_t tag_of(std::size_t h) {
+    return static_cast<std::uint32_t>(
+        h >> (std::numeric_limits<std::size_t>::digits / 2));
+  }
+
+  const std::vector<Task>& tasks_;
+  std::size_t mask_;
+  std::vector<Slot> slots_;
+};
+
+// Where resolve_deps stopped: the first record, in document order, that
+// names an unknown task, and that id. `record` is kNpos when every id
+// resolved.
+struct DepMiss {
+  std::size_t record = kNpos;
+  std::string_view id;
+};
+
+// The one resolver of every reader: appends the records of `parts`, in
+// order, to the schedule's dependencies through one IdTable, looking the
+// parts up on up to `threads` workers. On a miss the schedule's
+// dependencies are incomplete and the caller throws or falls back.
+DepMiss resolve_deps(Schedule& schedule,
+                     const std::vector<std::span<const PendingDep>>& parts,
+                     int threads) {
+  std::vector<std::size_t> firsts(parts.size() + 1, 0);
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    firsts[p + 1] = firsts[p] + parts[p].size();
+  }
+  if (firsts.back() == 0) return {};
+  const IdTable ids(schedule.tasks());
+  auto& deps = schedule.mutable_dependencies();
+  const std::size_t base = deps.size();
+  deps.resize(base + firsts.back());
+  std::vector<DepMiss> misses(parts.size());
+  util::parallel_for(parts.size(), threads, [&](std::size_t p) {
+    for (std::size_t i = 0; i < parts[p].size(); ++i) {
+      const PendingDep& d = parts[p][i];
+      const std::uint32_t src = ids.find(d.src);
+      const std::uint32_t dst =
+          src == IdTable::kMissing ? src : ids.find(d.dst);
+      if (dst == IdTable::kMissing) {
+        misses[p] = {firsts[p] + i, src == IdTable::kMissing ? d.src : d.dst};
+        return;
+      }
+      deps[base + firsts[p] + i] = model::Dependency{src, dst, d.data};
+    }
+  });
+  for (const DepMiss& miss : misses) {
+    if (miss.record != kNpos) return miss;
+  }
+  return {};
+}
+
+// The serial readers' resolve: names the first bad <precedence> and its
+// line (`lines` runs parallel to `pending`).
+void resolve_deps_or_throw(Schedule& schedule,
+                           const std::vector<PendingDep>& pending,
+                           const std::vector<long>& lines) {
+  const DepMiss miss = resolve_deps(schedule, {pending}, 1);
+  if (miss.record != kNpos) {
+    throw ParseError("<precedence> references unknown task '" +
+                         std::string(miss.id) + "'",
+                     lines[miss.record]);
+  }
+}
+
+Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate) {
   PullParser p(xml_text);
   p.next();  // the parser throws unless the document opens with an element
   if (p.name() != "jedule") {
@@ -322,6 +436,8 @@ Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate,
 
   Schedule schedule;
   std::vector<PendingDep> pending;
+  std::vector<long> pending_lines;
+  util::Arena decoded_ids;
   bool seen_meta = false;
   bool seen_platform = false;
   bool seen_nodes = false;
@@ -376,7 +492,10 @@ Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate,
       for (auto prec_ev = p.next(); prec_ev != PullParser::Event::kEndElement;
            prec_ev = p.next()) {
         if (prec_ev != PullParser::Event::kStartElement) continue;
-        if (p.name() == "precedence") pending.push_back(read_precedence(p));
+        if (p.name() == "precedence") {
+          pending.push_back(read_precedence(p, xml_text, decoded_ids));
+          pending_lines.push_back(p.line());
+        }
         p.skip_element();
       }
     } else {
@@ -390,11 +509,7 @@ Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate,
                      root_line);
   }
 
-  if (defer != nullptr) {
-    *defer = std::move(pending);
-  } else {
-    resolve_deps(schedule, pending);
-  }
+  resolve_deps_or_throw(schedule, pending, pending_lines);
   if (validate) schedule.validate();
   return schedule;
 }
@@ -402,27 +517,26 @@ Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate,
 // ---------------------------------------------------------------------------
 // Parallel chunked reader (DESIGN.md §4i).
 //
-// The boundary scanner is a conservative mini-lexer: it tracks tags,
-// quoted attribute values, comments and CDATA exactly as far as needed to
-// locate the <node_statistics> record spans of the first <node_infos>
-// section — and *bails* (returns "let the serial reader decide") on
-// anything outside its model (PIs or declarations in content, a
-// non-record child of <node_infos>, truncated constructs). Everything the
-// scan excises is exactly the record spans; the remaining bytes — the
-// "skeleton" document — are re-parsed serially, so prolog, platform,
-// meta, inter-record comments/text and the epilog all keep their serial
-// validation. Workers parse each record slice as a standalone document
-// through a reused PullParser; the merge appends tasks in document order.
+// The boundary scan walks the root's children. Inside the first
+// <node_infos> and the first <precedences> section (the ones the serial
+// reader keeps) it cuts out every record: it lexes only the record's start
+// tag and cuts just past the first end tag of the record's name after it.
+// A cut that lands early — inside a comment or a CDATA section, or at the
+// end of a nested record — leaves the slice with an unterminated construct
+// or an unclosed element, so the worker's parse throws and the serial
+// reader rules. Between records the scan allows comments, CDATA and text;
+// any other element, and anything outside the scanner's model (PIs or
+// declarations in content, truncated constructs), bails to the serial
+// reader. What the cuts leave — prolog, meta, platform, whatever stands
+// between records and is not whitespace, other sections, the epilog — is
+// the "skeleton" document, parsed serially, so it keeps every serial check.
 // ---------------------------------------------------------------------------
-
-constexpr std::size_t kScanNpos = std::string_view::npos;
 
 class ChunkScanner {
  public:
   explicit ChunkScanner(TextSource& src) : src_(&src) { grow(64 * 1024); }
 
   std::string_view view() const { return view_; }
-  bool complete() const { return complete_; }
 
   /// Extends the published view to cover [0, end); false at true EOF.
   bool ensure(std::size_t end) {
@@ -430,13 +544,20 @@ class ChunkScanner {
     return view_.size() >= end;
   }
 
-  /// find() over the growing view: only returns npos at true EOF.
+  /// memmem over the growing view: only returns kNpos at true EOF.
   std::size_t find(std::string_view token, std::size_t from) {
     std::size_t searched = from;
     while (true) {
-      const std::size_t hit = view_.find(token, searched);
-      if (hit != kScanNpos) return hit;
-      if (complete_) return kScanNpos;
+      if (searched < view_.size()) {
+        const void* hit = ::memmem(view_.data() + searched,
+                                   view_.size() - searched, token.data(),
+                                   token.size());
+        if (hit != nullptr) {
+          return static_cast<std::size_t>(static_cast<const char*>(hit) -
+                                          view_.data());
+        }
+      }
+      if (complete_) return kNpos;
       // Re-search only the bytes a straddling match could start in.
       searched = view_.size() > from + token.size()
                      ? view_.size() - token.size() + 1
@@ -465,14 +586,14 @@ class ChunkScanner {
     Tag tag;
     if (match(lt, "<!--")) {
       const std::size_t e = find("-->", lt + 4);
-      if (e == kScanNpos) return tag;
+      if (e == kNpos) return tag;
       tag.kind = Tag::kComment;
       tag.end = e + 3;
       return tag;
     }
     if (match(lt, "<![CDATA[")) {
       const std::size_t e = find("]]>", lt + 9);
-      if (e == kScanNpos) return tag;
+      if (e == kNpos) return tag;
       tag.kind = Tag::kCData;
       tag.end = e + 3;
       return tag;
@@ -482,7 +603,7 @@ class ChunkScanner {
     if (c1 == '?' || c1 == '!') return tag;  // PI / declaration: bail
     if (c1 == '/') {
       const std::size_t gt = find('>', lt + 2);
-      if (gt == kScanNpos) return tag;
+      if (gt == kNpos) return tag;
       std::string_view name = view_.substr(lt + 2, gt - lt - 2);
       while (!name.empty() && is_space(name.back())) name.remove_suffix(1);
       tag.kind = Tag::kEnd;
@@ -508,7 +629,7 @@ class ChunkScanner {
       const char c = view_[i];
       if (c == '"' || c == '\'') {
         const std::size_t q = find(c, i + 1);
-        if (q == kScanNpos) return tag;
+        if (q == kNpos) return tag;
         i = q + 1;
         continue;
       }
@@ -523,12 +644,12 @@ class ChunkScanner {
   }
 
   /// From just past a non-self-closing start tag, scans to just past the
-  /// matching end tag; kScanNpos to bail.
+  /// matching end tag; kNpos to bail.
   std::size_t scan_element_body(std::size_t pos) {
     int depth = 1;
     while (depth > 0) {
       const std::size_t lt = find('<', pos);
-      if (lt == kScanNpos) return kScanNpos;
+      if (lt == kNpos) return kNpos;
       const Tag t = next_tag(lt);
       switch (t.kind) {
         case Tag::kComment:
@@ -541,11 +662,27 @@ class ChunkScanner {
           --depth;
           break;
         case Tag::kBail:
-          return kScanNpos;
+          return kNpos;
       }
       pos = t.end;
     }
     return pos;
+  }
+
+  /// Just past the first end tag `close` ("</name") at or after `from`:
+  /// the name must end there (a space or '>' follows), and the tag runs to
+  /// the next '>'. kNpos when there is none.
+  std::size_t find_end_tag(std::string_view close, std::size_t from) {
+    while (true) {
+      const std::size_t at = find(close, from);
+      if (at == kNpos || !ensure(at + close.size() + 1)) return kNpos;
+      const char c = view_[at + close.size()];
+      if (c == '>' || is_space(c)) {
+        const std::size_t gt = find('>', at + close.size());
+        return gt == kNpos ? kNpos : gt + 1;
+      }
+      from = at + 1;
+    }
   }
 
   static bool is_space(char c) {
@@ -576,129 +713,258 @@ struct RecordBatch {
   std::size_t bytes = 0;
 };
 
-void parse_record_batch(const RecordBatch& batch, std::vector<Task>* out) {
+/// The <precedence> records one worker batch parsed.
+struct DepBatch {
+  std::vector<PendingDep> deps;
+  util::Arena decoded;  // the entity-decoded ids
+};
+
+// Parses each record of `batch` through one reused PullParser, as a
+// standalone document that must be exactly one `name` element: a slice
+// cut short throws. `read(p, slice)` consumes the record after its start
+// tag, through its end tag.
+template <typename Read>
+void parse_records(const RecordBatch& batch, std::string_view name,
+                   Read&& read) {
   PullParser p(std::string_view{});
-  TypeInternCache types;
-  out->reserve(batch.spans.size());
   for (const auto& [begin, end] : batch.spans) {
-    // A record slice is a complete standalone document: one element, no
-    // prolog or epilog. The PullParser accepts exactly that, with every
-    // in-record validation rule of the serial pass.
-    p.reset(std::string_view(batch.base + begin, end - begin));
-    p.next();  // kStartElement <node_statistics> (or throws)
-    out->push_back(read_node(p, &types));
+    const std::string_view slice(batch.base + begin, end - begin);
+    p.reset(slice);
+    if (p.next() != PullParser::Event::kStartElement || p.name() != name) {
+      throw ParseError("record slice does not start with <" +
+                       std::string(name) + ">");
+    }
+    read(p, slice);
+    if (p.next() != PullParser::Event::kEndDocument) {
+      throw ParseError("record slice does not end at its end tag");
+    }
   }
 }
 
-/// Scans the document, dispatching record batches to `group` as they are
-/// discovered (so workers overlap with the scan — and, for gzip, with
-/// decompression). Returns false to bail to the serial reader. On success,
-/// `records` holds every record span in document order and `batch_count`
-/// the number of submitted jobs.
-bool scan_and_dispatch(ChunkScanner& scan, const IngestOptions& opt,
-                       util::TaskGroup& group,
-                       std::deque<std::vector<Task>>& outputs,
-                       std::vector<std::pair<std::size_t, std::size_t>>& records) {
-  // Prolog: XML declaration / comments / DOCTYPE until the root start tag.
-  std::size_t pos = 0;
-  ChunkScanner::Tag root;
-  while (true) {
-    const std::size_t lt = scan.find('<', pos);
-    if (lt == kScanNpos) return false;
-    for (std::size_t i = pos; i < lt; ++i) {
-      if (!ChunkScanner::is_space(scan.view()[i])) return false;
-    }
-    if (scan.match(lt, "<?")) {
-      const std::size_t e = scan.find("?>", lt + 2);
-      if (e == kScanNpos) return false;
-      pos = e + 2;
-      continue;
-    }
-    if (scan.match(lt, "<!--")) {
-      const std::size_t e = scan.find("-->", lt + 4);
-      if (e == kScanNpos) return false;
-      pos = e + 3;
-      continue;
-    }
-    if (scan.match(lt, "<!")) {  // DOCTYPE (non-nested, like the parser)
-      const std::size_t e = scan.find('>', lt + 2);
-      if (e == kScanNpos) return false;
-      pos = e + 1;
-      continue;
-    }
-    root = scan.next_tag(lt);
-    if (root.kind != ChunkScanner::Tag::kStart) return false;
-    break;
-  }
-  if (root.name != "jedule" || root.self_closing) return false;
+void parse_task_batch(const RecordBatch& batch, std::vector<Task>* out) {
+  TypeInternCache types;
+  out->reserve(batch.spans.size());
+  parse_records(batch, "node_statistics",
+                [&](PullParser& p, std::string_view) {
+                  out->push_back(read_node(p, &types));
+                });
+}
 
-  // Depth-1 walk to the first <node_infos>.
-  pos = root.end;
-  while (true) {
-    const std::size_t lt = scan.find('<', pos);
-    if (lt == kScanNpos) return false;
-    const ChunkScanner::Tag t = scan.next_tag(lt);
-    switch (t.kind) {
-      case ChunkScanner::Tag::kComment:
-      case ChunkScanner::Tag::kCData:
+void parse_dep_batch(const RecordBatch& batch, DepBatch* out) {
+  out->deps.reserve(batch.spans.size());
+  parse_records(batch, "precedence",
+                [&](PullParser& p, std::string_view slice) {
+                  out->deps.push_back(read_precedence(p, slice, out->decoded));
+                  p.skip_element();
+                });
+}
+
+/// The boundary scan: cuts the records out of the document, hands them to
+/// a TaskGroup in byte-threshold batches while it scans on (so workers
+/// overlap with the scan and, for gzip, with decompression), and keeps
+/// what is left as the skeleton.
+class RecordCutter {
+ public:
+  RecordCutter(ChunkScanner& scan, std::size_t target_chunk_bytes)
+      : scan_(scan), target_chunk_bytes_(target_chunk_bytes) {}
+
+  /// Scans the document; false to bail to the serial reader. Batches are
+  /// closed on a deterministic byte threshold (a pure function of the
+  /// input, never of worker timing).
+  bool run(util::TaskGroup& group) {
+    group_ = &group;
+    std::size_t pos = 0;
+    if (!scan_prolog(pos)) return false;
+    bool seen_nodes = false;
+    bool seen_precedences = false;
+    // Depth-1 walk until both record sections are found.
+    while (!seen_nodes || !seen_precedences) {
+      const std::size_t lt = scan_.find('<', pos);
+      if (lt == kNpos) return false;
+      const ChunkScanner::Tag t = scan_.next_tag(lt);
+      switch (t.kind) {
+        case ChunkScanner::Tag::kComment:
+        case ChunkScanner::Tag::kCData:
+          pos = t.end;
+          continue;
+        case ChunkScanner::Tag::kEnd:  // the root closed
+          return !task_parts.empty() || !dep_parts.empty();
+        case ChunkScanner::Tag::kBail:
+          return false;
+        case ChunkScanner::Tag::kStart:
+          break;
+      }
+      pos = t.end;
+      if (t.name == "node_infos" && !seen_nodes) {
+        seen_nodes = true;
+        if (!t.self_closing && !scan_section(Kind::kTask, pos)) return false;
+      } else if (t.name == "precedences" && !seen_precedences) {
+        seen_precedences = true;
+        if (!t.self_closing && !scan_section(Kind::kDep, pos)) return false;
+      } else if (!t.self_closing) {
+        pos = scan_.scan_element_body(pos);
+        if (pos == kNpos) return false;
+      }
+    }
+    return true;
+  }
+
+  /// The skeleton: `text` (the complete document) minus the cut records.
+  std::string skeleton(std::string_view text) {
+    skeleton_.append(text.substr(kept_));
+    return std::move(skeleton_);
+  }
+
+  /// Worker outputs, in document order; a deque keeps each slot in place
+  /// while its job fills it.
+  std::deque<std::vector<Task>> task_parts;
+  std::deque<DepBatch> dep_parts;
+
+ private:
+  enum class Kind { kTask, kDep };
+
+  // XML declaration, comments and DOCTYPE up to the <jedule> start tag.
+  bool scan_prolog(std::size_t& pos) {
+    while (true) {
+      const std::size_t lt = scan_.find('<', pos);
+      if (lt == kNpos) return false;
+      for (std::size_t i = pos; i < lt; ++i) {
+        if (!ChunkScanner::is_space(scan_.view()[i])) return false;
+      }
+      std::size_t end = kNpos;
+      if (scan_.match(lt, "<?")) {
+        end = scan_.find("?>", lt + 2);
+        if (end != kNpos) end += 2;
+      } else if (scan_.match(lt, "<!--")) {
+        end = scan_.find("-->", lt + 4);
+        if (end != kNpos) end += 3;
+      } else if (scan_.match(lt, "<!")) {
+        // DOCTYPE (non-nested, like the parser)
+        end = scan_.find('>', lt + 2);
+        if (end != kNpos) end += 1;
+      } else {
+        const ChunkScanner::Tag root = scan_.next_tag(lt);
+        pos = root.end;
+        return root.kind == ChunkScanner::Tag::kStart &&
+               root.name == "jedule" && !root.self_closing;
+      }
+      if (end == kNpos) return false;
+      pos = end;
+    }
+  }
+
+  // The records of one section, from just past its start tag through its
+  // end tag.
+  bool scan_section(Kind kind, std::size_t& pos) {
+    const bool tasks = kind == Kind::kTask;
+    const std::string_view section = tasks ? "node_infos" : "precedences";
+    const std::string_view record = tasks ? "node_statistics" : "precedence";
+    const std::string_view close =
+        tasks ? "</node_statistics" : "</precedence";
+    while (true) {
+      const std::size_t lt = scan_.find('<', pos);
+      if (lt == kNpos) return false;
+      const ChunkScanner::Tag t = scan_.next_tag(lt);
+      if (t.kind == ChunkScanner::Tag::kComment ||
+          t.kind == ChunkScanner::Tag::kCData) {
         pos = t.end;
         continue;
-      case ChunkScanner::Tag::kEnd:
-        // Root closed without a <node_infos>: nothing to parallelize.
-        return false;
-      case ChunkScanner::Tag::kBail:
-        return false;
-      case ChunkScanner::Tag::kStart:
-        break;
+      }
+      if (t.kind == ChunkScanner::Tag::kEnd) {
+        if (t.name != section) return false;
+        flush(kind);
+        pos = t.end;
+        return true;
+      }
+      if (t.kind != ChunkScanner::Tag::kStart || t.name != record) {
+        return false;  // a non-record child: rare, let the serial reader rule
+      }
+      const std::size_t end =
+          t.self_closing ? t.end : scan_.find_end_tag(close, t.end);
+      if (end == kNpos) return false;
+      cut(lt, end);
+      batch_.spans.emplace_back(lt, end);
+      batch_.bytes += end - lt;
+      if (batch_.bytes >= target_chunk_bytes_) flush(kind);
+      pos = end;
     }
-    if (t.name == "node_infos" && !t.self_closing) {
-      pos = t.end;
-      break;
-    }
-    // Some other depth-1 section: skip its whole subtree.
-    pos = t.self_closing ? t.end : scan.scan_element_body(t.end);
-    if (pos == kScanNpos) return false;
   }
 
-  // Record scan inside <node_infos>: batches close on a deterministic byte
-  // threshold (a pure function of the input, never of worker timing).
-  RecordBatch batch;
-  const auto flush = [&] {
-    if (batch.spans.empty()) return;
-    batch.base = scan.view().data();
-    outputs.emplace_back();
-    group.submit([b = std::move(batch), out = &outputs.back()] {
-      parse_record_batch(b, out);
-    });
-    batch = RecordBatch{};
-  };
-  while (true) {
-    const std::size_t lt = scan.find('<', pos);
-    if (lt == kScanNpos) return false;
-    const ChunkScanner::Tag t = scan.next_tag(lt);
-    if (t.kind == ChunkScanner::Tag::kComment ||
-        t.kind == ChunkScanner::Tag::kCData) {
-      pos = t.end;
-      continue;
+  // Drops [begin, end) from the skeleton. Whitespace between two records
+  // goes too, since no reader keeps it. Any other gap stays, closed by an
+  // empty comment so that its text cannot run on into the next gap's: an
+  // entity reference split by a record must stay malformed.
+  void cut(std::size_t begin, std::size_t end) {
+    const std::string_view gap = scan_.view().substr(kept_, begin - kept_);
+    for (const char c : gap) {
+      if (!ChunkScanner::is_space(c)) {
+        skeleton_.append(gap).append("<!---->");
+        break;
+      }
     }
-    if (t.kind == ChunkScanner::Tag::kEnd) {
-      if (t.name != "node_infos") return false;
-      break;
-    }
-    if (t.kind != ChunkScanner::Tag::kStart || t.name != "node_statistics") {
-      return false;  // a non-record child: rare, let the serial reader rule
-    }
-    const std::size_t rec_end =
-        t.self_closing ? t.end : scan.scan_element_body(t.end);
-    if (rec_end == kScanNpos) return false;
-    records.emplace_back(lt, rec_end);
-    batch.spans.emplace_back(lt, rec_end);
-    batch.bytes += rec_end - lt;
-    if (batch.bytes >= opt.target_chunk_bytes) flush();
-    pos = rec_end;
+    kept_ = end;
   }
-  flush();
-  return true;
+
+  void flush(Kind kind) {
+    if (batch_.spans.empty()) return;
+    batch_.base = scan_.view().data();
+    if (kind == Kind::kTask) {
+      std::vector<Task>* out = &task_parts.emplace_back();
+      group_->submit(
+          [b = std::move(batch_), out] { parse_task_batch(b, out); });
+    } else {
+      DepBatch* out = &dep_parts.emplace_back();
+      group_->submit([b = std::move(batch_), out] { parse_dep_batch(b, out); });
+    }
+    batch_ = RecordBatch{};
+  }
+
+  ChunkScanner& scan_;
+  std::size_t target_chunk_bytes_;
+  util::TaskGroup* group_ = nullptr;
+  RecordBatch batch_;
+  std::string skeleton_;
+  std::size_t kept_ = 0;  // the skeleton holds the text before here
+};
+
+// The chunked read; nullopt when the serial reader must decide (a bail or
+// an unknown id). A worker or skeleton parse error throws ParseError.
+std::optional<Schedule> try_read_chunked(TextSource& src,
+                                         const IngestOptions& opt,
+                                         IngestStats* stats) {
+  ChunkScanner scan(src);
+  RecordCutter cutter(scan, opt.target_chunk_bytes);
+  bool scanned = false;
+  {
+    util::TaskGroup group(opt.threads);
+    scanned = cutter.run(group);
+    if (scanned) group.wait();  // rethrows the lowest-index worker error
+  }  // a bailed scan drops the batches no worker has claimed yet
+  if (!scanned) return std::nullopt;
+
+  // Skeleton pass. The first <node_infos> and <precedences> keep no
+  // records, so the skeleton contributes clusters and meta only.
+  Schedule schedule =
+      read_schedule_xml_impl(cutter.skeleton(src.all()), /*validate=*/false);
+
+  // In-order merge: batches were submitted in document order and each
+  // holds its records in document order, so this reproduces the serial
+  // add_task sequence exactly.
+  const std::size_t chunks = cutter.task_parts.size() + cutter.dep_parts.size();
+  schedule.append_tasks({std::make_move_iterator(cutter.task_parts.begin()),
+                         std::make_move_iterator(cutter.task_parts.end())},
+                        opt.threads);
+  std::vector<std::span<const PendingDep>> deps;
+  for (const DepBatch& b : cutter.dep_parts) deps.emplace_back(b.deps);
+  if (resolve_deps(schedule, deps, opt.threads).record != kNpos) {
+    return std::nullopt;
+  }
+  if (stats != nullptr) {
+    stats->chunks = chunks;
+    stats->parallel = true;
+  }
+  schedule.validate(opt.threads);
+  return schedule;
 }
 
 }  // namespace
@@ -710,62 +976,21 @@ model::Schedule read_schedule_xml(std::string_view xml_text) {
 model::Schedule read_schedule_xml_chunked(TextSource& src,
                                           const IngestOptions& opt,
                                           IngestStats* stats) {
-  if (parse_serially(src, opt)) return read_schedule_xml(src.all());
-
-  std::deque<std::vector<Task>> outputs;
-  std::vector<std::pair<std::size_t, std::size_t>> records;
-  try {
-    ChunkScanner scan(src);
-    util::TaskGroup group(opt.threads);
-    const bool scanned = scan_and_dispatch(scan, opt, group, outputs, records);
-    group.wait();  // rethrows the lowest-index worker error
-    if (!scanned) return read_schedule_xml(src.all());
-
-    // Skeleton pass: the full text minus the record spans, parsed
-    // serially. Everything outside records (prolog, meta, platform,
-    // inter-record comments/text, later sections, epilog) keeps its
-    // serial validation; the first <node_infos> simply has no records
-    // left, so the skeleton contributes clusters/meta and zero tasks.
-    const std::string_view text = src.all();
-    std::size_t excised = 0;
-    for (const auto& [begin, end] : records) excised += end - begin;
-    std::string skeleton;
-    skeleton.reserve(text.size() - excised);
-    std::size_t cursor = 0;
-    for (const auto& [begin, end] : records) {
-      skeleton.append(text.data() + cursor, begin - cursor);
-      cursor = end;
+  if (!parse_serially(src, opt)) {
+    std::optional<Schedule> schedule;
+    try {
+      schedule = try_read_chunked(src, opt, stats);
+    } catch (const ParseError&) {
     }
-    skeleton.append(text.data() + cursor, text.size() - cursor);
-    // Precedence records stay raw through the skeleton pass — their task
-    // ids resolve only once the worker batches are merged back in.
-    std::vector<PendingDep> pending;
-    Schedule schedule =
-        read_schedule_xml_impl(skeleton, /*validate=*/false, &pending);
-
-    // In-order merge: batches were submitted in document order and each
-    // holds its records in document order, so this reproduces the serial
-    // add_task sequence exactly.
-    const std::size_t chunks = outputs.size();
-    schedule.append_tasks({std::make_move_iterator(outputs.begin()),
-                           std::make_move_iterator(outputs.end())},
-                          opt.threads);
-    resolve_deps(schedule, pending);
-    if (stats != nullptr) {
-      stats->chunks = chunks;
-      stats->parallel = true;
-    }
-    schedule.validate(opt.threads);
-    return schedule;
-  } catch (const ParseError&) {
-    // The serial reader is the spec: re-run it to produce the exact
-    // serial result — or the exact serial error message and line.
+    if (schedule) return std::move(*schedule);
     if (stats != nullptr) {
       stats->chunks = 0;
       stats->parallel = false;
     }
-    return read_schedule_xml(src.all());
   }
+  // The serial reader is the spec: it re-derives the exact serial result,
+  // or the exact serial error message and line.
+  return read_schedule_xml(src.all());
 }
 
 model::Schedule read_schedule_xml_dom(const std::string& xml_text) {
@@ -812,11 +1037,11 @@ model::Schedule read_schedule_xml_dom(const std::string& xml_text) {
 
   if (const auto* precs = root.first_child("precedences")) {
     std::vector<PendingDep> pending;
+    std::vector<long> lines;
     for (const auto* prec : precs->children_named("precedence")) {
       PendingDep d;
-      d.src = std::string(prec->require_attr("src"));
-      d.dst = std::string(prec->require_attr("dst"));
-      d.line = prec->source_line();
+      d.src = prec->require_attr("src");
+      d.dst = prec->require_attr("dst");
       if (const auto data = prec->attr("data")) {
         const auto v = util::parse_double(*data);
         if (!v) {
@@ -825,9 +1050,10 @@ model::Schedule read_schedule_xml_dom(const std::string& xml_text) {
         }
         d.data = *v;
       }
-      pending.push_back(std::move(d));
+      pending.push_back(d);
+      lines.push_back(prec->source_line());
     }
-    resolve_deps(schedule, pending);
+    resolve_deps_or_throw(schedule, pending, lines);
   }
 
   schedule.validate();

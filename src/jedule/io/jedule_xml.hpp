@@ -45,16 +45,17 @@ namespace jedule::io {
 /// cost is one zero-copy lexer pass plus the Schedule itself.
 model::Schedule read_schedule_xml(std::string_view xml_text);
 
-/// Parallel chunked reader (DESIGN.md §4i): a conservative boundary scan
-/// finds the <node_statistics> record spans of the first <node_infos>
-/// section, worker threads parse record batches through per-thread
-/// PullParsers, and the merge re-assembles tasks in document order —
-/// bit-identical to read_schedule_xml at any thread count. Anything the
-/// scanner is not sure about (PIs in content, DOCTYPE subtleties,
-/// non-record children) and any worker parse error falls back to the
-/// serial reader, which is the spec: it re-derives the exact serial result
-/// or error. Gzip inputs overlap decompression with scanning/parsing via
-/// the TextSource producer.
+/// Parallel chunked reader (DESIGN.md §4i): a boundary scan cuts the
+/// <node_statistics> records of the first <node_infos> section and the
+/// <precedence> records of the first <precedences> section at their close
+/// tags, worker threads parse record batches through per-thread
+/// PullParsers, the merge re-assembles tasks in document order and one id
+/// table resolves the edges — bit-identical to read_schedule_xml at any
+/// thread count. Anything the scanner is not sure about (PIs in content,
+/// DOCTYPE subtleties, non-record children), any worker parse error and
+/// any unknown task id fall back to the serial reader, which is the spec:
+/// it re-derives the exact serial result or error. Gzip inputs overlap
+/// decompression with scanning/parsing via the TextSource producer.
 model::Schedule read_schedule_xml_chunked(TextSource& src,
                                           const IngestOptions& opt,
                                           IngestStats* stats);

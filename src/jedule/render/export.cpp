@@ -13,7 +13,10 @@ Framebuffer render_raster(model::TaskView tasks,
   const GanttLayout layout = layout_gantt(tasks, options);
   Framebuffer fb(options.style.width, options.style.height);
   const int threads = options.resolved_threads();
-  const int bands = std::min(threads, fb.height());
+  // Each band replays the whole paint sequence, so bands beyond the pool's
+  // workers only add work. The bytes do not depend on the band count.
+  const int bands =
+      std::min({threads, util::hardware_threads(), fb.height()});
   if (bands <= 1) {
     RasterCanvas canvas(fb);
     paint_gantt(layout, canvas, options.style);

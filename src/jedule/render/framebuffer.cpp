@@ -11,6 +11,7 @@ namespace jedule::render {
 Framebuffer::Framebuffer(int width, int height, Color background)
     : width_(width), height_(height) {
   JED_ASSERT(width > 0 && height > 0);
+  JED_ASSERT(static_cast<std::int64_t>(width) * height <= kMaxPixels);
   pixels_.resize(static_cast<std::size_t>(width) * height * 4);
   clear(background);
 }

@@ -13,6 +13,10 @@ namespace jedule::render {
 
 using color::Color;
 
+/// Upper bound on a canvas's width x height: 2^26 pixels, 256 MiB of RGBA.
+/// The option parsers reject a larger canvas before anything is allocated.
+inline constexpr std::int64_t kMaxPixels = std::int64_t{1} << 26;
+
 class Framebuffer {
  public:
   Framebuffer(int width, int height, Color background = color::kWhite);

@@ -609,5 +609,21 @@ TEST(Options, SharedParserMatchesCliAndHttpSpelling) {
   EXPECT_THROW(parse_lod_mode("sometimes"), ArgumentError);
 }
 
+TEST(Options, CanvasIsBoundedByMaxPixels) {
+  // Each side alone is in range; their product is what allocates.
+  auto wide = [](const std::string& key) -> std::optional<std::string> {
+    if (key == "width") return "16777216";
+    return std::nullopt;
+  };
+  EXPECT_THROW(render_options_from(wide), ArgumentError);
+  auto square = [](const std::string& key) -> std::optional<std::string> {
+    if (key == "width" || key == "height") return "8192";
+    return std::nullopt;
+  };
+  EXPECT_EQ(render_options_from(square).style.width, 8192);
+  EXPECT_NO_THROW(check_canvas(8192, 8192));
+  EXPECT_THROW(check_canvas(8192, 8193), ArgumentError);
+}
+
 }  // namespace
 }  // namespace jedule::engine

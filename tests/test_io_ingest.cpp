@@ -286,6 +286,172 @@ TEST(IngestAdversarial, ErrorMessagesMatchSerialExactly) {
   }
 }
 
+// A chain of `tasks` tasks with one <precedence> per task after the first
+// (the perfbench chain shape, small); every third edge carries data.
+std::string chain_xml(int tasks) {
+  model::ScheduleBuilder b;
+  b.cluster(0, "alpha", 16);
+  for (int i = 0; i < tasks; ++i) {
+    b.task("t" + std::to_string(i), "computation", i, i + 1.5)
+        .on(0, i % 16, 1);
+  }
+  model::Schedule s = b.build();
+  for (int i = 1; i < tasks; ++i) {
+    s.add_dependency(static_cast<std::uint32_t>(i - 1),
+                     static_cast<std::uint32_t>(i), i % 3 == 0 ? 0.5 * i : 0);
+  }
+  return write_schedule_xml(s);
+}
+
+std::string replace_first(std::string text, const std::string& from,
+                          const std::string& to) {
+  const auto at = text.find(from);
+  EXPECT_NE(at, std::string::npos) << from;
+  if (at != std::string::npos) text.replace(at, from.size(), to);
+  return text;
+}
+
+// `text` with `insertion` placed just after the n-th (0-based) `tag`.
+std::string insert_after_nth(std::string text, const std::string& tag, int n,
+                             const std::string& insertion) {
+  std::size_t at = text.find(tag);
+  for (int i = 0; i < n && at != std::string::npos; ++i) {
+    at = text.find(tag, at + 1);
+  }
+  EXPECT_NE(at, std::string::npos) << tag << " #" << n;
+  if (at != std::string::npos) text.insert(at + tag.size(), insertion);
+  return text;
+}
+
+// The schedule a read gives, re-serialized, or its error as read_error
+// spells it.
+template <typename Read>
+std::string read_outcome(Read&& read) {
+  std::string xml;
+  const std::string error =
+      read_error([&] { xml = write_schedule_xml(read()); });
+  return error.empty() ? xml : error;
+}
+
+TEST(IngestAdversarial, RecordCutsMatchSerialExactly) {
+  // The scanner cuts a record just past the first end tag of its name.
+  // Where that tag is not the record's own, the slice must fail to parse
+  // and the serial reader must decide; where the sections come in an
+  // unusual order or number, the chunked read must keep the ones the
+  // serial reader keeps.
+  const std::string base = chain_xml(40);
+  const auto in_record = [&](const std::string& body) {
+    return insert_after_nth(base, "<node_statistics>", 7, body);
+  };
+  const std::string prec = "<precedence src=\"t7\" dst=\"t8\"/>";
+  const auto in_precedence = [&](const std::string& body) {
+    return replace_first(base, prec,
+                         "<precedence src=\"t7\" dst=\"t8\">" + body +
+                             "</precedence>");
+  };
+  const auto precs_at = base.find("  <precedences>");
+  const auto precs_end = base.find("</precedences>\n") + 15;
+  const std::string precs = base.substr(precs_at, precs_end - precs_at);
+  const std::string no_precs =
+      base.substr(0, precs_at) + base.substr(precs_end);
+  struct Case {
+    const char* name;
+    std::string text;
+    bool parallel;  // T > 1: the chunked path, not the serial rerun, decides
+  };
+  const Case cases[] = {
+      {"record end tag in a comment",
+       in_record("<!-- </node_statistics> -->"), false},
+      {"record end tag in a CDATA section",
+       in_record("<![CDATA[ </node_statistics> ]]>"), false},
+      {"record end tag in an attribute value",
+       in_record("<node_property name=\"note\" value=\"</node_statistics>\"/>"),
+       false},
+      {"escaped record end tag in an attribute value",
+       in_record("<node_property name=\"note\" "
+                 "value=\"&lt;/node_statistics>\"/>"),
+       true},
+      {"nested record",
+       in_record("<node_statistics><node_property name=\"id\" value=\"in\"/>"
+                 "</node_statistics>"),
+       false},
+      {"record end tag with a space",
+       replace_first(base, "</node_statistics>", "</node_statistics >"), true},
+      {"entity reference split by a record",
+       replace_first(
+           replace_first(base, "<node_statistics>", "&am<node_statistics>"),
+           "</node_statistics>", "</node_statistics>p;"),
+       false},
+      {"entity reference split by two records",
+       insert_after_nth(replace_first(base, "<node_statistics>",
+                                      "&am<node_statistics>"),
+                        "</node_statistics>", 1, "p;"),
+       false},
+      {"longer element name after the record's",
+       in_record("<node_statistics_note>x</node_statistics_note>"), true},
+      {"precedence end tag in a comment",
+       in_precedence("<!-- </precedence> -->"), false},
+      {"precedence end tag in a CDATA section",
+       in_precedence("<![CDATA[</precedence>]]>"), false},
+      {"precedence end tag in an attribute value",
+       replace_first(base, prec,
+                     "<precedence src=\"t7\" dst=\"t8\" "
+                     "note=\"</precedence>\"/>"),
+       false},
+      {"nested precedence", in_precedence("<precedence src=\"t0\" dst=\"t1\">"
+                                          "</precedence>"),
+       false},
+      {"nested self-closing precedence",
+       in_precedence("<precedence src=\"t0\" dst=\"t1\"/>"), true},
+      {"entity-encoded precedence ids",
+       replace_first(base, prec,
+                     "<precedence src=\"t&#55;\" dst=\"&#x74;8\"/>"),
+       true},
+      {"precedences before node_infos",
+       replace_first(no_precs, "  <node_infos>", precs + "  <node_infos>"),
+       true},
+      {"two precedences sections",
+       replace_first(base, "</precedences>\n",
+                     "</precedences>\n<precedences><precedence src=\"t0\" "
+                     "dst=\"nope\"/></precedences>\n"),
+       true},
+      {"self-closing first precedences",
+       replace_first(base, "  <node_infos>", "<precedences/>\n  <node_infos>"),
+       true},
+      {"self-closing first node_infos",
+       replace_first(no_precs, "  <node_infos>",
+                     "<node_infos/>\n  <node_infos>"),
+       false},
+      {"non-precedence child", replace_first(base, prec, prec + "<note/>"),
+       false},
+      {"unknown precedence id",
+       replace_first(base, prec, "<precedence src=\"t7\" dst=\"t99x\"/>"),
+       false},
+      {"precedence data is not a number",
+       replace_first(base, prec,
+                     "<precedence src=\"t7\" dst=\"t8\" data=\"z\"/>"),
+       false},
+      {"backward precedence",
+       replace_first(base, prec, "<precedence src=\"t8\" dst=\"t7\"/>"), true},
+  };
+  for (const auto& c : cases) {
+    const std::string serial =
+        read_outcome([&] { return read_schedule_xml(c.text); });
+    for (int t : kThreadCounts) {
+      TextSource src(c.text);
+      IngestStats stats;
+      EXPECT_EQ(read_outcome([&] {
+                  return read_schedule_xml_chunked(src, tiny(t), &stats);
+                }),
+                serial)
+          << c.name << " threads=" << t;
+      if (t > 1) {
+        EXPECT_EQ(stats.parallel, c.parallel) << c.name;
+      }
+    }
+  }
+}
+
 TEST(IngestAdversarial, SwfErrorMessagesMatchSerialExactly) {
   std::string text = big_swf(20);
   text += "21 0 0 nope 1 -1 -1 1 -1 -1 1 1 1 1 1 1 -1 -1\n";

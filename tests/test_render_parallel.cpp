@@ -70,11 +70,20 @@ TEST(ParallelRender, BandedRasterMatchesSerialPixels) {
     ASSERT_EQ(banded.height(), serial.height());
     EXPECT_EQ(banded.pixels(), serial.pixels()) << threads << " threads";
   }
-  // More workers than pixel rows clamps to one band per row.
+  // More workers than pixel rows (and than cores) gives the same pixels.
   const auto tall =
       render_raster(schedule, options_with_threads(500, 160, 120));
   const auto tall1 = render_raster(schedule, options_with_threads(1, 160, 120));
   EXPECT_EQ(tall.pixels(), tall1.pixels());
+}
+
+TEST(ParallelRender, MaxThreadsPngIsByteIdentical) {
+  // The band count is capped at the pool size; the bytes never depend on
+  // it, whatever thread count is asked for.
+  const auto schedule = fig3_schedule();
+  EXPECT_EQ(render_to_bytes(schedule, options_with_threads(util::kMaxThreads),
+                            "png"),
+            render_to_bytes(schedule, options_with_threads(1), "png"));
 }
 
 TEST(ParallelRender, EncodePngIsThreadCountInvariant) {

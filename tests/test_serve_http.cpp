@@ -462,6 +462,14 @@ TEST_F(ServeHttp, ErrorMappingMirrorsTheCli) {
   EXPECT_EQ(bad_width.status, 400);
   EXPECT_NE(bad_width.body.find("width"), std::string::npos);
 
+  // A canvas over render::kMaxPixels is a 400 before any pixel is
+  // allocated (2^48 pixels would not fit in memory).
+  const auto giant = fetch(
+      server_->port(), "GET",
+      "/schedules/" + id + "/render.png?width=16777216&height=16777216");
+  EXPECT_EQ(giant.status, 400);
+  EXPECT_NE(giant.body.find("pixels"), std::string::npos) << giant.body;
+
   // cmap is a server-side file read: rejected over HTTP.
   const auto cmap = fetch(server_->port(), "GET",
                           "/schedules/" + id + "/render.png?cmap=/etc/x");

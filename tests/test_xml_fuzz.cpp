@@ -9,6 +9,7 @@
 
 #include "jedule/io/colormap_xml.hpp"
 #include "jedule/io/csv.hpp"
+#include "jedule/io/ingest.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/io/swf.hpp"
 #include "jedule/util/error.hpp"
@@ -177,6 +178,97 @@ TEST(ScheduleReaderFuzz, StreamingMatchesDom) {
     } catch (const Error&) {
       EXPECT_FALSE(ref.has_value())
           << "streaming reader rejected what the DOM reader accepts";
+    }
+  }
+}
+
+// A seed for the chunked reader: several records on two clusters, a
+// comment between records, and a <precedences> section before
+// <node_infos> holding an edge with data and an entity-encoded id.
+const char kChunkSeedDoc[] = R"(<?xml version="1.0"?>
+<jedule version="1.0">
+  <platform>
+    <cluster id="0" name="c" hosts="8"/><cluster id="1" hosts="4"/>
+  </platform>
+  <precedences>
+    <precedence src="a" dst="b" data="2.5"/>
+    <precedence src="b" dst="&#99;"/>
+  </precedences>
+  <node_infos>
+    <node_statistics>
+      <node_property name="id" value="a"/>
+      <node_property name="type" value="computation"/>
+      <node_property name="start_time" value="0.0"/>
+      <node_property name="end_time" value="1.5"/>
+      <configuration>
+        <conf_property name="cluster_id" value="0"/>
+        <host_lists><hosts start="0" nb="4"/></host_lists>
+      </configuration>
+    </node_statistics>
+    <!-- between records -->
+    <node_statistics>
+      <node_property name="id" value="b"/>
+      <node_property name="type" value="transfer"/>
+      <node_property name="start_time" value="1.5"/>
+      <node_property name="end_time" value="2.0"/>
+      <configuration>
+        <conf_property name="cluster_id" value="1"/>
+        <host_lists>
+          <hosts start="0" nb="2"/><hosts start="3" nb="1"/>
+        </host_lists>
+      </configuration>
+    </node_statistics>
+    <node_statistics>
+      <node_property name="id" value="c"/>
+      <node_property name="type" value="computation"/>
+      <node_property name="start_time" value="2.0"/>
+      <node_property name="end_time" value="4.0"/>
+      <node_property name="note" value="x&amp;y"/>
+      <configuration>
+        <conf_property name="cluster_id" value="0"/>
+        <host_lists><hosts start="4" nb="4"/></host_lists>
+      </configuration>
+    </node_statistics>
+  </node_infos>
+</jedule>
+)";
+
+// The schedule a read gives, re-serialized, or its error message.
+template <typename Read>
+std::string read_outcome(Read&& read) {
+  try {
+    return io::write_schedule_xml(read());
+  } catch (const ParseError& e) {
+    return std::string("ParseError: ") + e.what();
+  } catch (const ValidationError& e) {
+    return std::string("ValidationError: ") + e.what();
+  } catch (const Error& e) {
+    return std::string("Error: ") + e.what();
+  }
+}
+
+// The chunked reader, with every document small enough to chunk and
+// records batched one or a few at a time, must give the serial reader's
+// schedule or its exact error, line included, for every mutant.
+TEST(ScheduleReaderFuzz, ChunkedMatchesSerial) {
+  util::Rng rng(31337);
+  for (int round = 0; round < 2000; ++round) {
+    const char* seed = round % 3 == 0 ? kSeedDoc : kChunkSeedDoc;
+    const std::string doc = mutate(seed, rng);
+    const std::string serial =
+        read_outcome([&] { return io::read_schedule_xml(doc); });
+    for (const int threads : {2, 8}) {
+      io::IngestOptions opt;
+      opt.threads = threads;
+      opt.min_parallel_bytes = 1;
+      opt.target_chunk_bytes = threads == 2 ? 1 : 200;
+      io::TextSource src(doc);
+      EXPECT_EQ(read_outcome([&] {
+                  return io::read_schedule_xml_chunked(src, opt, nullptr);
+                }),
+                serial)
+          << "round " << round << " threads " << threads << "\n"
+          << doc;
     }
   }
 }
