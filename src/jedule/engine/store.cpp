@@ -75,12 +75,11 @@ ScheduleEntry::ScheduleEntry(io::Snapshot snapshot, std::string source_in)
       edges(std::move(snapshot.edges)) {
   auto arena =
       std::make_shared<model::ScheduleArena>(std::move(snapshot.arena));
-  // parse_snapshot checked structure and hashes; the numeric invariants
-  // (time sanity, overlaps, host bounds) still run as column sweeps.
-  // Duplicate-id certification happened at save time and is re-seeded
-  // lazily by the first append, so reopening a million-task snapshot
-  // never hashes a million id strings.
-  arena->validate_columns();
+  // parse_snapshot checked structure and hashes; every other invariant
+  // still runs over the columns. Duplicate-id certification happened at
+  // save time, and the first append builds the arena's id table, so
+  // reopening a million-task snapshot never hashes a million id strings.
+  model::TaskView(*arena).validate_except_ids();
   arena_ = std::move(arena);
   content_hash = combined_hash_of(index.content_hash(), edges);
   id = hex_id(content_hash);

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <deque>
-#include <unordered_map>
 
 #include "jedule/io/file.hpp"
+#include "jedule/model/id_table.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/strings.hpp"
 
@@ -67,7 +68,7 @@ model::Schedule read_schedule_csv(std::string_view csv_text) {
   bool has_deps = false;
   int max_host = -1;
   std::vector<Task> tasks;
-  std::unordered_map<std::string, std::uint32_t> ids;  // only when has_deps
+  model::IdTable ids;  // the ids of `tasks`, for deps and validate
   std::vector<model::Dependency> deps;
 
   long line_no = 0;
@@ -113,25 +114,23 @@ model::Schedule read_schedule_csv(std::string_view csv_text) {
     auto start = util::parse_double(fields[2]);
     auto end = util::parse_double(fields[3]);
     if (!start || !end) throw ParseError("bad start/end time", line_no);
-    if (has_deps) {
-      // Resolve before this row's id is registered, so a self-reference
-      // reads as unknown (like the live-append path).
-      const auto dst = static_cast<std::uint32_t>(tasks.size());
-      if (!fields[5].empty()) {
-        for (const auto& token : util::split(fields[5], ';')) {
-          if (token.empty()) continue;
-          const util::DepToken dep = util::parse_dep_token(token);
-          const auto it = ids.find(std::string(dep.id));
-          if (it == ids.end()) {
-            throw ParseError("task '" + fields[0] +
-                                 "' depends on unknown task '" +
-                                 std::string(dep.id) + "'",
-                             line_no);
-          }
-          deps.push_back(model::Dependency{it->second, dst, dep.data});
+    // Resolve before this row's id is registered, so a self-reference
+    // reads as unknown (like the live-append path).
+    const auto dst = static_cast<std::uint32_t>(tasks.size());
+    if (has_deps && !fields[5].empty()) {
+      for (const auto& token : util::split(fields[5], ';')) {
+        if (token.empty()) continue;
+        const util::DepToken dep = util::parse_dep_token(token);
+        const std::uint32_t src =
+            ids.find(model::AosRows{tasks.data()}, dep.id);
+        if (src == model::IdTable::kMissing) {
+          throw ParseError("task '" + fields[0] +
+                               "' depends on unknown task '" +
+                               std::string(dep.id) + "'",
+                           line_no);
         }
+        deps.push_back(model::Dependency{src, dst, dep.data});
       }
-      ids.emplace(fields[0], dst);
     }
     Task t(fields[0], fields[1], *start, *end);
     for (const auto& alloc : util::split(fields[4], '|')) {
@@ -142,6 +141,7 @@ model::Schedule read_schedule_csv(std::string_view csv_text) {
       t.add_configuration(std::move(cfg));
     }
     tasks.push_back(std::move(t));
+    ids.insert(model::AosRows{tasks.data()}, dst);
   }
 
   if (!have_header) {
@@ -152,7 +152,7 @@ model::Schedule read_schedule_csv(std::string_view csv_text) {
   }
   for (auto& t : tasks) schedule.add_task(std::move(t));
   for (const auto& d : deps) schedule.add_dependency(d.src, d.dst, d.data);
-  schedule.validate();
+  schedule.validate(1, ids);
   return schedule;
 }
 
@@ -321,27 +321,24 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
       parts.push_back(std::move(o.tasks));
     }
     schedule.append_tasks(std::move(parts), opt.threads);
+    const model::AosRows rows{schedule.tasks().data()};
+    const model::IdTable ids(rows, schedule.tasks().size(), opt.threads);
     if (has_deps) {
       // Resolve the raw dependency cells against the merged task order.
       // The serial reader only resolves against *earlier* rows; any cell
       // that would resolve differently (unknown id, forward reference)
       // bails to the serial rerun for its exact error message.
-      std::unordered_map<std::string_view, std::uint32_t> ids;
-      ids.reserve(schedule.tasks().size());
-      for (std::size_t i = 0; i < schedule.tasks().size(); ++i) {
-        ids.emplace(schedule.tasks()[i].id(), static_cast<std::uint32_t>(i));
-      }
       for (std::size_t k = 0; k < outputs.size(); ++k) {
         for (const auto& [local, cell] : outputs[k].deps) {
           const auto dst = static_cast<std::uint32_t>(chunk_base[k] + local);
           for (const auto& token : util::split(cell, ';')) {
             if (token.empty()) continue;
             const util::DepToken dep = util::parse_dep_token(token);
-            const auto it = ids.find(dep.id);
-            if (it == ids.end() || it->second >= dst) {
+            const std::uint32_t src = ids.find(rows, dep.id);
+            if (src == model::IdTable::kMissing || src >= dst) {
               throw ParseError("dependency cell needs the serial reader");
             }
-            schedule.add_dependency(it->second, dst, dep.data);
+            schedule.add_dependency(src, dst, dep.data);
           }
         }
       }
@@ -350,7 +347,7 @@ model::Schedule read_schedule_csv_chunked(TextSource& src,
       stats->chunks = outputs.size();
       stats->parallel = true;
     }
-    schedule.validate(opt.threads);
+    schedule.validate(opt.threads, ids);
     return schedule;
   } catch (const ParseError&) {
     if (stats != nullptr) {

@@ -1,18 +1,18 @@
 #include "jedule/io/jedule_xml.hpp"
 
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <deque>
 #include <functional>
 #include <iterator>
-#include <limits>
 #include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "jedule/io/file.hpp"
+#include "jedule/model/id_table.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/interner.hpp"
 #include "jedule/util/parallel.hpp"
@@ -306,67 +306,6 @@ PendingDep read_precedence(const PullParser& p, std::string_view text,
 
 constexpr std::size_t kNpos = std::string_view::npos;
 
-// Task id -> task index over one flat open-addressed table, in the style
-// of Schedule::IdProbe. For a repeated id the first task wins, as a map's
-// emplace would. A slot holds the index and 32 bits of the id's hash, so
-// a probe reads a task's id only on a tag match. The build is one serial
-// pass: split over threads it was no faster on 500k tasks, because it is
-// bound by memory, not by the hashing.
-class IdTable {
- public:
-  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
-
-  explicit IdTable(const std::vector<Task>& tasks)
-      : tasks_(tasks),
-        mask_(std::bit_ceil(tasks.size() * 2 + 16) - 1),
-        slots_(mask_ + 1) {
-    for (std::size_t i = 0; i < tasks.size(); ++i) {
-      const std::string_view id = tasks[i].id();
-      const std::size_t h = hash(id);
-      for (std::size_t at = h & mask_;; at = (at + 1) & mask_) {
-        Slot& slot = slots_[at];
-        if (slot.index == kMissing) {
-          slot = {tag_of(h), static_cast<std::uint32_t>(i)};
-          break;
-        }
-        if (slot.tag == tag_of(h) && tasks[slot.index].id() == id) {
-          break;  // a repeated id: the first task keeps it
-        }
-      }
-    }
-  }
-
-  /// Index of the first task with this id, or kMissing.
-  std::uint32_t find(std::string_view id) const {
-    const std::size_t h = hash(id);
-    for (std::size_t at = h & mask_;; at = (at + 1) & mask_) {
-      const Slot& slot = slots_[at];
-      if (slot.index == kMissing) return kMissing;
-      if (slot.tag == tag_of(h) && tasks_[slot.index].id() == id) {
-        return slot.index;
-      }
-    }
-  }
-
- private:
-  struct Slot {
-    std::uint32_t tag = 0;
-    std::uint32_t index = kMissing;
-  };
-
-  static std::size_t hash(std::string_view id) {
-    return std::hash<std::string_view>{}(id);
-  }
-  static std::uint32_t tag_of(std::size_t h) {
-    return static_cast<std::uint32_t>(
-        h >> (std::numeric_limits<std::size_t>::digits / 2));
-  }
-
-  const std::vector<Task>& tasks_;
-  std::size_t mask_;
-  std::vector<Slot> slots_;
-};
-
 // Where resolve_deps stopped: the first record, in document order, that
 // names an unknown task, and that id. `record` is kNpos when every id
 // resolved.
@@ -375,11 +314,19 @@ struct DepMiss {
   std::string_view id;
 };
 
+// The id table of the schedule's tasks, which the readers build once: the
+// edge resolve looks ids up in it and validate reads its duplicate check
+// from it.
+model::IdTable task_ids(const Schedule& schedule, int threads) {
+  return model::IdTable(model::AosRows{schedule.tasks().data()},
+                        schedule.tasks().size(), threads);
+}
+
 // The one resolver of every reader: appends the records of `parts`, in
-// order, to the schedule's dependencies through one IdTable, looking the
-// parts up on up to `threads` workers. On a miss the schedule's
-// dependencies are incomplete and the caller throws or falls back.
-DepMiss resolve_deps(Schedule& schedule,
+// order, to the schedule's dependencies through `ids`, looking the parts
+// up on up to `threads` workers. On a miss the schedule's dependencies
+// are incomplete and the caller throws or falls back.
+DepMiss resolve_deps(Schedule& schedule, const model::IdTable& ids,
                      const std::vector<std::span<const PendingDep>>& parts,
                      int threads) {
   std::vector<std::size_t> firsts(parts.size() + 1, 0);
@@ -387,7 +334,7 @@ DepMiss resolve_deps(Schedule& schedule,
     firsts[p + 1] = firsts[p] + parts[p].size();
   }
   if (firsts.back() == 0) return {};
-  const IdTable ids(schedule.tasks());
+  const model::AosRows rows{schedule.tasks().data()};
   auto& deps = schedule.mutable_dependencies();
   const std::size_t base = deps.size();
   deps.resize(base + firsts.back());
@@ -395,11 +342,12 @@ DepMiss resolve_deps(Schedule& schedule,
   util::parallel_for(parts.size(), threads, [&](std::size_t p) {
     for (std::size_t i = 0; i < parts[p].size(); ++i) {
       const PendingDep& d = parts[p][i];
-      const std::uint32_t src = ids.find(d.src);
+      const std::uint32_t src = ids.find(rows, d.src);
       const std::uint32_t dst =
-          src == IdTable::kMissing ? src : ids.find(d.dst);
-      if (dst == IdTable::kMissing) {
-        misses[p] = {firsts[p] + i, src == IdTable::kMissing ? d.src : d.dst};
+          src == model::IdTable::kMissing ? src : ids.find(rows, d.dst);
+      if (dst == model::IdTable::kMissing) {
+        misses[p] = {firsts[p] + i,
+                     src == model::IdTable::kMissing ? d.src : d.dst};
         return;
       }
       deps[base + firsts[p] + i] = model::Dependency{src, dst, d.data};
@@ -413,10 +361,10 @@ DepMiss resolve_deps(Schedule& schedule,
 
 // The serial readers' resolve: names the first bad <precedence> and its
 // line (`lines` runs parallel to `pending`).
-void resolve_deps_or_throw(Schedule& schedule,
+void resolve_deps_or_throw(Schedule& schedule, const model::IdTable& ids,
                            const std::vector<PendingDep>& pending,
                            const std::vector<long>& lines) {
-  const DepMiss miss = resolve_deps(schedule, {pending}, 1);
+  const DepMiss miss = resolve_deps(schedule, ids, {pending}, 1);
   if (miss.record != kNpos) {
     throw ParseError("<precedence> references unknown task '" +
                          std::string(miss.id) + "'",
@@ -509,8 +457,9 @@ Schedule read_schedule_xml_impl(std::string_view xml_text, bool validate) {
                      root_line);
   }
 
-  resolve_deps_or_throw(schedule, pending, pending_lines);
-  if (validate) schedule.validate();
+  const model::IdTable ids = task_ids(schedule, 1);
+  resolve_deps_or_throw(schedule, ids, pending, pending_lines);
+  if (validate) schedule.validate(1, ids);
   return schedule;
 }
 
@@ -956,14 +905,15 @@ std::optional<Schedule> try_read_chunked(TextSource& src,
                         opt.threads);
   std::vector<std::span<const PendingDep>> deps;
   for (const DepBatch& b : cutter.dep_parts) deps.emplace_back(b.deps);
-  if (resolve_deps(schedule, deps, opt.threads).record != kNpos) {
+  const model::IdTable ids = task_ids(schedule, opt.threads);
+  if (resolve_deps(schedule, ids, deps, opt.threads).record != kNpos) {
     return std::nullopt;
   }
   if (stats != nullptr) {
     stats->chunks = chunks;
     stats->parallel = true;
   }
-  schedule.validate(opt.threads);
+  schedule.validate(opt.threads, ids);
   return schedule;
 }
 
@@ -1035,6 +985,7 @@ model::Schedule read_schedule_xml_dom(const std::string& xml_text) {
     }
   }
 
+  const model::IdTable ids = task_ids(schedule, 1);
   if (const auto* precs = root.first_child("precedences")) {
     std::vector<PendingDep> pending;
     std::vector<long> lines;
@@ -1053,10 +1004,10 @@ model::Schedule read_schedule_xml_dom(const std::string& xml_text) {
       pending.push_back(d);
       lines.push_back(prec->source_line());
     }
-    resolve_deps_or_throw(schedule, pending, lines);
+    resolve_deps_or_throw(schedule, ids, pending, lines);
   }
 
-  schedule.validate();
+  schedule.validate(1, ids);
   return schedule;
 }
 

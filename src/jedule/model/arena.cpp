@@ -1,13 +1,10 @@
 #include "jedule/model/arena.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <functional>
-#include <limits>
-#include <unordered_set>
 
 #include "jedule/model/fnv.hpp"
+#include "jedule/model/task_view.hpp"
 #include "jedule/util/error.hpp"
 
 namespace jedule::model {
@@ -18,11 +15,10 @@ using detail::fnv_double;
 using detail::fnv_string;
 using detail::fnv_u64;
 
-constexpr std::uint32_t kIdEmpty = 0xFFFFFFFFu;
 constexpr std::size_t kDensityBins = 256;
 
-// Scalar fallbacks for the columnar scans; render::kernels swaps in the
-// runtime-dispatched SIMD variants via set_column_scan_ops().
+// Scalar fallback for the bounds sweep; render::kernels swaps in the
+// runtime-dispatched SIMD variant via set_column_scan_ops().
 void scalar_minmax_f64(const double* a, const double* b, std::size_t n,
                        double* lo, double* hi) {
   double l = a[0], h = b[0];
@@ -34,15 +30,7 @@ void scalar_minmax_f64(const double* a, const double* b, std::size_t n,
   *hi = h;
 }
 
-std::size_t scalar_first_violation(const double* start, const double* end,
-                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(end[i] >= start[i])) return i;
-  }
-  return n;
-}
-
-ColumnScanOps g_scan_ops{&scalar_minmax_f64, &scalar_first_violation};
+ColumnScanOps g_scan_ops{&scalar_minmax_f64};
 
 // Density bin geometry is a pure function of the cluster's current time
 // bounds, so an incrementally grown histogram always matches a freshly
@@ -77,9 +65,6 @@ std::size_t density_bin(const ScheduleArena::Density& d, Time t) {
 
 void set_column_scan_ops(const ColumnScanOps& ops) {
   if (ops.minmax_f64 != nullptr) g_scan_ops.minmax_f64 = ops.minmax_f64;
-  if (ops.first_violation != nullptr) {
-    g_scan_ops.first_violation = ops.first_violation;
-  }
 }
 
 const ColumnScanOps& column_scan_ops() { return g_scan_ops; }
@@ -161,11 +146,14 @@ ScheduleArena::ScheduleArena(const Schedule& schedule) {
 
   // CSR edge columns, grouped by destination task (stable counting sort
   // preserves per-destination insertion order). Built only when the
-  // schedule actually carries dependencies; src < dst was certified by
-  // Schedule::validate and is re-checked by check_structure on load.
+  // schedule actually carries dependencies; src < dst is checked by
+  // validate() and re-checked by check_structure on load.
   edges_hash_ = detail::kFnvOffset;
   if (!schedule.dependencies().empty()) {
     const auto& deps = schedule.dependencies();
+    for (const Dependency& d : deps) {
+      if (d.src >= n || d.dst >= n) check_dependency(d.src, d.dst, d.data, n);
+    }
     auto& dep_off = dep_off_.owned();
     auto& dep_src = dep_src_.owned();
     auto& dep_data = dep_data_.owned();
@@ -350,8 +338,7 @@ void ScheduleArena::build_derived() {
     }
   }
 
-  id_slots_.clear();
-  id_count_ = 0;
+  id_table_ = IdTable();
 }
 
 // ---------------------------------------------------------------------------
@@ -468,255 +455,7 @@ void ScheduleArena::hash_row(std::size_t i) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Task-id hash table
-
-std::uint32_t ScheduleArena::id_table_find(std::string_view id) const {
-  if (id_slots_.empty()) return kIdEmpty;
-  const std::size_t cap = id_slots_.size();
-  std::size_t h = std::hash<std::string_view>{}(id) & (cap - 1);
-  while (id_slots_[h] != kIdEmpty) {
-    if (task_id(id_slots_[h]) == id) return id_slots_[h];
-    h = (h + 1) & (cap - 1);
-  }
-  return kIdEmpty;
-}
-
-void ScheduleArena::id_table_grow() const {
-  const std::size_t cap = std::bit_ceil(
-      std::max<std::size_t>(id_count_ * 2 + 16, id_slots_.size() * 2));
-  std::vector<std::uint32_t> bigger(cap, kIdEmpty);
-  for (std::uint32_t t : id_slots_) {
-    if (t == kIdEmpty) continue;
-    std::size_t h = std::hash<std::string_view>{}(task_id(t)) & (cap - 1);
-    while (bigger[h] != kIdEmpty) h = (h + 1) & (cap - 1);
-    bigger[h] = t;
-  }
-  id_slots_.swap(bigger);
-}
-
-void ScheduleArena::id_table_insert(std::uint32_t task,
-                                    bool* duplicate) const {
-  if (id_slots_.empty() || (id_count_ + 1) * 2 > id_slots_.size()) {
-    id_table_grow();
-  }
-  const std::size_t cap = id_slots_.size();
-  const std::string_view id = task_id(task);
-  std::size_t h = std::hash<std::string_view>{}(id) & (cap - 1);
-  while (id_slots_[h] != kIdEmpty) {
-    if (task_id(id_slots_[h]) == id) {
-      *duplicate = true;
-      return;
-    }
-    h = (h + 1) & (cap - 1);
-  }
-  id_slots_[h] = task;
-  ++id_count_;
-  *duplicate = false;
-}
-
-// ---------------------------------------------------------------------------
-// Validation (mirrors Schedule::validate, column-backed)
-
-void ScheduleArena::validate() const {
-  if (clusters_.empty()) {
-    throw ValidationError("a schedule requires at least one cluster");
-  }
-  const std::size_t n = task_count();
-
-  // Wide pre-scan: the common, valid case skips the per-row time branch
-  // entirely; a hit is re-reported below at the exact row AoS validate
-  // would have reached first.
-  const std::size_t violation =
-      n > 0 ? g_scan_ops.first_violation(start_.data(), end_.data(), n) : 0;
-
-  id_slots_.assign(std::bit_ceil(n * 2 + 16), kIdEmpty);
-  id_count_ = 0;
-
-  int cached_id = 0;
-  const Cluster* cached_cluster = nullptr;
-  for (std::size_t ti = 0; ti < n; ++ti) {
-    const std::string_view id = task_id(ti);
-    if (id.empty()) {
-      throw ValidationError("task with empty id");
-    }
-    bool duplicate = false;
-    id_table_insert(static_cast<std::uint32_t>(ti), &duplicate);
-    if (duplicate) {
-      throw ValidationError("duplicate task id '" + std::string(id) + "'");
-    }
-    if (ti == violation) {
-      throw ValidationError("task '" + std::string(id) + "' has end_time " +
-                            std::to_string(end_[ti]) +
-                            " before start_time " +
-                            std::to_string(start_[ti]));
-    }
-    const std::size_t c0 = cfg_off_[ti], c1 = cfg_off_[ti + 1];
-    if (c0 == c1) {
-      throw ValidationError("task '" + std::string(id) +
-                            "' has no configuration");
-    }
-    for (std::size_t c = c0; c < c1; ++c) {
-      const int cid = cfg_cluster_[c];
-      if (cached_cluster == nullptr || cid != cached_id) {
-        auto it = cluster_slot_.find(cid);
-        if (it == cluster_slot_.end()) {
-          throw ValidationError("task '" + std::string(id) +
-                                "' references unknown cluster " +
-                                std::to_string(cid));
-        }
-        cached_id = cid;
-        cached_cluster = &clusters_[it->second];
-      }
-      const Cluster& cluster = *cached_cluster;
-      check_config_ranges(id, cluster, range_off_[c], range_off_[c + 1]);
-    }
-  }
-  check_deps();
-}
-
-void ScheduleArena::check_deps() const {
-  if (dep_off_.empty()) return;
-  const std::size_t n = task_count();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint64_t k = dep_off_[i]; k < dep_off_[i + 1]; ++k) {
-      if (dep_src_[k] >= i) {
-        throw ValidationError(
-            "dependency " + std::to_string(dep_src_[k]) + " -> " +
-            std::to_string(i) +
-            " must point forward in task order (src < dst)");
-      }
-      if (!(dep_data_[k] >= 0)) {
-        throw ValidationError("dependency " + std::to_string(dep_src_[k]) +
-                              " -> " + std::to_string(i) +
-                              " has negative data " +
-                              std::to_string(dep_data_[k]));
-      }
-    }
-  }
-}
-
-void ScheduleArena::check_config_ranges(std::string_view id,
-                                        const Cluster& cluster,
-                                        std::size_t r0,
-                                        std::size_t r1) const {
-  if (r0 == r1) {
-    throw ValidationError("task '" + std::string(id) +
-                          "' has a configuration without hosts");
-  }
-  std::map<int, int> used;
-  for (std::size_t r = r0; r < r1; ++r) {
-    const HostRange range = ranges_[r];
-    if (range.nb <= 0) {
-      throw ValidationError("task '" + std::string(id) +
-                            "' has a host range with nb <= 0");
-    }
-    if (range.start < 0 || range.start + range.nb > cluster.hosts) {
-      throw ValidationError(
-          "task '" + std::string(id) + "' host range [" +
-          std::to_string(range.start) + ", " +
-          std::to_string(range.start + range.nb) + ") exceeds cluster " +
-          std::to_string(cluster.id) + " size " +
-          std::to_string(cluster.hosts));
-    }
-    if (r1 - r0 == 1) break;
-    const int start = range.start;
-    const int end = range.start + range.nb;
-    int dup = -1;
-    auto next = used.upper_bound(start);
-    if (next != used.begin() && std::prev(next)->second > start) {
-      dup = start;
-    } else if (next != used.end() && next->first < end) {
-      dup = next->first;
-    }
-    if (dup >= 0) {
-      throw ValidationError("task '" + std::string(id) + "' lists host " +
-                            std::to_string(dup) + " of cluster " +
-                            std::to_string(cluster.id) + " twice");
-    }
-    int merged_start = start;
-    int merged_end = end;
-    if (next != used.begin() && std::prev(next)->second == start) {
-      auto prev = std::prev(next);
-      merged_start = prev->first;
-      used.erase(prev);
-    }
-    if (next != used.end() && next->first == end) {
-      merged_end = next->second;
-      used.erase(next);
-    }
-    used[merged_start] = merged_end;
-  }
-}
-
-void ScheduleArena::validate_columns() const {
-  if (clusters_.empty()) {
-    throw ValidationError("a schedule requires at least one cluster");
-  }
-  const std::size_t n = task_count();
-  if (n == 0) return;
-
-  // Each invariant becomes one branch-light sweep over a single column
-  // instead of validate()'s fused per-row walk; none of them needs the
-  // task id until the (exceptional) moment it reports a violation.
-  const std::size_t violation =
-      g_scan_ops.first_violation(start_.data(), end_.data(), n);
-  if (violation < n) {
-    throw ValidationError("task '" + std::string(task_id(violation)) +
-                          "' has end_time " + std::to_string(end_[violation]) +
-                          " before start_time " +
-                          std::to_string(start_[violation]));
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (id_off_[i + 1] == id_off_[i]) {
-      throw ValidationError("task with empty id");
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cfg_off_[i + 1] == cfg_off_[i]) {
-      throw ValidationError("task '" + std::string(task_id(i)) +
-                            "' has no configuration");
-    }
-  }
-
-  // Host-range sweep over the flat config columns. Configs are grouped by
-  // task but clusters repeat heavily, so one cached cluster pointer covers
-  // almost every row; the task id is recovered by binary search only when
-  // a violation needs reporting.
-  auto task_of_config = [&](std::size_t c) -> std::string_view {
-    const std::uint32_t cc = static_cast<std::uint32_t>(c);
-    const auto it =
-        std::upper_bound(cfg_off_.data() + 1, cfg_off_.data() + n + 1, cc);
-    return task_id(static_cast<std::size_t>(it - (cfg_off_.data() + 1)));
-  };
-  const std::size_t m = cfg_off_[n];
-  int cached_id = 0;
-  const Cluster* cached_cluster = nullptr;
-  for (std::size_t c = 0; c < m; ++c) {
-    const int cid = cfg_cluster_[c];
-    if (cached_cluster == nullptr || cid != cached_id) {
-      auto it = cluster_slot_.find(cid);
-      if (it == cluster_slot_.end()) {
-        throw ValidationError("task '" + std::string(task_of_config(c)) +
-                              "' references unknown cluster " +
-                              std::to_string(cid));
-      }
-      cached_id = cid;
-      cached_cluster = &clusters_[it->second];
-    }
-    const std::size_t r0 = range_off_[c], r1 = range_off_[c + 1];
-    if (r1 - r0 == 1) {
-      // Overwhelmingly common shape: one contiguous range, three compares.
-      const HostRange range = ranges_[r0];
-      if (range.nb > 0 && range.start >= 0 &&
-          range.start + range.nb <= cached_cluster->hosts) {
-        continue;
-      }
-    }
-    check_config_ranges(task_of_config(c), *cached_cluster, r0, r1);
-  }
-  check_deps();
-}
+void ScheduleArena::validate() const { TaskView(*this).validate(); }
 
 // ---------------------------------------------------------------------------
 // Materialization
@@ -770,66 +509,44 @@ Schedule ScheduleArena::to_schedule() const {
 void ScheduleArena::append(const std::vector<Event>& events) {
   // Phase 1: validate everything without touching the arena, so a bad
   // batch leaves it unchanged. The persistent id table answers duplicate
-  // probes in O(1) per event instead of re-probing all rows.
-  if (id_slots_.empty() && task_count() > 0) {
-    // validate() normally seeds the table; seed it here for arenas that
-    // skipped it (trusted snapshot loads).
-    id_slots_.assign(std::bit_ceil(task_count() * 2 + 16), kIdEmpty);
-    id_count_ = 0;
-    for (std::size_t i = 0; i < task_count(); ++i) {
-      bool duplicate = false;
-      id_table_insert(static_cast<std::uint32_t>(i), &duplicate);
-    }
-  }
-  std::unordered_set<std::string_view> batch_ids;
-  batch_ids.reserve(events.size());
+  // probes in O(1) per event instead of re-probing all rows; the first
+  // append builds it.
+  const IdRows rows{this};
+  const std::size_t n = task_count();
+  if (id_table_.empty() && n > 0) id_table_ = IdTable(rows, n);
+  // The batch's own ids, by event index.
+  struct EventRows {
+    const std::vector<Event>* events;
+    std::string_view id(std::size_t k) const { return (*events)[k].id; }
+  };
+  const EventRows event_rows{&events};
+  IdTable batch;
+  TaskCheck check(clusters_);
   // Dep targets resolved during phase 1 (per event, parallel to `events`),
   // so phase 2 commits without re-probing. A dep may name an existing
-  // task or an *earlier* event of this batch — later events would break
-  // the src < dst invariant and read as unknown here.
+  // task or an *earlier* event of this batch — a later event (or the
+  // event itself) would break the src < dst invariant and reads as
+  // unknown here.
   std::vector<std::vector<std::pair<std::uint32_t, double>>> resolved;
   resolved.reserve(events.size());
-  std::map<std::string_view, std::uint32_t> batch_index;
-  std::uint32_t next_index = static_cast<std::uint32_t>(task_count());
-  for (const Event& e : events) {
-    if (e.id.empty()) {
-      throw ValidationError("task with empty id");
-    }
-    if (id_table_find(e.id) != kIdEmpty || !batch_ids.insert(e.id).second) {
-      throw ValidationError("duplicate task id '" + e.id + "'");
-    }
-    if (!(e.end >= e.start)) {
-      throw ValidationError("task '" + e.id + "' has end_time " +
-                            std::to_string(e.end) + " before start_time " +
-                            std::to_string(e.start));
-    }
-    auto it = cluster_slot_.find(e.cluster_id);
-    if (it == cluster_slot_.end()) {
-      throw ValidationError("task '" + e.id + "' references unknown cluster " +
-                            std::to_string(e.cluster_id));
-    }
-    const Cluster& cluster = clusters_[it->second];
-    if (e.host_nb <= 0) {
-      throw ValidationError("task '" + e.id +
-                            "' has a host range with nb <= 0");
-    }
-    if (e.host_start < 0 || e.host_start + e.host_nb > cluster.hosts) {
-      throw ValidationError(
-          "task '" + e.id + "' host range [" + std::to_string(e.host_start) +
-          ", " + std::to_string(e.host_start + e.host_nb) +
-          ") exceeds cluster " + std::to_string(cluster.id) + " size " +
-          std::to_string(cluster.hosts));
-    }
-    resolved.emplace_back();
-    auto& out = resolved.back();
+  for (std::uint32_t k = 0; k < events.size(); ++k) {
+    const Event& e = events[k];
+    const bool repeated = id_table_.find(rows, e.id) != IdTable::kMissing ||
+                          batch.insert(event_rows, k) != IdTable::kMissing;
+    const std::int32_t cluster = e.cluster_id;
+    const std::uint32_t range_off[] = {0, 1};
+    const HostRange range{e.host_start, e.host_nb};
+    check.check(e.id, repeated, e.start, e.end,
+                ConfigRange(&cluster, range_off, &range, 0, 1));
+    auto& out = resolved.emplace_back();
     out.reserve(e.deps.size());
     for (const auto& [src_id, data] : e.deps) {
-      std::uint32_t src = id_table_find(src_id);
-      if (src == kIdEmpty) {
-        auto bit = batch_index.find(src_id);
-        if (bit != batch_index.end()) src = bit->second;
+      std::uint32_t src = id_table_.find(rows, src_id);
+      if (src == IdTable::kMissing) {
+        const std::uint32_t earlier = batch.find(event_rows, src_id);
+        if (earlier < k) src = static_cast<std::uint32_t>(n + earlier);
       }
-      if (src == kIdEmpty) {
+      if (src == IdTable::kMissing) {
         throw ValidationError("task '" + e.id + "' depends on unknown task '" +
                               src_id + "'");
       }
@@ -839,7 +556,6 @@ void ScheduleArena::append(const std::vector<Event>& events) {
       }
       out.emplace_back(src, data);
     }
-    batch_index.emplace(e.id, next_index++);
   }
 
   // Phase 2: commit. First write to a mapped arena copies the columns out.
@@ -891,8 +607,7 @@ void ScheduleArena::append(const std::vector<Event>& events) {
       dep_off_.owned().push_back(dep_src_.size());
     }
 
-    bool duplicate = false;
-    id_table_insert(i, &duplicate);
+    id_table_.insert(rows, i);
 
     PerCluster& pc = per_cluster_[e.cluster_id];
     pc.tasks.push_back(i);
@@ -992,7 +707,7 @@ std::size_t ScheduleArena::heap_bytes() const {
                   prop_slices_.heap_bytes() + prop_pool_.heap_bytes() +
                   dep_off_.heap_bytes() + dep_src_.heap_bytes() +
                   dep_data_.heap_bytes();
-  b += id_slots_.capacity() * sizeof(std::uint32_t);
+  b += id_table_.heap_bytes();
   for (const auto& [cid, pc] : per_cluster_) {
     b += pc.tasks.capacity() * sizeof(std::uint32_t);
     b += pc.density.bins.capacity() * sizeof(std::uint32_t);

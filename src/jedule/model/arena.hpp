@@ -17,16 +17,18 @@
 //   * per-cluster and global time bounds (O(1) lookups for the layout's
 //     panel ranges),
 //   * per-cluster LOD density histograms over fixed time bins,
-//   * an open-addressed task-id hash table, so appending checks duplicate
-//     ids in O(delta) instead of re-probing the whole table,
+//   * the task-id table (model::IdTable), built by the first append() and
+//     extended by every later one, so appending checks duplicate ids and
+//     resolves dependency ids in O(delta),
 //   * the running FNV content hash, byte-identical to
 //     TaskIndex::hash_schedule on the materialized schedule, extended in
 //     O(delta) per append.
 //
 // The AoS Schedule stays the construction and differential-reference
 // path: `ScheduleArena(schedule)` builds the columns, `to_schedule()`
-// materializes them back, and the test suite cross-checks validate(),
-// hashes, partitions and bounds between the two representations.
+// materializes them back, and the test suite cross-checks hashes,
+// partitions and bounds between the two representations. Both forms are
+// validated by the one check body of TaskView::validate.
 
 #include <cstdint>
 #include <map>
@@ -37,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "jedule/model/id_table.hpp"
 #include "jedule/model/schedule.hpp"
 
 namespace jedule::model {
@@ -87,18 +90,14 @@ class Column {
 
 }  // namespace detail
 
-/// Columnar scan hooks. The arena's hot sweeps (min/max time bounds, the
-/// end>=start sanity scan of validate()) call through these so the
-/// runtime-dispatched SIMD kernels in render::kernels can serve them;
-/// jed_render installs the dispatcher at static-init time and standalone
-/// jed_model users fall back to the scalar loops.
+/// Columnar scan hooks. The arena's min/max time-bounds sweep calls
+/// through these so the runtime-dispatched SIMD kernels in render::kernels
+/// can serve it; jed_render installs the dispatcher at static-init time
+/// and standalone jed_model users fall back to the scalar loop.
 struct ColumnScanOps {
   /// Writes min(a[0..n)) / max(b[0..n)) to *lo / *hi; n >= 1.
   void (*minmax_f64)(const double* a, const double* b, std::size_t n,
                      double* lo, double* hi) = nullptr;
-  /// First index i with !(end[i] >= start[i]) (catches NaNs), or n.
-  std::size_t (*first_violation)(const double* start, const double* end,
-                                 std::size_t n) = nullptr;
 };
 void set_column_scan_ops(const ColumnScanOps& ops);
 const ColumnScanOps& column_scan_ops();
@@ -193,6 +192,8 @@ class ScheduleArena {
   };
 
   /// Columnarizes `schedule` (one pass; the schedule is not retained).
+  /// Throws ValidationError for an edge past the last task, which the
+  /// columns cannot hold.
   explicit ScheduleArena(const Schedule& schedule);
 
   /// Adopts loaded columns; throws ParseError on structural inconsistency
@@ -255,19 +256,9 @@ class ScheduleArena {
   /// Bumped once per successful append().
   std::uint64_t version() const { return version_; }
 
-  /// Semantic validation over the columns — the same invariants (and
-  /// error messages) as Schedule::validate(), plus it seeds the id table
-  /// used for O(delta) duplicate checks on append.
+  /// TaskView::validate over the columns: the invariants and messages of
+  /// Schedule::validate. Writes nothing to the arena.
   void validate() const;
-
-  /// Snapshot-load validation: the numeric invariants of validate() (time
-  /// sanity, non-empty ids and configurations, host-range bounds and
-  /// overlap) as wide column sweeps, but without hashing a million task
-  /// ids into the duplicate-id table — id uniqueness was certified when
-  /// the snapshot was written and every column is CRC-covered, so the
-  /// table is seeded lazily by the first append() instead. Roughly 10x
-  /// cheaper than validate() on large arenas.
-  void validate_columns() const;
 
   /// Row i as an AoS Task (one row of to_schedule()).
   Task task(std::size_t i) const;
@@ -280,8 +271,9 @@ class ScheduleArena {
   /// Appends `events` as new tasks: validates them (duplicate ids via the
   /// persistent id table, host bounds, time sanity) without touching the
   /// existing rows, extends every column and derived structure, and
-  /// continues the content hash — O(delta) total. Throws ValidationError
-  /// leaving the arena unchanged.
+  /// continues the content hash — O(delta) total, after the first append,
+  /// which builds the id table in O(n). Throws ValidationError leaving the
+  /// arena unchanged.
   void append(const std::vector<Event>& events);
 
   std::size_t heap_bytes() const;
@@ -296,15 +288,15 @@ class ScheduleArena {
     Density density;
   };
 
+  // Reads task ids for id_table_.
+  struct IdRows {
+    const ScheduleArena* arena;
+    std::string_view id(std::size_t i) const { return arena->task_id(i); }
+  };
+
   void check_structure() const;  // throws ParseError
-  void check_deps() const;       // throws ValidationError
   void build_derived();          // partitions, bounds, density, id table
-  void check_config_ranges(std::string_view id, const Cluster& cluster,
-                           std::size_t r0, std::size_t r1) const;
   void ensure_owned();           // copy-on-append out of the mapping
-  void id_table_insert(std::uint32_t task, bool* duplicate) const;
-  void id_table_grow() const;
-  std::uint32_t id_table_find(std::string_view id) const;  // task or npos
   void bump_density(PerCluster* pc, Time start);
   void hash_row(std::size_t i);  // folds row i into tasks_hash_
   void hash_edge(std::uint32_t src, std::uint32_t dst, double data);
@@ -340,10 +332,8 @@ class ScheduleArena {
   TimeRange range_{0, 0};
   bool any_tasks_ = false;
 
-  // Open-addressed task-id table: slot -> task index (kIdEmpty free),
-  // power-of-two capacity. Mutable: validate() seeds it lazily.
-  mutable std::vector<std::uint32_t> id_slots_;
-  mutable std::size_t id_count_ = 0;
+  // Every task id, once the first append() has built it.
+  IdTable id_table_;
 
   std::uint64_t tasks_hash_ = 0;
   std::uint64_t edges_hash_ = 0;

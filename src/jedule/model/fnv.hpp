@@ -1,11 +1,15 @@
 #pragma once
 
-// FNV-1a hashing helpers shared by TaskIndex::hash_schedule and the
-// columnar ScheduleArena content hash. Both walk logically identical byte
-// streams (clusters, then per-task fields, then the task count), so the
-// two implementations must consume bytes through the same primitives —
-// keeping them here makes an accidental divergence a compile-visible edit
-// instead of a silent cache-key split.
+// FNV-1a hashing helpers behind every content hash: the task hash of
+// TaskIndex::hash_schedule and of the columnar ScheduleArena, the edge
+// hashes of the arena and of EdgeIndex, and the entry id that folds them
+// (engine::ScheduleEntry). The two task hashes walk logically identical
+// byte streams (clusters, then per-task fields, then the task count), as
+// do the two edge hashes (src, dst, data per edge), so each pair must
+// consume bytes through the same primitives — keeping them here makes an
+// accidental divergence a compile-visible edit instead of a silent
+// cache-key split. These hashes are not the task-id table's hash
+// (std::hash, model::IdTable).
 
 #include <cstdint>
 #include <cstring>

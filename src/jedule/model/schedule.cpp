@@ -1,15 +1,11 @@
 #include "jedule/model/schedule.hpp"
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <bit>
-#include <limits>
-#include <map>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_set>
 
+#include "jedule/model/task_view.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/parallel.hpp"
 
@@ -235,216 +231,12 @@ std::vector<const Task*> Schedule::tasks_in_cluster(int cluster_id) const {
   return out;
 }
 
-namespace {
-
-// Tasks per block of the threaded validate pass; a schedule of fewer than
-// two blocks is checked serially.
-constexpr std::size_t kValidateBlock = std::size_t{1} << 14;
-
-// Shards of the threaded duplicate-id probe, picked by the id hash's top
-// bits (the low bits pick the slot). Equal ids hash alike, so a duplicate
-// pair always shares a shard.
-constexpr int kIdShardBits = 4;
-constexpr std::size_t kIdShards = std::size_t{1} << kIdShardBits;
-constexpr int kIdShardShift =
-    std::numeric_limits<std::size_t>::digits - kIdShardBits;
-
-std::size_t id_hash(std::string_view id) {
-  return std::hash<std::string_view>{}(id);
-}
-
-}  // namespace
-
-// Duplicate-id probe over a flat open-addressed table of task indices: a
-// node-based set costs one allocation and several cache misses per insert,
-// which at million-task scale is most of the validate pass.
-class Schedule::IdProbe {
- public:
-  IdProbe(const std::vector<Task>& tasks, std::size_t expected)
-      : tasks_(tasks),
-        mask_(std::bit_ceil(expected * 2 + 16) - 1),
-        slots_(mask_ + 1, kEmpty) {}
-
-  // Whether an earlier task has the same id; inserts task `index` if not.
-  bool seen_before(std::size_t index, std::size_t hash) {
-    const std::string_view id = tasks_[index].id();
-    std::size_t h = hash & mask_;
-    for (; slots_[h] != kEmpty; h = (h + 1) & mask_) {
-      if (tasks_[slots_[h]].id() == id) return true;
-    }
-    slots_[h] = static_cast<std::uint32_t>(index);
-    return false;
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
-  const std::vector<Task>& tasks_;
-  std::size_t mask_;
-  std::vector<std::uint32_t> slots_;
-};
-
-void Schedule::check_tasks(std::size_t first, std::size_t last,
-                           IdProbe* ids) const {
-  // The common case is every task on the same cluster, so the id -> cluster
-  // map lookup is cached across consecutive configurations.
-  int cached_id = 0;
-  const Cluster* cached_cluster = nullptr;
-  for (std::size_t ti = first; ti < last; ++ti) {
-    const Task& t = tasks_[ti];
-    if (t.id().empty()) {
-      throw ValidationError("task with empty id");
-    }
-    if (ids != nullptr && ids->seen_before(ti, id_hash(t.id()))) {
-      throw ValidationError("duplicate task id '" + t.id() + "'");
-    }
-    if (!(t.end_time() >= t.start_time())) {
-      throw ValidationError("task '" + t.id() + "' has end_time " +
-                            std::to_string(t.end_time()) +
-                            " before start_time " +
-                            std::to_string(t.start_time()));
-    }
-    if (t.configurations().empty()) {
-      throw ValidationError("task '" + t.id() + "' has no configuration");
-    }
-    for (const auto& cfg : t.configurations()) {
-      if (cached_cluster == nullptr || cfg.cluster_id != cached_id) {
-        auto it = cluster_index_.find(cfg.cluster_id);
-        if (it == cluster_index_.end()) {
-          throw ValidationError("task '" + t.id() +
-                                "' references unknown cluster " +
-                                std::to_string(cfg.cluster_id));
-        }
-        cached_id = cfg.cluster_id;
-        cached_cluster = &clusters_[it->second];
-      }
-      const Cluster& cluster = *cached_cluster;
-      if (cfg.hosts.empty()) {
-        throw ValidationError("task '" + t.id() +
-                              "' has a configuration without hosts");
-      }
-      // Disjoint used-host intervals [start, end), coalesced on insert. A
-      // range overlapping earlier ones reports the same first duplicate
-      // host the per-host scan found: the smallest overlapped index. A
-      // single-range configuration (the common case by far) cannot repeat
-      // a host, so the interval map is only kept for multi-range configs.
-      std::map<int, int> used;
-      for (const auto& range : cfg.hosts) {
-        if (range.nb <= 0) {
-          throw ValidationError("task '" + t.id() +
-                                "' has a host range with nb <= 0");
-        }
-        if (range.start < 0 || range.start + range.nb > cluster.hosts) {
-          throw ValidationError(
-              "task '" + t.id() + "' host range [" +
-              std::to_string(range.start) + ", " +
-              std::to_string(range.start + range.nb) +
-              ") exceeds cluster " + std::to_string(cluster.id) + " size " +
-              std::to_string(cluster.hosts));
-        }
-        if (cfg.hosts.size() == 1) break;
-        const int start = range.start;
-        const int end = range.start + range.nb;
-        int dup = -1;
-        auto next = used.upper_bound(start);
-        if (next != used.begin() && std::prev(next)->second > start) {
-          dup = start;
-        } else if (next != used.end() && next->first < end) {
-          dup = next->first;
-        }
-        if (dup >= 0) {
-          throw ValidationError("task '" + t.id() + "' lists host " +
-                                std::to_string(dup) + " of cluster " +
-                                std::to_string(cluster.id) + " twice");
-        }
-        int merged_start = start;
-        int merged_end = end;
-        if (next != used.begin() && std::prev(next)->second == start) {
-          auto prev = std::prev(next);
-          merged_start = prev->first;
-          used.erase(prev);
-        }
-        if (next != used.end() && next->first == end) {
-          merged_end = next->second;
-          used.erase(next);
-        }
-        used[merged_start] = merged_end;
-      }
-    }
-  }
-}
-
-bool Schedule::tasks_pass_in_blocks(int threads) const {
-  const std::size_t n = tasks_.size();
-  const std::size_t blocks = (n + kValidateBlock - 1) / kValidateBlock;
-  std::atomic<bool> pass{true};
-  // Per block: the task checks, then the block's task indices bucketed by
-  // id shard, with their id hashes.
-  std::vector<std::size_t> hashes(n);
-  std::vector<std::array<std::vector<std::uint32_t>, kIdShards>> members(
-      blocks);
-  util::parallel_for(blocks, threads, [&](std::size_t b) {
-    const std::size_t first = b * kValidateBlock;
-    const std::size_t last = std::min(n, first + kValidateBlock);
-    try {
-      check_tasks(first, last, nullptr);
-    } catch (const ValidationError&) {
-      pass = false;
-      return;
-    }
-    for (std::size_t i = first; i < last; ++i) {
-      hashes[i] = id_hash(tasks_[i].id());
-      members[b][hashes[i] >> kIdShardShift].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  });
-  if (!pass) return false;
-  // Per shard: the serial probe over the shard's tasks in task order
-  // (blocks ascending, indices ascending within a block).
-  util::parallel_for(kIdShards, threads, [&](std::size_t s) {
-    std::size_t count = 0;
-    for (const auto& m : members) count += m[s].size();
-    IdProbe ids(tasks_, count);
-    for (const auto& m : members) {
-      for (const std::uint32_t i : m[s]) {
-        if (ids.seen_before(i, hashes[i])) {
-          pass = false;
-          return;
-        }
-      }
-    }
-  });
-  return pass;
-}
-
 void Schedule::validate(int threads) const {
-  if (clusters_.empty()) {
-    throw ValidationError("a schedule requires at least one cluster");
-  }
-  // The block pass only answers "valid or not". On any violation the
-  // serial pass runs and names the first one in task order.
-  if (threads <= 1 || tasks_.size() < 2 * kValidateBlock ||
-      !tasks_pass_in_blocks(threads)) {
-    IdProbe ids(tasks_, tasks_.size());
-    check_tasks(0, tasks_.size(), &ids);
-  }
-  for (const Dependency& d : deps_) {
-    if (d.src >= tasks_.size() || d.dst >= tasks_.size()) {
-      throw ValidationError("dependency " + std::to_string(d.src) + " -> " +
-                            std::to_string(d.dst) +
-                            " references a task index out of range (" +
-                            std::to_string(tasks_.size()) + " tasks)");
-    }
-    if (d.src >= d.dst) {
-      throw ValidationError("dependency " + std::to_string(d.src) + " -> " +
-                            std::to_string(d.dst) +
-                            " must point forward in task order (src < dst)");
-    }
-    if (!(d.data >= 0)) {
-      throw ValidationError("dependency " + std::to_string(d.src) + " -> " +
-                            std::to_string(d.dst) + " has negative data " +
-                            std::to_string(d.data));
-    }
-  }
+  TaskView(*this).validate(threads);
+}
+
+void Schedule::validate(int threads, const IdTable& ids) const {
+  TaskView(*this).validate(threads, ids);
 }
 
 }  // namespace jedule::model

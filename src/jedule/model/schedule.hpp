@@ -18,6 +18,8 @@
 
 namespace jedule::model {
 
+class IdTable;
+
 using Time = double;
 
 /// Contiguous run of hosts [start, start+nb) within one cluster, mirroring
@@ -205,12 +207,13 @@ class Schedule {
   /// per-cluster partitions, which answer the same query precomputed.
   std::vector<const Task*> tasks_in_cluster(int cluster_id) const;
 
-  /// Checks every invariant of DESIGN.md §6 items 1-2 plus time sanity and
-  /// task-id uniqueness; throws jedule::ValidationError describing the first
-  /// violation in task order. `threads` > 1 checks large schedules in
-  /// blocks on workers first; any violation found there reruns the serial
-  /// pass, so the message never depends on the thread count.
+  /// TaskView::validate over this schedule: throws jedule::ValidationError
+  /// naming the first violation in task order, the same message at any
+  /// `threads`.
   void validate(int threads = 1) const;
+  /// validate() with the duplicate-id check answered by `ids`, a table
+  /// built over exactly these tasks (a reader's edge-resolve table).
+  void validate(int threads, const IdTable& ids) const;
 
  private:
   std::vector<Cluster> clusters_;
@@ -218,13 +221,6 @@ class Schedule {
   std::vector<Task> tasks_;
   std::vector<Dependency> deps_;
   std::vector<std::pair<std::string, std::string>> meta_;
-
-  class IdProbe;
-  /// Checks tasks [first, last) in order, throwing at the first violation;
-  /// with `ids`, also checks that no id repeats an earlier one.
-  void check_tasks(std::size_t first, std::size_t last, IdProbe* ids) const;
-  /// The threaded pass of validate(): whether every task is valid.
-  bool tasks_pass_in_blocks(int threads) const;
 };
 
 }  // namespace jedule::model

@@ -165,17 +165,6 @@ void TaskIndex::collect_task(const Task& t, std::size_t i,
   }
 }
 
-void TaskIndex::extend(const Schedule& schedule, std::size_t first) {
-  const auto& tasks = schedule.tasks();
-  Collected fresh;
-  fresh.entries.resize(clusters_.size());
-  for (std::size_t i = first; i < tasks.size(); ++i) {
-    collect_task(tasks[i], i, &fresh);
-    hash_task(&tasks_hash_, tasks[i]);
-  }
-  finish_extend(&fresh, tasks.size(), tasks_hash_);
-}
-
 void TaskIndex::build_in_blocks(const Schedule& schedule) {
   const auto& tasks = schedule.tasks();
   const std::size_t n = tasks.size();
@@ -295,26 +284,15 @@ TaskIndex::TaskIndex(const Schedule& schedule, int threads)
   if (build_threads_ > 1 && schedule.tasks().size() >= 2 * kIndexBlock) {
     build_in_blocks(schedule);
   } else {
-    extend(schedule, 0);
+    const auto& tasks = schedule.tasks();
+    Collected fresh;
+    fresh.entries.resize(clusters_.size());
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+      collect_task(tasks[i], i, &fresh);
+      hash_task(&tasks_hash_, tasks[i]);
+    }
+    finish_extend(&fresh, tasks.size(), tasks_hash_);
   }
-}
-
-TaskIndex::TaskIndex(const TaskIndex& base, const Schedule& schedule,
-                     std::size_t first_new)
-    : clusters_(base.clusters_),
-      task_count_(base.task_count_),
-      time_range_(base.time_range_),
-      content_hash_(base.content_hash_),
-      tasks_hash_(base.tasks_hash_) {
-  JED_ASSERT(first_new == base.task_count_);
-  JED_ASSERT(schedule.tasks().size() >= first_new);
-  // The hash continuation is only valid when the cluster table is the one
-  // the base hashed.
-  JED_ASSERT(schedule.clusters().size() == clusters_.size());
-  for (std::size_t c = 0; c < clusters_.size(); ++c) {
-    JED_ASSERT(schedule.clusters()[c].id == clusters_[c].cluster_id);
-  }
-  extend(schedule, first_new);
 }
 
 TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
@@ -355,7 +333,7 @@ TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
     }
   }
   // The arena extended the same running FNV chain row by row; adopting it
-  // skips rehashing and stays byte-identical to the AoS extension path.
+  // skips rehashing and stays byte-identical to a fresh build.
   finish_extend(&fresh, cols.tasks, arena.tasks_hash());
   JED_ASSERT(content_hash_ == arena.content_hash());
 }

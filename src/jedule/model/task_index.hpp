@@ -65,17 +65,12 @@ class TaskIndex {
   explicit TaskIndex(const Schedule& schedule, int threads = 1);
 
   /// O(delta) extension: `base` indexed the first `first_new` tasks of
-  /// `schedule` (same clusters, same tasks, in the same order — only
-  /// tasks appended at the end). Shares the base's segments and indexes
-  /// only tasks [first_new, size); the content hash is continued from the
-  /// base's running hash instead of rehashing the whole schedule.
-  TaskIndex(const TaskIndex& base, const Schedule& schedule,
-            std::size_t first_new);
-
-  /// Same O(delta) extension, reading the appended rows straight from the
-  /// columnar arena — the live-append path never materializes an AoS
-  /// schedule. The hash continuation reuses the arena's running hash
-  /// (byte-identical to hashing the materialized tasks).
+  /// `arena` (same clusters, same tasks, in the same order — only tasks
+  /// appended at the end). Shares the base's segments and indexes only
+  /// tasks [first_new, size), read straight from the columns, so the
+  /// live-append path never materializes an AoS schedule. The content hash
+  /// continues from the arena's running hash (byte-identical to hashing
+  /// the materialized tasks).
   TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
             std::size_t first_new);
 
@@ -187,11 +182,8 @@ class TaskIndex {
   static Segment make_segment(std::vector<Entry> entries);
   /// Adds task `i`'s entries and times to `out`.
   void collect_task(const Task& t, std::size_t i, Collected* out) const;
-  /// Indexes tasks [first, size) of `schedule`, appending one segment per
-  /// cluster that gains entries, and extends hash/bounds/count.
-  void extend(const Schedule& schedule, std::size_t first);
-  /// The threaded full build: extend(schedule, 0) with the serial hash
-  /// chain overlapping a block-wise collection and the segment builds.
+  /// The threaded full build: the serial build with its hash chain
+  /// overlapping a block-wise collection and the segment builds.
   void build_in_blocks(const Schedule& schedule);
   /// Shared tail of the build paths: installs the per-cluster fresh
   /// entry lists as segments, widens the bounds, refolds the count.

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "jedule/model/arena.hpp"
+#include "jedule/model/id_table.hpp"
 #include "jedule/model/schedule.hpp"
 
 namespace jedule::model {
@@ -187,11 +188,23 @@ class TaskView {
     }
   }
 
-  /// Schedule::validate or ScheduleArena::validate. The arena's reseeds
-  /// its duplicate-id table, so it must not run concurrently with other
-  /// users of the same arena; engine entries are validated at ingest and
-  /// render with assume_validated instead.
-  void validate() const;
+  /// Checks the schedule invariants of DESIGN.md §6: at least one
+  /// cluster; per task a non-empty unique id, end_time >= start_time, and
+  /// configurations on known clusters whose host ranges are non-empty,
+  /// inside the cluster and listed once; every edge inside the task range,
+  /// pointing forward (src < dst) with data >= 0. Throws ValidationError
+  /// naming the first violation in task order, tasks before edges. The
+  /// message is the same in both forms and at any `threads`; `threads` > 1
+  /// checks a large schedule in IdTable::kBlock blocks on workers.
+  void validate(int threads = 1) const;
+  /// validate() with the duplicate-id check answered by `ids`, a table
+  /// built over exactly these rows (a reader's edge-resolve table).
+  void validate(int threads, const IdTable& ids) const;
+  /// validate() without the duplicate-id check: the snapshot-load check.
+  /// A `.jbin` was written from a validated schedule and its columns are
+  /// CRC-covered, so a reopen does not hash its ids; the arena's first
+  /// append builds its id table.
+  void validate_except_ids() const;
 
   /// The viewed AoS schedule; nullptr when the view reads arena columns.
   const Schedule* schedule() const { return aos_ ? schedule_ : nullptr; }
@@ -204,6 +217,46 @@ class TaskView {
   ScheduleArena::ColumnsView cols_;
   const std::string* const* types_ = nullptr;  // arena type id -> interned
   std::size_t size_ = 0;
+
+  // The one check body behind the three validate()s; the task whose index
+  // is `duplicate` repeats an earlier task's id.
+  void check(int threads, std::uint32_t duplicate) const;
 };
+
+/// The per-task checks of TaskView::validate, fed one task at a time in
+/// task order; ScheduleArena::append runs them on its events.
+class TaskCheck {
+ public:
+  explicit TaskCheck(const std::vector<Cluster>& clusters);
+  /// Throws ValidationError naming the first invariant the task breaks;
+  /// `repeated`: an earlier task has the same id.
+  void check(std::string_view id, bool repeated, Time start, Time end,
+             const ConfigRange& configs) {
+    // The common valid task, one host range on the cluster of the task
+    // before it, passes here without a call.
+    if (!id.empty() && !repeated && end >= start && configs.size() == 1) {
+      const ConfigRef cfg = configs[0];
+      if (cached_ != nullptr && cfg.cluster_id == cached_->id &&
+          cfg.hosts.size() == 1 && cfg.hosts[0].nb > 0 &&
+          cfg.hosts[0].start >= 0 &&
+          cfg.hosts[0].start + cfg.hosts[0].nb <= cached_->hosts) {
+        return;
+      }
+    }
+    check_all(id, repeated, start, end, configs);
+  }
+
+ private:
+  void check_all(std::string_view id, bool repeated, Time start, Time end,
+                 const ConfigRange& configs);
+
+  std::vector<std::pair<int, const Cluster*>> by_id_;  // sorted by id
+  const Cluster* cached_ = nullptr;  // the last cluster looked up
+};
+
+/// The edge checks of validate() for one edge of a schedule of `tasks`
+/// tasks; throws ValidationError.
+void check_dependency(std::uint32_t src, std::uint32_t dst, double data,
+                      std::size_t tasks);
 
 }  // namespace jedule::model

@@ -689,14 +689,6 @@ void minmax_f64_scalar(const double* a, const double* b, std::size_t n,
   *hi = h;
 }
 
-std::size_t first_violation_scalar(const double* start, const double* end,
-                                   std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!(end[i] >= start[i])) return i;
-  }
-  return n;
-}
-
 #if defined(JEDULE_KERNELS_X86)
 
 void minmax_f64_sse2(const double* a, const double* b, std::size_t n,
@@ -723,22 +715,6 @@ void minmax_f64_sse2(const double* a, const double* b, std::size_t n,
   }
   *lo = l;
   *hi = h;
-}
-
-std::size_t first_violation_sse2(const double* start, const double* end,
-                                 std::size_t n) {
-  std::size_t i = 0;
-  // cmpge is false for NaN lanes, so a NaN breaks out like end < start;
-  // the scalar tail then reports the exact first offending index.
-  for (; i + 2 <= n; i += 2) {
-    const __m128d ge =
-        _mm_cmpge_pd(_mm_loadu_pd(end + i), _mm_loadu_pd(start + i));
-    if (_mm_movemask_pd(ge) != 0x3) break;
-  }
-  for (; i < n; ++i) {
-    if (!(end[i] >= start[i])) return i;
-  }
-  return n;
 }
 
 __attribute__((target("avx2"))) void minmax_f64_avx2(const double* a,
@@ -769,20 +745,6 @@ __attribute__((target("avx2"))) void minmax_f64_avx2(const double* a,
   *hi = h;
 }
 
-__attribute__((target("avx2"))) std::size_t first_violation_avx2(
-    const double* start, const double* end, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d ge = _mm256_cmp_pd(_mm256_loadu_pd(end + i),
-                                     _mm256_loadu_pd(start + i), _CMP_GE_OQ);
-    if (_mm256_movemask_pd(ge) != 0xF) break;
-  }
-  for (; i < n; ++i) {
-    if (!(end[i] >= start[i])) return i;
-  }
-  return n;
-}
-
 #endif  // JEDULE_KERNELS_X86
 
 #if defined(JEDULE_KERNELS_NEON)
@@ -808,19 +770,6 @@ void minmax_f64_neon(const double* a, const double* b, std::size_t n,
   }
   *lo = l;
   *hi = h;
-}
-
-std::size_t first_violation_neon(const double* start, const double* end,
-                                 std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t ge = vcgeq_f64(vld1q_f64(end + i), vld1q_f64(start + i));
-    if ((vgetq_lane_u64(ge, 0) & vgetq_lane_u64(ge, 1)) != ~0ull) break;
-  }
-  for (; i < n; ++i) {
-    if (!(end[i] >= start[i])) return i;
-  }
-  return n;
 }
 
 #endif  // JEDULE_KERNELS_NEON
@@ -958,7 +907,7 @@ const Kernels& scalar() {
                          blend_row_scalar,  copy_row_scalar,
                          png_filter_row_scalar, png_unfilter_row_scalar,
                          png_sad_scalar,    minmax_f64_scalar,
-                         first_violation_scalar, heat_accum_scalar,
+                         heat_accum_scalar,
                          heat_quantize_scalar};
   return k;
 }
@@ -973,7 +922,7 @@ const std::vector<const Kernels*>& available() {
                                 blend_row_sse2,  copy_row_sse2,
                                 png_filter_row_sse2, png_unfilter_row_sse2,
                                 png_sad_sse2,    minmax_f64_sse2,
-                                first_violation_sse2, heat_accum_sse2,
+                                heat_accum_sse2,
                                 heat_quantize_sse2};
       v.push_back(&sse2);
     }
@@ -982,7 +931,7 @@ const std::vector<const Kernels*>& available() {
                                 blend_row_avx2,  copy_row_avx2,
                                 png_filter_row_avx2, png_unfilter_row_avx2,
                                 png_sad_avx2,    minmax_f64_avx2,
-                                first_violation_avx2, heat_accum_avx2,
+                                heat_accum_avx2,
                                 heat_quantize_avx2};
       v.push_back(&avx2);
     }
@@ -992,7 +941,7 @@ const std::vector<const Kernels*>& available() {
                                 blend_row_neon,  copy_row_neon,
                                 png_filter_row_neon, png_unfilter_row_neon,
                                 png_sad_neon,    minmax_f64_neon,
-                                first_violation_neon, heat_accum_neon,
+                                heat_accum_neon,
                                 heat_quantize_neon};
       v.push_back(&neon);
     }
@@ -1023,26 +972,20 @@ void override_active(const Kernels* k) {
 
 namespace {
 
-// Route model::ScheduleArena's column scans through the dispatcher. The
-// wrappers consult active() at call time, so the JEDULE_SIMD env
+// Route model::ScheduleArena's bounds sweep through the dispatcher. The
+// wrapper consults active() at call time, so the JEDULE_SIMD env
 // selection and the test override keep working for arena sweeps too.
 // Registration happens at static-init of this TU: any binary that links
-// the render kernels gets SIMD column scans, while jed_model alone keeps
-// its built-in scalar fallbacks (no model -> render dependency).
+// the render kernels gets the SIMD sweep, while jed_model alone keeps its
+// built-in scalar fallback (no model -> render dependency).
 void arena_minmax_f64(const double* a, const double* b, std::size_t n,
                       double* lo, double* hi) {
   active().minmax_f64(a, b, n, lo, hi);
 }
 
-std::size_t arena_first_violation(const double* start, const double* end,
-                                  std::size_t n) {
-  return active().first_violation(start, end, n);
-}
-
 const bool g_column_scan_ops_installed = [] {
   model::ColumnScanOps ops;
   ops.minmax_f64 = &arena_minmax_f64;
-  ops.first_violation = &arena_first_violation;
   model::set_column_scan_ops(ops);
   return true;
 }();

@@ -77,12 +77,6 @@ using PngSadFn = std::uint64_t (*)(const std::uint8_t* data, std::size_t n);
 using MinMaxF64Fn = void (*)(const double* a, const double* b, std::size_t n,
                              double* lo, double* hi);
 
-/// First index i in [0, n) with !(end[i] >= start[i]) — i.e. end < start
-/// or either value NaN — or n if none. The arena's columnar
-/// time-sanity scan; every variant returns the exact first index.
-using FirstViolationFn = std::size_t (*)(const double* start,
-                                         const double* end, std::size_t n);
-
 /// acc[i] += v over [0, n) — the edge heat-lane column accumulate. Lane
 /// adds are element-wise (no reassociation), so every variant is
 /// bit-exact with scalar; heat counts of 1.0f stay exact below 2^24.
@@ -104,7 +98,6 @@ struct Kernels {
   PngUnfilterRowFn png_unfilter_row;
   PngSadFn png_sad;
   MinMaxF64Fn minmax_f64;
-  FirstViolationFn first_violation;
   HeatAccumFn heat_accum;
   HeatQuantizeFn heat_quantize;
 };

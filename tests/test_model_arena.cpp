@@ -207,7 +207,7 @@ TEST(ScheduleArena, AppendMatchesFreshBuild) {
   }
 
   ScheduleArena grown(base_schedule);
-  grown.validate();  // seeds the id table, as the engine does at ingest
+  grown.validate();  // writes nothing: the first append builds the id table
   grown.append(events_for(full, 300));
 
   const ScheduleArena fresh(full);

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "jedule/model/arena.hpp"
 #include "jedule/model/builder.hpp"
 #include "jedule/model/schedule.hpp"
 
@@ -126,17 +127,30 @@ TEST(TaskIndex, CollectTasksIsSortedAndUnique) {
 
 TEST(TaskIndex, CompactedExtensionMatchesFreshBuild) {
   // random_schedule(k * kStep, seed) is a prefix of the full schedule, so
-  // each step is a valid O(delta) extension. Eleven extensions push both
-  // clusters past the segment cap, and the compaction merges time-sorted
-  // segments whose concatenated task order is not ascending.
+  // its tasks [(k - 1) * kStep, k * kStep), appended as events (each keeps
+  // its first host range), make step k an O(delta) extension. Eleven
+  // extensions push both clusters past the segment cap, and the
+  // compaction merges time-sorted segments whose concatenated task order
+  // is not ascending.
   constexpr int kSteps = 12;
   constexpr int kStep = 25;
-  TaskIndex index(random_schedule(kStep, 11));
+  ScheduleArena arena(random_schedule(kStep, 11));
+  TaskIndex index(arena.to_schedule());
   for (int k = 2; k <= kSteps; ++k) {
-    index = TaskIndex(index, random_schedule(k * kStep, 11),
-                      static_cast<std::size_t>((k - 1) * kStep));
+    const Schedule s = random_schedule(k * kStep, 11);
+    std::vector<ScheduleArena::Event> events;
+    for (int i = (k - 1) * kStep; i < k * kStep; ++i) {
+      const Task& t = s.tasks()[static_cast<std::size_t>(i)];
+      const Configuration& cfg = t.configurations().front();
+      events.push_back({t.id(), t.type(), t.start_time(), t.end_time(),
+                        cfg.cluster_id, cfg.hosts.front().start,
+                        cfg.hosts.front().nb, {}});
+    }
+    const std::size_t first = arena.task_count();
+    arena.append(events);
+    index = TaskIndex(index, arena, first);
   }
-  const TaskIndex fresh(random_schedule(kSteps * kStep, 11));
+  const TaskIndex fresh(arena.to_schedule());
   EXPECT_EQ(index.content_hash(), fresh.content_hash());
   for (const int c : {0, 1}) {
     EXPECT_LT(index.segment_count(c), static_cast<std::size_t>(kSteps));

@@ -7,7 +7,6 @@
 
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string_view>
 #include <vector>
 
@@ -279,44 +278,6 @@ TEST(RasterKernels, MinMaxF64VariantsMatchScalar) {
       a[pos] = 1.0;
       b[pos] = 2.0;
     }
-  }
-}
-
-TEST(RasterKernels, FirstViolationVariantsMatchScalar) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  for (const kernels::Kernels* k : kernels::available()) {
-    // Clean columns: no violation at any length.
-    for (std::size_t n = 0; n <= 67; ++n) {
-      std::vector<double> start(n), end(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        start[i] = static_cast<double>(i);
-        end[i] = static_cast<double>(i) + 0.5;
-      }
-      EXPECT_EQ(k->first_violation(start.data(), end.data(), n), n)
-          << k->name << " n=" << n;
-    }
-    // A violation planted at every position of a lane-straddling run,
-    // both as end<start and as NaN (which the >= comparison must catch).
-    const std::size_t n = 67;
-    for (std::size_t pos = 0; pos < n; ++pos) {
-      std::vector<double> start(n, 1.0), end(n, 2.0);
-      end[pos] = 0.5;
-      EXPECT_EQ(k->first_violation(start.data(), end.data(), n), pos)
-          << k->name << " pos=" << pos;
-      end[pos] = nan;
-      EXPECT_EQ(k->first_violation(start.data(), end.data(), n), pos)
-          << k->name << " nan end pos=" << pos;
-      end[pos] = 2.0;
-      start[pos] = nan;
-      EXPECT_EQ(k->first_violation(start.data(), end.data(), n), pos)
-          << k->name << " nan start pos=" << pos;
-    }
-    // Two violations: the *first* index must win in every variant.
-    std::vector<double> start(40, 0.0), end(40, 1.0);
-    end[7] = -1.0;
-    end[31] = -1.0;
-    EXPECT_EQ(k->first_violation(start.data(), end.data(), 40), 7u)
-        << k->name;
   }
 }
 
