@@ -790,8 +790,8 @@ void report() {
                fmt(xml_s, 2) + " s (" + fmt(xml_s / reopen_s, 0) +
                    "x slower)");
     report_check("snapshot reopen is content-identical to XML ingest",
-                 reopened->id == via_xml->id &&
-                     reopened->id == full_entry->id);
+                 *reopened->id == *via_xml->id &&
+                     *reopened->id == *full_entry->id);
     report_check("1M-task mmap reopen >= 20x vs XML re-ingest",
                  xml_s / reopen_s >= 20.0);
 
@@ -806,7 +806,7 @@ void report() {
                    fmt(rebuild_s / entry_append_s, 0) +
                    "x vs in-memory rebuild)");
     report_check("appended entry is content-identical to the full build",
-                 grown->id == full_entry->id);
+                 *grown->id == *full_entry->id);
 
     // Steady-state O(delta) path: a live arena that has appended before
     // (column slack, seeded id table), as in a --follow session

@@ -215,7 +215,7 @@ int cmd_render(const Args& args) {
              << entry->source;
   const auto options = options_from_args(args);
   engine::RenderService service;
-  io::write_file(out, *service.render(entry, options, format).bytes);
+  io::write_file(out, service.render_bytes(entry, options, format));
   JED_INFO() << "wrote " << out << " (threads=" << options.resolved_threads()
              << ")";
   return 0;
@@ -250,8 +250,8 @@ int cmd_batch(const Args& args) {
   // Files are dealt to the workers, and whatever concurrency is not
   // consumed at the file level is spent inside each parse and render, so
   // a single huge trace still uses every thread. One render service
-  // serves every file; each artifact is written once, so the service keeps
-  // only the newest.
+  // serves every file; each artifact is written once, so nothing is
+  // cached.
   render::RenderOptions options = options_from_args(args);
   const int threads = options.resolved_threads();
   const int file_workers =
@@ -260,17 +260,14 @@ int cmd_batch(const Args& args) {
   options.threads = std::max(1, threads / file_workers);
   io::IngestOptions ingest_opt;
   ingest_opt.threads = options.threads;
-  engine::RenderService::Options service_opt;
-  service_opt.artifact_entries = 1;
-  engine::RenderService service(service_opt);
+  engine::RenderService service;
 
   std::vector<std::string> errors(inputs.size());
   util::parallel_for(inputs.size(), file_workers, [&](std::size_t i) {
     try {
       const engine::EntryPtr entry =
           load_entry_from_args(args, inputs[i], ingest_opt);
-      io::write_file(outputs[i],
-                     *service.render(entry, options, format).bytes);
+      io::write_file(outputs[i], service.render_bytes(entry, options, format));
       JED_INFO() << "wrote " << outputs[i];
     } catch (const Error& e) {
       errors[i] = e.what();
@@ -382,7 +379,7 @@ int cmd_snapshot(const Args& args) {
   io::save_snapshot(entry->arena(), entry->index, out, &entry->edges);
   std::cout << "wrote " << out << " ("
             << std::filesystem::file_size(out) << " bytes, "
-            << entry->task_count() << " task(s), id " << entry->id << ")\n";
+            << entry->task_count() << " task(s), id " << *entry->id << ")\n";
   return 0;
 }
 
@@ -406,48 +403,60 @@ int cmd_info(const Args& args) {
     std::cout << "  area[" << type << "] = " << util::format_fixed(area, 3)
               << "\n";
   }
-  if (const model::EdgeIndex& edges = entry->edges; !edges.empty()) {
+  if (!schedule.dependencies().empty()) {
     // Max per-column density on a 1000-column grid over the full time
     // range — the quantity the renderer's arrows-vs-heat budget compares
-    // against (accumulated with the heat-lane kernel itself).
+    // against, accumulated with the heat-lane kernel itself in one pass
+    // over the edges per cluster (those with an endpoint in it).
     constexpr std::size_t kCols = 1000;
-    std::size_t max_col = 0;
     const model::TimeRange range = entry->full_range;
-    if (range.length() > 0) {
-      const double len = range.length();
-      for (const auto& c : schedule.clusters()) {
-        std::vector<float> acc(kCols, 0.0f);
-        edges.query(
-            c.id, range.begin, range.end,
-            [&](const model::EdgeIndex::Entry& e) {
-              const double u0 = (std::max(e.begin, range.begin) -
-                                 range.begin) /
-                                len * static_cast<double>(kCols);
-              const double u1 = (std::min(e.end, range.end) -
-                                 range.begin) /
-                                len * static_cast<double>(kCols);
-              auto c0 = static_cast<long long>(std::floor(u0));
-              auto c1 = static_cast<long long>(std::ceil(u1));
-              if (c1 <= c0) c1 = c0 + 1;
-              c0 = std::clamp<long long>(c0, 0, kCols);
-              c1 = std::clamp<long long>(c1, 0, kCols);
-              if (c1 > c0) {
-                render::kernels::active().heat_accum(
-                    acc.data() + c0, static_cast<std::size_t>(c1 - c0),
-                    1.0f);
-              }
-            });
-        for (const float v : acc) {
-          max_col = std::max(max_col, static_cast<std::size_t>(v));
+    const double len = range.length();
+    const auto& tasks = schedule.tasks();
+    std::size_t max_col = 0;
+    for (const auto& c : schedule.clusters()) {
+      const auto in_cluster = [&](std::uint32_t t) {
+        for (const auto& cfg : tasks[t].configurations()) {
+          if (cfg.cluster_id == c.id) return true;
+        }
+        return false;
+      };
+      std::vector<float> acc(kCols, 0.0f);
+      for (const model::Dependency& d : schedule.dependencies()) {
+        if (!(len > 0) || (!in_cluster(d.src) && !in_cluster(d.dst))) continue;
+        const double t0 =
+            std::min(tasks[d.src].end_time(), tasks[d.dst].start_time());
+        const double t1 =
+            std::max(tasks[d.src].end_time(), tasks[d.dst].start_time());
+        auto c0 = static_cast<long long>(std::floor(
+            (t0 - range.begin) / len * static_cast<double>(kCols)));
+        auto c1 = static_cast<long long>(std::ceil(
+            (t1 - range.begin) / len * static_cast<double>(kCols)));
+        if (c1 <= c0) c1 = c0 + 1;
+        c0 = std::clamp<long long>(c0, 0, kCols);
+        c1 = std::clamp<long long>(c1, 0, kCols);
+        if (c1 > c0) {
+          render::kernels::active().heat_accum(
+              acc.data() + c0, static_cast<std::size_t>(c1 - c0), 1.0f);
         }
       }
+      for (const float v : acc) {
+        max_col = std::max(max_col, static_cast<std::size_t>(v));
+      }
     }
-    std::cout << "edges:       " << edges.edge_count() << "\n";
+    // A `.jbin` entry loaded its edge index, critical path included.
+    model::CriticalPath path;
+    if (entry->edges.built()) {
+      path.tasks = entry->edges->critical_path();
+      path.time = entry->edges->critical_path_time();
+    } else {
+      path = model::critical_path(schedule);
+    }
+    std::cout << "edges:       " << schedule.dependencies().size() << "\n";
     std::cout << "  max edges/column: " << max_col
               << " (1000-column grid)\n";
-    std::cout << "  critical path: " << edges.critical_path().size()
-              << " task(s), length "
-              << util::format_fixed(edges.critical_path_time(), 3) << "\n";
+    std::cout << "  critical path: " << path.tasks.size()
+              << " task(s), length " << util::format_fixed(path.time, 3)
+              << "\n";
   }
   if (!schedule.meta().empty()) {
     std::cout << "meta:\n";

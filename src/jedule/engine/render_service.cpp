@@ -125,8 +125,7 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
                                               const std::string& format,
                                               Encoding encoding) {
   JED_ASSERT(entry != nullptr);
-  const render::Exporter& exporter =
-      render::ExporterRegistry::instance().resolve(format);
+  render::ExporterRegistry::instance().resolve(format);  // throws if unknown
   if (options.threads <= 0) options.threads = opt_.threads;
 
   if (encoding == Encoding::gzip) {
@@ -155,32 +154,50 @@ RenderService::Artifact RenderService::render(const EntryPtr& entry,
   req.u64(options_digest(options));
   const Key key{entry->content_hash, req.h};
   return cached(key, media_type_for(format), Encoding::identity, [&] {
-    // The entry's index makes windowed renders O(visible), the edge
-    // index makes dependency layout O(log n + visible), and the entry's
-    // cached composite list replaces the per-render overlap sweep; bytes
-    // are identical with or without any of them, and from either resident
-    // form, so all stay out of the cache key. Only the full-view
-    // composite list materializes the AoS form of a columnar entry.
-    options.task_index = &entry->index;
-    options.edge_index = &entry->edges;
-    options.assume_validated = true;  // entries validate at ingest
-    if (!entry->edges.empty() &&
-        options.style.edges != render::EdgeMode::kOff) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.edge_renders;
-    }
-    // A forced-LOD layout draws no exact boxes, so needs no composites.
-    std::shared_ptr<const std::vector<model::Composite>> composites;
-    if (options.style.show_composites && options.style.type_filter.empty() &&
-        !options.style.time_window &&
-        options.style.lod != render::LodMode::kForce) {
-      composites = entry->composites(util::resolve_threads(options.threads));
-      options.composites = composites.get();
-    }
-    std::string bytes = exporter.render(entry->tasks(), options);
+    std::string bytes = render_bytes(entry, options, format);
     const std::size_t raw = bytes.size();
     return Made{std::move(bytes), raw};
   });
+}
+
+std::string RenderService::render_bytes(const EntryPtr& entry,
+                                        render::RenderOptions options,
+                                        const std::string& format) {
+  JED_ASSERT(entry != nullptr);
+  const render::Exporter& exporter =
+      render::ExporterRegistry::instance().resolve(format);
+  if (options.threads <= 0) options.threads = opt_.threads;
+  // A windowed or LOD view culls through the entry's index and edge index
+  // (O(visible) instead of O(n)); a full view reads every task and edge
+  // anyway, so it passes neither and the entry never builds them. The
+  // entry's cached composite list replaces the per-render overlap sweep.
+  // Bytes are identical with or without any of them, and from either
+  // resident form, so all stay out of the cache key. Only the full-view
+  // composite list materializes the AoS form of a columnar entry.
+  options.task_index = nullptr;
+  options.edge_index = nullptr;
+  if (options.style.time_window ||
+      (options.style.lod != render::LodMode::kDefault &&
+       options.style.lod != render::LodMode::kOff)) {
+    options.task_index = &entry->index;
+    options.edge_index = &entry->edges;
+  }
+  options.assume_validated = true;  // entries validate at ingest
+  const model::TaskView tasks = entry->tasks();
+  if (tasks.dep_count() > 0 &&
+      options.style.edges != render::EdgeMode::kOff) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.edge_renders;
+  }
+  // A forced-LOD layout draws no exact boxes, so needs no composites.
+  std::shared_ptr<const std::vector<model::Composite>> composites;
+  if (options.style.show_composites && options.style.type_filter.empty() &&
+      !options.style.time_window &&
+      options.style.lod != render::LodMode::kForce) {
+    composites = entry->composites(util::resolve_threads(options.threads));
+    options.composites = composites.get();
+  }
+  return exporter.render(tasks, options);
 }
 
 RenderService::Artifact RenderService::render_tile(

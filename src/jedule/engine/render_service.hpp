@@ -78,9 +78,10 @@ class RenderService {
   explicit RenderService(Options opt);
 
   /// Renders `entry` with the exporter named `format` ("png", "svg", ...),
-  /// through the artifact cache. options.task_index is ignored (the
-  /// entry's own index is used); options.threads <= 0 falls back to the
-  /// service default. Throws ArgumentError for an unknown format.
+  /// through the artifact cache: cached(key, render_bytes). The key is the
+  /// entry's content hash, so the first render() of an entry hashes it.
+  /// options.threads <= 0 falls back to the service default. Throws
+  /// ArgumentError for an unknown format.
   ///
   /// With Encoding::gzip the returned bytes are the gzip stream of the
   /// identity render (for HTTP Content-Encoding negotiation); both the
@@ -88,6 +89,15 @@ class RenderService {
   Artifact render(const EntryPtr& entry, render::RenderOptions options,
                   const std::string& format,
                   Encoding encoding = Encoding::identity);
+
+  /// The uncached body of render(): the identity bytes, computed every
+  /// call. It needs no cache key, so a one-shot caller (`jedule render`,
+  /// `jedule batch`) never hashes the entry. options.task_index and
+  /// options.edge_index are ignored: a windowed or LOD view uses the
+  /// entry's own indexes, a full view none.
+  std::string render_bytes(const EntryPtr& entry,
+                           render::RenderOptions options,
+                           const std::string& format);
 
   /// Windowed viewport tile as PNG: zoom z splits the schedule's time
   /// range into 2^z equal slices and `x` picks one; `y` >= 0 restricts the

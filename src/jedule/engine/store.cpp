@@ -39,40 +39,19 @@ std::size_t estimate_schedule_bytes(const model::Schedule& s) {
   return n;
 }
 
-// The entry's identity hash: the task hash folded with the edge hash when
-// edges exist — the same fold as ScheduleArena::combined_hash, so AoS,
-// snapshot and append ingest all agree on the id of identical content.
-std::uint64_t combined_hash_of(std::uint64_t tasks_hash,
-                               const model::EdgeIndex& edges) {
-  if (edges.empty()) return tasks_hash;
-  std::uint64_t h = tasks_hash;
-  model::detail::fnv_u64(&h, edges.edges_hash());
-  model::detail::fnv_u64(&h, edges.edge_count());
-  return h;
-}
-
 }  // namespace
 
 ScheduleEntry::ScheduleEntry(model::Schedule schedule_in,
                              std::string source_in, io::IngestStats ingest_in)
     : source(std::move(source_in)), ingest(std::move(ingest_in)) {
   schedule_ = std::make_shared<const model::Schedule>(std::move(schedule_in));
-  // The parse's worker count also sizes the index build: per-cluster
-  // segments sort concurrently, output identical at any thread count.
-  index = model::TaskIndex(*schedule_, std::max(1, ingest.threads));
-  if (!schedule_->dependencies().empty()) {
-    edges = model::EdgeIndex(*schedule_, std::max(1, ingest.threads));
-  }
-  content_hash = combined_hash_of(index.content_hash(), edges);
-  id = hex_id(content_hash);
-  if (const auto range = index.time_range()) full_range = *range;
-  first_new_ = task_count();
+  task_count_ = schedule_->tasks().size();
+  first_new_ = task_count_;
+  if (const auto range = schedule_->time_range()) full_range = *range;
 }
 
 ScheduleEntry::ScheduleEntry(io::Snapshot snapshot, std::string source_in)
-    : source(std::move(source_in)),
-      index(std::move(snapshot.index)),
-      edges(std::move(snapshot.edges)) {
+    : source(std::move(source_in)) {
   auto arena =
       std::make_shared<model::ScheduleArena>(std::move(snapshot.arena));
   // parse_snapshot checked structure and hashes; every other invariant
@@ -81,10 +60,13 @@ ScheduleEntry::ScheduleEntry(io::Snapshot snapshot, std::string source_in)
   // reopening a million-task snapshot never hashes a million id strings.
   model::TaskView(*arena).validate_except_ids();
   arena_ = std::move(arena);
-  content_hash = combined_hash_of(index.content_hash(), edges);
-  id = hex_id(content_hash);
-  if (const auto range = index.time_range()) full_range = *range;
-  first_new_ = task_count();
+  index.set(std::move(snapshot.index));
+  edges.set(std::move(snapshot.edges));
+  tasks_hash_.set(arena_->tasks_hash());
+  content_hash.set(arena_->combined_hash());
+  task_count_ = arena_->task_count();
+  first_new_ = task_count_;
+  if (const auto range = arena_->time_range()) full_range = *range;
 }
 
 ScheduleEntry::ScheduleEntry(
@@ -95,19 +77,20 @@ ScheduleEntry::ScheduleEntry(
   const std::size_t first = arena->task_count();
   arena->append(events);  // throws ValidationError, base untouched
   arena_ = std::move(arena);
-  index = model::TaskIndex(base.index, *arena_, first);
-  if (arena_->dep_count() > 0) {
-    // Built entries have a non-empty edge index exactly when edges exist,
-    // so a non-empty base extends in O(delta); the rare first-ever edge
-    // arriving via append pays one full build.
-    edges = base.edges.empty()
-                ? model::EdgeIndex(*arena_)
-                : model::EdgeIndex(base.edges, *arena_, first);
+  // Extend only what the base has built; the rest stays lazy and builds
+  // from the columns on first use.
+  if (base.index.built()) {
+    index.set(model::TaskIndex(*base.index, *arena_, first));
   }
-  content_hash = combined_hash_of(index.content_hash(), edges);
-  id = hex_id(content_hash);
-  if (const auto range = index.time_range()) full_range = *range;
+  if (base.edges.built() && !base.edges->empty()) {
+    edges.set(model::EdgeIndex(*base.edges, *arena_, first));
+  }
+  // The arena extended the running hash row by row: the id is O(1).
+  tasks_hash_.set(arena_->tasks_hash());
+  content_hash.set(arena_->combined_hash());
+  task_count_ = arena_->task_count();
   first_new_ = first;
+  if (const auto range = arena_->time_range()) full_range = *range;
   {
     // Only adopt a composite list the base actually computed — never
     // force one into existence just to extend it.
@@ -115,6 +98,64 @@ ScheduleEntry::ScheduleEntry(
     base_composites_ = base.composites_;
   }
 }
+
+std::optional<std::uint64_t> ScheduleEntry::known_tasks_hash_locked() const {
+  if (tasks_hash_.built()) return *tasks_hash_;
+  if (index.built()) return index->tasks_hash();
+  if (arena_) return arena_->tasks_hash();
+  return std::nullopt;
+}
+
+std::uint64_t ScheduleEntry::build_tasks_hash() const {
+  {
+    std::lock_guard<std::mutex> lock(lazy_mu_);
+    if (const auto known = known_tasks_hash_locked()) return *known;
+  }
+  ++task_hash_passes_;
+  return model::TaskIndex::hash_tasks(*schedule_);
+}
+
+// Index builds read the AoS schedule when the entry has it (text ingest:
+// threaded, reusing a known hash), else the columns (an append whose base
+// never built its index). Either way outside lazy_mu_, so a 100 ms build
+// blocks no tasks() reader.
+model::TaskIndex ScheduleEntry::build_index() const {
+  std::optional<std::uint64_t> known;
+  std::shared_ptr<const model::Schedule> schedule;
+  {
+    std::lock_guard<std::mutex> lock(lazy_mu_);
+    known = known_tasks_hash_locked();
+    schedule = schedule_;
+  }
+  if (!schedule) return model::TaskIndex(*arena_);
+  if (!known) ++task_hash_passes_;
+  return model::TaskIndex(*schedule, std::max(1, ingest.threads), known);
+}
+
+model::EdgeIndex ScheduleEntry::build_edges() const {
+  const model::TaskView view = tasks();
+  if (view.dep_count() == 0) return {};
+  return model::EdgeIndex(view, std::max(1, ingest.threads));
+}
+
+// Only text-ingested entries build their hash: snapshot and append
+// entries install it at construction. Their schedule_ is set from the
+// start, so it is read here without the lock.
+std::uint64_t ScheduleEntry::build_content_hash() const {
+  std::uint64_t h = *tasks_hash_;
+  model::detail::fnv_u64(&h, task_count_);
+  const std::size_t deps = schedule_->dependencies().size();
+  if (deps == 0) return h;
+  // The fold of ScheduleArena::combined_hash, so text, snapshot and append
+  // ingest agree on the id of identical content.
+  model::detail::fnv_u64(&h, edges.built()
+                                 ? edges->edges_hash()
+                                 : model::EdgeIndex::hash_edges(*schedule_));
+  model::detail::fnv_u64(&h, deps);
+  return h;
+}
+
+std::string ScheduleEntry::build_id() const { return hex_id(*content_hash); }
 
 const model::Schedule& ScheduleEntry::schedule_locked() const {
   if (!schedule_) {
@@ -138,19 +179,29 @@ const model::Schedule& ScheduleEntry::schedule() const {
 const model::ScheduleArena& ScheduleEntry::arena() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (!arena_) {
-    arena_ = std::make_shared<const model::ScheduleArena>(*schedule_);
+    const std::optional<std::uint64_t> known = known_tasks_hash_locked();
+    if (!known) ++task_hash_passes_;
+    arena_ = std::make_shared<const model::ScheduleArena>(*schedule_, known);
   }
   return *arena_;
 }
 
 std::shared_ptr<const std::vector<model::Composite>> ScheduleEntry::composites(
     int threads) const {
+  bool extend = false;
+  {
+    std::lock_guard<std::mutex> lock(lazy_mu_);
+    if (composites_) return composites_;
+    extend = base_composites_ != nullptr;
+  }
+  // Extending reads the index, whose build takes lazy_mu_: get it first.
+  const model::TaskIndex* idx = extend ? &index : nullptr;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (composites_) return composites_;
   const model::Schedule& s = schedule_locked();
   std::vector<model::Composite> list;
   if (base_composites_ != nullptr) {
-    list = model::append_composites(s, index, *base_composites_, first_new_,
+    list = model::append_composites(s, *idx, *base_composites_, first_new_,
                                     nullptr, threads);
   } else {
     list = model::synthesize_composites(s, nullptr, threads);
@@ -175,7 +226,7 @@ ScheduleEntry::Resident ScheduleEntry::resident() const {
   if (composites_) {
     r.heap_bytes += composites_->size() * sizeof(model::Composite);
   }
-  r.heap_bytes += edges.heap_bytes();
+  if (edges.built()) r.heap_bytes += edges->heap_bytes();
   return r;
 }
 
@@ -219,16 +270,17 @@ EntryPtr append_entry(const EntryPtr& base,
 
 ScheduleStore::PutResult ScheduleStore::put(EntryPtr entry) {
   JED_ASSERT(entry != nullptr);
+  const std::string& id = entry->id;  // hashes a fresh entry, unlocked
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.puts;
-  if (auto it = entries_.find(entry->id); it != entries_.end()) {
+  if (auto it = entries_.find(id); it != entries_.end()) {
     ++stats_.dedup_hits;
     lru_.splice(lru_.begin(), lru_, it->second.lru);
     return {it->second.entry, true};
   }
-  lru_.push_front(entry->id);
+  lru_.push_front(id);
   tasks_ += entry->task_count();
-  entries_.emplace(entry->id, Slot{entry, lru_.begin()});
+  entries_.emplace(id, Slot{entry, lru_.begin()});
   evict_over_budget_locked();
   return {std::move(entry), false};
 }

@@ -3,17 +3,20 @@
 // jedule::engine — the frontend-neutral core the CLI, the interactive view
 // loop and `jedule serve` all sit on (DESIGN.md §4f). This header owns the
 // schedule side: an ingested schedule becomes one immutable, shareable
-// ScheduleEntry (validated schedule + spatial index + content hash), and
-// ScheduleStore keeps entries addressable by content hash so identical
-// uploads deduplicate and every frontend views the same object.
+// ScheduleEntry (validated schedule, plus a spatial index, an edge index
+// and a content hash built on first use), and ScheduleStore keeps entries
+// addressable by content hash so identical uploads deduplicate and every
+// frontend views the same object.
 //
 // Ownership model: entries are immutable after construction and handed out
 // as shared_ptr<const ScheduleEntry>. The store's LRU eviction only drops
 // its own reference — a Session viewing the entry or a render in flight
 // keeps it alive, so eviction can never invalidate an ongoing request.
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -33,10 +36,56 @@
 
 namespace jedule::engine {
 
-/// One ingested schedule: validated once, indexed once, hashed once.
-/// Everything downstream (layout culling, tile caching, artifact caching,
-/// dedup) keys off `content_hash`; `id` is its 16-digit hex spelling and
-/// doubles as the HTTP resource name.
+/// A part of an entry built once, on first use, under its own once-guard
+/// (a long index build blocks no other part); concurrent first readers all
+/// see the one result. Constructors install parts that cost nothing to
+/// have with set(). The implicit conversion and the unary & exist for
+/// perfbench/trace.cpp, which reads `entry.index` as a const TaskIndex&,
+/// `&entry.edges` as a const EdgeIndex* and `entry->id` as a std::string.
+template <typename T>
+class Lazy {
+ public:
+  explicit Lazy(std::function<T()> build) : build_(std::move(build)) {}
+  Lazy(const Lazy&) = delete;
+  Lazy& operator=(const Lazy&) = delete;
+
+  const T& get() const {
+    std::call_once(once_, [this] {
+      value_.emplace(build_());
+      ++builds_;
+      built_ = true;
+    });
+    return *value_;
+  }
+  /// Installs the value without running the build (before publication).
+  void set(T value) {
+    std::call_once(once_, [&] {
+      value_.emplace(std::move(value));
+      built_ = true;
+    });
+  }
+  /// Whether the value exists; never builds it.
+  bool built() const { return built_; }
+  /// How many times the build ran (0 or 1; introspection for tests).
+  int builds() const { return builds_; }
+
+  operator const T&() const { return get(); }  // NOLINT: implicit by design
+  const T* operator&() const { return &get(); }
+  const T* operator->() const { return &get(); }
+  const T& operator*() const { return get(); }
+
+ private:
+  std::function<T()> build_;
+  mutable std::once_flag once_;
+  mutable std::optional<T> value_;
+  mutable std::atomic<bool> built_{false};
+  mutable std::atomic<int> builds_{0};
+};
+
+/// One ingested schedule, validated once at ingest. Everything downstream
+/// (layout culling, tile caching, artifact caching, dedup) keys off
+/// `content_hash`; `id` is its 16-digit hex spelling and doubles as the
+/// HTTP resource name.
 ///
 /// An entry carries up to two representations of the task table: the AoS
 /// model::Schedule (what text parsers produce) and the columnar
@@ -45,13 +94,19 @@ namespace jedule::engine {
 /// materializes lazily from the other only for the consumers that need
 /// it (schedule(): info, convert, profile, full-view composites; arena():
 /// snapshots, appends). So a `.jbin` or appended entry renders windows
-/// and tiles straight from its columns. The identity surface (id,
-/// content_hash, index, full_range) is always eager.
+/// and tiles straight from its columns.
+///
+/// The index, the edge index and the hash are built on first use
+/// (DESIGN.md §4f lists what triggers each), so a full-view render builds
+/// none of them. The task table is hashed at most once: the id, the index
+/// and the arena reuse whichever hash came first. A `.jbin` entry loads
+/// all three; an append extends its base's indexes in O(delta) when the
+/// base has built them and takes its hash from the arena.
 struct ScheduleEntry {
-  /// AoS ingest: indexes and hashes an already-validated schedule (parser
-  /// output, or make_entry after its validate()). `ingest_in` records what
-  /// the parse did (threads, chunks, gzip, mapped input); its thread count
-  /// also drives the parallel TaskIndex build.
+  /// AoS ingest: adopts an already-validated schedule (parser output, or
+  /// make_entry after its validate()). `ingest_in` records what the parse
+  /// did (threads, chunks, gzip, mapped input); its thread count also
+  /// drives the parallel TaskIndex build.
   ScheduleEntry(model::Schedule schedule_in, std::string source_in,
                 io::IngestStats ingest_in = {});
 
@@ -61,30 +116,32 @@ struct ScheduleEntry {
   ScheduleEntry(io::Snapshot snapshot, std::string source_in);
 
   /// O(delta) append: flat-copies the base's columns, appends and
-  /// validates only `events`, and extends index/hash incrementally.
-  /// Throws ValidationError (base unchanged) on invalid events.
+  /// validates only `events`, and extends the base's index and edge index
+  /// when it has built them. Throws ValidationError (base unchanged) on
+  /// invalid events.
   ScheduleEntry(const ScheduleEntry& base,
                 const std::vector<model::ScheduleArena::Event>& events);
 
-  std::string id;
+  Lazy<std::string> id{[this] { return build_id(); }};
   /// Identity of the entry's full content: the task-column hash folded
   /// with the dependency-edge hash when edges exist (equal to the task
   /// hash otherwise, so edge-free ids match pre-edge builds). Everything
   /// keyed off it — artifact caches, tile caches, ETags — invalidates
   /// when either tasks or edges change.
-  std::uint64_t content_hash = 0;
+  Lazy<std::uint64_t> content_hash{[this] { return build_content_hash(); }};
   std::string source;  // originating path / upload name hint (may be empty)
   /// How this entry was ingested (io::IngestStats; default-empty for
   /// snapshot and append entries, which never ran a text parse).
   io::IngestStats ingest;
-  model::TaskIndex index;
-  /// Dependency-edge index; empty when the schedule carries no edges
-  /// (built only when dependencies exist, so edge-free ingest pays
-  /// nothing).
-  model::EdgeIndex edges;
+  Lazy<model::TaskIndex> index{[this] { return build_index(); }};
+  /// Dependency-edge index; empty when the schedule carries no edges.
+  Lazy<model::EdgeIndex> edges{[this] { return build_edges(); }};
   model::TimeRange full_range{0, 1};  // {0, 1} for an empty schedule
 
-  std::size_t task_count() const { return index.task_count(); }
+  std::size_t task_count() const { return task_count_; }
+
+  /// FNV passes over the task table so far (introspection for tests).
+  int task_hash_passes() const { return task_hash_passes_; }
 
   /// A read view of the form the entry already has (the AoS schedule when
   /// it exists, else the arena); never builds the other. Valid while the
@@ -114,6 +171,19 @@ struct ScheduleEntry {
 
  private:
   const model::Schedule& schedule_locked() const;
+  /// The pre-count task hash if some part holds it. Requires lazy_mu_.
+  std::optional<std::uint64_t> known_tasks_hash_locked() const;
+  model::TaskIndex build_index() const;
+  model::EdgeIndex build_edges() const;
+  std::uint64_t build_content_hash() const;
+  std::string build_id() const;
+
+  std::size_t task_count_ = 0;
+  // The running task hash before the count fold, shared by the id, the
+  // index build and the arena conversion.
+  Lazy<std::uint64_t> tasks_hash_{[this] { return build_tasks_hash(); }};
+  std::uint64_t build_tasks_hash() const;
+  mutable std::atomic<int> task_hash_passes_{0};
 
   mutable std::mutex lazy_mu_;
   mutable std::shared_ptr<const model::Schedule> schedule_;
@@ -132,7 +202,7 @@ struct ScheduleEntry {
 
 using EntryPtr = std::shared_ptr<const ScheduleEntry>;
 
-/// Wraps an in-memory schedule: validates, builds the index, hashes.
+/// Wraps an in-memory schedule: validates; indexes and hashes on use.
 /// Throws ValidationError on an invalid schedule.
 EntryPtr make_entry(model::Schedule schedule, std::string source = "",
                     io::IngestStats ingest = {});
@@ -156,7 +226,8 @@ EntryPtr load_entry(const std::string& path, const std::string& format = "",
 
 /// Appends live-trace events to an existing entry, producing a new entry
 /// (entries are immutable; the new id reflects the new content hash).
-/// O(delta) except for one flat column copy.
+/// O(delta) except for one flat column copy (and the base's arena
+/// conversion, the first time a text-loaded entry is appended to).
 EntryPtr append_entry(const EntryPtr& base,
                       const std::vector<model::ScheduleArena::Event>& events);
 

@@ -885,7 +885,10 @@ std::optional<Schedule> try_read_chunked(TextSource& src,
   RecordCutter cutter(scan, opt.target_chunk_bytes);
   bool scanned = false;
   {
-    util::TaskGroup group(opt.threads);
+    // The scanning thread is busy too: threads - 1 helpers keep the scan
+    // and the parsers within `threads` cores. Two threads keep two
+    // helpers, since one would leave TaskGroup parsing inline on the scan.
+    util::TaskGroup group(opt.threads > 2 ? opt.threads - 1 : opt.threads);
     scanned = cutter.run(group);
     if (scanned) group.wait();  // rethrows the lowest-index worker error
   }  // a bailed scan drops the batches no worker has claimed yet

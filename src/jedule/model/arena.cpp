@@ -72,7 +72,8 @@ const ColumnScanOps& column_scan_ops() { return g_scan_ops; }
 // ---------------------------------------------------------------------------
 // Construction from the AoS schedule
 
-ScheduleArena::ScheduleArena(const Schedule& schedule) {
+ScheduleArena::ScheduleArena(const Schedule& schedule,
+                             std::optional<std::uint64_t> tasks_hash) {
   clusters_ = schedule.clusters();
   for (std::size_t c = 0; c < clusters_.size(); ++c) {
     cluster_slot_[clusters_[c].id] = c;
@@ -178,6 +179,10 @@ ScheduleArena::ScheduleArena(const Schedule& schedule) {
   intern_new_types();
   build_derived();
 
+  if (tasks_hash) {
+    tasks_hash_ = *tasks_hash;
+    return;
+  }
   tasks_hash_ = detail::kFnvOffset;
   fnv_u64(&tasks_hash_, clusters_.size());
   for (const auto& c : clusters_) {

@@ -193,8 +193,10 @@ class ScheduleArena {
 
   /// Columnarizes `schedule` (one pass; the schedule is not retained).
   /// Throws ValidationError for an edge past the last task, which the
-  /// columns cannot hold.
-  explicit ScheduleArena(const Schedule& schedule);
+  /// columns cannot hold. A known `tasks_hash` (TaskIndex::hash_tasks of
+  /// this schedule) is adopted instead of hashing every row again.
+  explicit ScheduleArena(const Schedule& schedule,
+                         std::optional<std::uint64_t> tasks_hash = {});
 
   /// Adopts loaded columns; throws ParseError on structural inconsistency
   /// (out-of-range offsets, type ids past the table, ...).

@@ -62,35 +62,6 @@ struct SegmentStorage {
   std::vector<double> max_end;
 };
 
-// Plain CSR (dst-major predecessor lists) of a schedule's dependency
-// vector: the shared shape both the DP and entry emission iterate. The
-// stable counting sort preserves per-destination insertion order, which
-// is exactly the order dag::Dag::predecessors reports — the DP tie-break
-// depends on it.
-struct Csr {
-  std::vector<std::uint64_t> off;  // n+1
-  std::vector<std::uint32_t> src;
-  std::vector<double> data;
-};
-
-Csr build_csr(const Schedule& schedule) {
-  const std::size_t n = schedule.tasks().size();
-  const auto& deps = schedule.dependencies();
-  Csr csr;
-  csr.off.assign(n + 1, 0);
-  for (const Dependency& d : deps) ++csr.off[d.dst + 1];
-  for (std::size_t i = 0; i < n; ++i) csr.off[i + 1] += csr.off[i];
-  csr.src.resize(deps.size());
-  csr.data.resize(deps.size());
-  std::vector<std::uint64_t> cursor(csr.off.begin(), csr.off.end() - 1);
-  for (const Dependency& d : deps) {
-    const std::uint64_t slot = cursor[d.dst]++;
-    csr.src[slot] = d.src;
-    csr.data[slot] = d.data;
-  }
-  return csr;
-}
-
 }  // namespace
 
 EdgeIndex::Segment EdgeIndex::make_segment(std::vector<Entry> entries) {
@@ -139,120 +110,30 @@ void EdgeIndex::compact_cluster(ClusterIndex* ci) {
 // ---------------------------------------------------------------------------
 // Construction
 
-EdgeIndex::EdgeIndex(const Schedule& schedule, int threads)
-    : build_threads_(std::max(1, threads)) {
-  clusters_.reserve(schedule.clusters().size());
-  for (const auto& c : schedule.clusters()) {
+EdgeIndex::EdgeIndex(const TaskView& tasks, int threads)
+    : build_threads_(std::max(1, threads)), edge_count_(tasks.dep_count()) {
+  clusters_.reserve(tasks.clusters().size());
+  for (const auto& c : tasks.clusters()) {
     ClusterIndex ci;
     ci.cluster_id = c.id;
     clusters_.push_back(std::move(ci));
   }
-
-  const auto& tasks = schedule.tasks();
-  const std::size_t n = tasks.size();
-  const Csr csr = build_csr(schedule);
-
-  auto cluster_slot = [this](int id) -> std::size_t {
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-      if (clusters_[c].cluster_id == id) return c;
-    }
-    return static_cast<std::size_t>(-1);
-  };
-  auto rep_host = [&](std::uint32_t task, int cid) -> std::int32_t {
-    for (const auto& cfg : tasks[task].configurations()) {
-      if (cfg.cluster_id == cid && !cfg.hosts.empty()) {
-        return cfg.hosts.front().start;
-      }
-    }
-    return -1;
-  };
-
+  // The running hash in CSR order: the arena keeps it as it builds its
+  // columns; an AoS dependency list is folded in that order here.
+  edges_hash_ = tasks.schedule() != nullptr
+                    ? hash_edges(*tasks.schedule())
+                    : tasks.arena()->edges_hash();
   std::vector<std::vector<Entry>> fresh(clusters_.size());
-  std::vector<int> seen;  // distinct clusters touched by the current edge
-  edges_hash_ = detail::kFnvOffset;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::uint64_t k = csr.off[i]; k < csr.off[i + 1]; ++k) {
-      const std::uint32_t src = csr.src[k];
-      const auto dst = static_cast<std::uint32_t>(i);
-      fnv_u64(&edges_hash_, src);
-      fnv_u64(&edges_hash_, dst);
-      fnv_double(&edges_hash_, csr.data[k]);
-      Entry e;
-      e.begin = std::min(tasks[src].end_time(), tasks[dst].start_time());
-      e.end = std::max(tasks[src].end_time(), tasks[dst].start_time());
-      e.src = src;
-      e.dst = dst;
-      seen.clear();
-      for (const auto& cfg : tasks[src].configurations()) {
-        if (std::find(seen.begin(), seen.end(), cfg.cluster_id) ==
-            seen.end()) {
-          seen.push_back(cfg.cluster_id);
-        }
-      }
-      for (const auto& cfg : tasks[dst].configurations()) {
-        if (std::find(seen.begin(), seen.end(), cfg.cluster_id) ==
-            seen.end()) {
-          seen.push_back(cfg.cluster_id);
-        }
-      }
-      for (const int cid : seen) {
-        const std::size_t slot = cluster_slot(cid);
-        if (slot == static_cast<std::size_t>(-1)) continue;
-        Entry ce = e;
-        ce.src_host = rep_host(src, cid);
-        ce.dst_host = rep_host(dst, cid);
-        fresh[slot].push_back(ce);
-      }
-    }
-  }
-  edge_count_ = csr.src.size();
+  emit_entries(tasks, 0, &fresh);
   install_fresh(&fresh);
 
-  // Critical-path DP over the CSR (weights = task durations), mirroring
-  // dag::Dag::critical_path: task order is a valid topological order.
-  finish_.resize(n);
-  via_.resize(n);
-  best_time_ = -1.0;
-  best_task_ = kNoVia;
-  any_tasks_ = n > 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    double start = 0.0;
-    std::uint32_t via = kNoVia;
-    for (std::uint64_t k = csr.off[i]; k < csr.off[i + 1]; ++k) {
-      const std::uint32_t p = csr.src[k];
-      if (finish_[p] > start) {
-        start = finish_[p];
-        via = p;
-      }
-    }
-    finish_[i] = start + tasks[i].duration();
-    via_[i] = via;
-    if (finish_[i] > best_time_) {
-      best_time_ = finish_[i];
-      best_task_ = static_cast<std::uint32_t>(i);
-    }
-  }
-  rebuild_path();
-}
-
-EdgeIndex::EdgeIndex(const ScheduleArena& arena, int threads)
-    : build_threads_(std::max(1, threads)) {
-  clusters_.reserve(arena.clusters().size());
-  for (const auto& c : arena.clusters()) {
-    ClusterIndex ci;
-    ci.cluster_id = c.id;
-    clusters_.push_back(std::move(ci));
-  }
-  edges_hash_ = arena.edges_hash();
-  edge_count_ = arena.dep_count();
-  best_time_ = -1.0;
-  best_task_ = kNoVia;
-
-  std::vector<std::vector<Entry>> fresh(clusters_.size());
-  emit_entries(arena, 0, &fresh);
-  install_fresh(&fresh);
-  extend_dp(arena, 0);
-  rebuild_path();
+  CriticalPath dp = model::critical_path(tasks);
+  finish_ = std::move(dp.finish);
+  via_ = std::move(dp.via);
+  path_ = std::move(dp.tasks);
+  any_tasks_ = !finish_.empty();
+  best_time_ = any_tasks_ ? dp.time : -1.0;
+  best_task_ = path_.empty() ? kNoVia : path_.back();
 }
 
 EdgeIndex::EdgeIndex(const EdgeIndex& base, const ScheduleArena& arena,
@@ -270,8 +151,10 @@ EdgeIndex::EdgeIndex(const EdgeIndex& base, const ScheduleArena& arena,
   JED_ASSERT(arena.task_count() >= first_new);
   JED_ASSERT(arena.clusters().size() == clusters_.size());
 
+  const ScheduleArena::ColumnsView cols = arena.columns();
   std::vector<std::vector<Entry>> fresh(clusters_.size());
-  emit_entries(arena, first_new, &fresh);
+  emit_entries(arena, cols.dep_off != nullptr ? cols.dep_off[first_new] : 0,
+               &fresh);
   install_fresh(&fresh);
   extend_dp(arena, first_new);
   rebuild_path();
@@ -299,52 +182,40 @@ EdgeIndex::EdgeIndex(Raw raw, const ScheduleArena& arena)
   rebuild_path();
 }
 
-// Emits the index entries for every edge entering tasks [first, n) of the
-// arena into the per-cluster lists.
-void EdgeIndex::emit_entries(const ScheduleArena& arena, std::size_t first,
+// Emits the index entries for the edges at positions [first_edge, m) of
+// the view's dependency order into the per-cluster lists.
+void EdgeIndex::emit_entries(const TaskView& tasks, std::size_t first_edge,
                              std::vector<std::vector<Entry>>* fresh) {
-  const ScheduleArena::ColumnsView cols = arena.columns();
-  if (cols.dep_off == nullptr) return;
-
   auto cluster_slot = [this](int id) -> std::size_t {
     for (std::size_t c = 0; c < clusters_.size(); ++c) {
       if (clusters_[c].cluster_id == id) return c;
     }
     return static_cast<std::size_t>(-1);
   };
-  auto rep_host = [&](std::uint32_t task, int cid) -> std::int32_t {
-    for (std::uint32_t c = cols.cfg_off[task]; c < cols.cfg_off[task + 1];
-         ++c) {
-      if (cols.cfg_cluster[c] == cid) {
-        return cols.ranges[cols.range_off[c]].start;
+  std::vector<int> seen;  // distinct clusters touched by the current edge
+  tasks.visit([&](const auto& rows) {
+    auto rep_host = [&](std::uint32_t task, int cid) -> std::int32_t {
+      for (const auto& cfg : rows.configs(task)) {
+        if (cfg.cluster_id == cid && !cfg.hosts.empty()) {
+          return cfg.hosts.front().start;
+        }
       }
-    }
-    return -1;
-  };
-
-  std::vector<int> seen;
-  for (std::size_t i = first; i < cols.tasks; ++i) {
-    for (std::uint64_t k = cols.dep_off[i]; k < cols.dep_off[i + 1]; ++k) {
-      const std::uint32_t src = cols.dep_src[k];
-      const auto dst = static_cast<std::uint32_t>(i);
+      return -1;
+    };
+    tasks.for_each_dependency(first_edge, tasks.dep_count(), [&](
+        std::uint32_t src, std::uint32_t dst, double) {
       Entry e;
-      e.begin = std::min(cols.end[src], cols.start[dst]);
-      e.end = std::max(cols.end[src], cols.start[dst]);
+      e.begin = std::min(rows.end(src), rows.start(dst));
+      e.end = std::max(rows.end(src), rows.start(dst));
       e.src = src;
       e.dst = dst;
       seen.clear();
-      for (std::uint32_t c = cols.cfg_off[src]; c < cols.cfg_off[src + 1];
-           ++c) {
-        if (std::find(seen.begin(), seen.end(), cols.cfg_cluster[c]) ==
-            seen.end()) {
-          seen.push_back(cols.cfg_cluster[c]);
-        }
-      }
-      for (std::uint32_t c = cols.cfg_off[dst]; c < cols.cfg_off[dst + 1];
-           ++c) {
-        if (std::find(seen.begin(), seen.end(), cols.cfg_cluster[c]) ==
-            seen.end()) {
-          seen.push_back(cols.cfg_cluster[c]);
+      for (const std::uint32_t t : {src, dst}) {
+        for (const auto& cfg : rows.configs(t)) {
+          if (std::find(seen.begin(), seen.end(), cfg.cluster_id) ==
+              seen.end()) {
+            seen.push_back(cfg.cluster_id);
+          }
         }
       }
       for (const int cid : seen) {
@@ -355,8 +226,8 @@ void EdgeIndex::emit_entries(const ScheduleArena& arena, std::size_t first,
         ce.dst_host = rep_host(dst, cid);
         (*fresh)[slot].push_back(ce);
       }
-    }
-  }
+    });
+  });
 }
 
 void EdgeIndex::extend_dp(const ScheduleArena& arena, std::size_t first) {
@@ -438,6 +309,24 @@ std::size_t EdgeIndex::count_upto(int cluster_id, double t0, double t1,
   } catch (const Done&) {
   }
   return n;
+}
+
+std::uint64_t EdgeIndex::hash_edges(const Schedule& schedule) {
+  // CSR order: edges grouped by destination, each destination's
+  // predecessors in insertion order (a stable counting sort of the list).
+  const auto& deps = schedule.dependencies();
+  std::vector<std::uint64_t> cursor(schedule.tasks().size() + 1, 0);
+  for (const Dependency& d : deps) ++cursor[d.dst + 1];
+  for (std::size_t i = 1; i < cursor.size(); ++i) cursor[i] += cursor[i - 1];
+  std::vector<const Dependency*> order(deps.size());
+  for (const Dependency& d : deps) order[cursor[d.dst]++] = &d;
+  std::uint64_t h = detail::kFnvOffset;
+  for (const Dependency* d : order) {
+    fnv_u64(&h, d->src);
+    fnv_u64(&h, d->dst);
+    fnv_double(&h, d->data);
+  }
+  return h;
 }
 
 std::uint64_t EdgeIndex::content_hash() const {

@@ -33,10 +33,9 @@
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
+#include "jedule/model/task_view.hpp"
 
 namespace jedule::model {
-
-class ScheduleArena;
 
 class EdgeIndex {
  public:
@@ -56,14 +55,11 @@ class EdgeIndex {
   /// two-phase construction (engine::ScheduleEntry).
   EdgeIndex() = default;
 
-  /// Builds the index from the schedule's dependency list in O(n + m +
-  /// m log m). `threads` > 1 builds the per-cluster segments concurrently;
-  /// the segments — and every query result — are identical at any thread
-  /// count.
-  explicit EdgeIndex(const Schedule& schedule, int threads = 1);
-
-  /// Same build reading the CSR columns straight from the arena.
-  explicit EdgeIndex(const ScheduleArena& arena, int threads = 1);
+  /// Builds the index from the dependency edges of either resident form
+  /// in O(n + m + m log m). `threads` > 1 builds the per-cluster segments
+  /// concurrently; the segments — and every query result — are identical
+  /// at any thread count and from either form.
+  explicit EdgeIndex(const TaskView& tasks, int threads = 1);
 
   /// O(delta) extension: `base` indexed the first `first_new` tasks of
   /// `arena` (same clusters, tasks only appended). Shares the base's
@@ -125,6 +121,9 @@ class EdgeIndex {
   /// cache key for edge-dependent artifacts; 0 for the empty index.
   std::uint64_t content_hash() const;
   std::uint64_t edges_hash() const { return edges_hash_; }
+  /// edges_hash() of `schedule` without building an index: the same fold
+  /// over the same CSR order, O(n + m).
+  static std::uint64_t hash_edges(const Schedule& schedule);
 
   /// One merged, sorted entry array (+ implicit-BST max_end) per cluster,
   /// in schedule cluster order — the snapshot serialization form.
@@ -154,9 +153,9 @@ class EdgeIndex {
   /// Installs per-cluster fresh entry lists as segments (parallel across
   /// clusters when build_threads_ > 1) and compacts oversized clusters.
   void install_fresh(std::vector<std::vector<Entry>>* fresh);
-  /// Emits the entries of every edge entering tasks [first, n) of the
-  /// arena into the per-cluster lists.
-  void emit_entries(const ScheduleArena& arena, std::size_t first,
+  /// Emits the entries of the edges at positions [first_edge, m) of the
+  /// view's dependency order into the per-cluster lists.
+  void emit_entries(const TaskView& tasks, std::size_t first_edge,
                     std::vector<std::vector<Entry>>* fresh);
   void compact_cluster(ClusterIndex* ci);
   /// Extends the critical-path DP over tasks [first, n) of the arena.

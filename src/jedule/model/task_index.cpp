@@ -165,7 +165,7 @@ void TaskIndex::collect_task(const Task& t, std::size_t i,
   }
 }
 
-void TaskIndex::build_in_blocks(const Schedule& schedule) {
+void TaskIndex::build_in_blocks(const Schedule& schedule, bool hash_known) {
   const auto& tasks = schedule.tasks();
   const std::size_t n = tasks.size();
   const std::size_t blocks = (n + kIndexBlock - 1) / kIndexBlock;
@@ -183,6 +183,7 @@ void TaskIndex::build_in_blocks(const Schedule& schedule) {
   // wait ends.
   util::parallel_for(1 + blocks + nc, build_threads_, [&](std::size_t p) {
     if (p == 0) {
+      if (hash_known) return;
       for (const Task& t : tasks) hash_task(&chain, t);
     } else if (p <= blocks) {
       Collected& block = collected[p - 1];
@@ -272,7 +273,8 @@ void TaskIndex::compact_cluster(ClusterIndex* ci) {
   ci->segments.push_back(make_segment(std::move(all)));
 }
 
-TaskIndex::TaskIndex(const Schedule& schedule, int threads)
+TaskIndex::TaskIndex(const Schedule& schedule, int threads,
+                     std::optional<std::uint64_t> tasks_hash)
     : build_threads_(std::max(1, threads)) {
   clusters_.reserve(schedule.clusters().size());
   for (const auto& c : schedule.clusters()) {
@@ -280,20 +282,33 @@ TaskIndex::TaskIndex(const Schedule& schedule, int threads)
     ci.cluster_id = c.id;
     clusters_.push_back(std::move(ci));
   }
-  tasks_hash_ = hash_clusters(schedule);
+  tasks_hash_ = tasks_hash.value_or(hash_clusters(schedule));
   if (build_threads_ > 1 && schedule.tasks().size() >= 2 * kIndexBlock) {
-    build_in_blocks(schedule);
+    build_in_blocks(schedule, tasks_hash.has_value());
   } else {
     const auto& tasks = schedule.tasks();
     Collected fresh;
     fresh.entries.resize(clusters_.size());
     for (std::size_t i = 0; i < tasks.size(); ++i) {
       collect_task(tasks[i], i, &fresh);
-      hash_task(&tasks_hash_, tasks[i]);
+      if (!tasks_hash) hash_task(&tasks_hash_, tasks[i]);
     }
     finish_extend(&fresh, tasks.size(), tasks_hash_);
   }
 }
+
+TaskIndex TaskIndex::clusters_of(const ScheduleArena& arena) {
+  TaskIndex empty;
+  for (const auto& c : arena.clusters()) {
+    ClusterIndex ci;
+    ci.cluster_id = c.id;
+    empty.clusters_.push_back(std::move(ci));
+  }
+  return empty;
+}
+
+TaskIndex::TaskIndex(const ScheduleArena& arena)
+    : TaskIndex(clusters_of(arena), arena, 0) {}
 
 TaskIndex::TaskIndex(const TaskIndex& base, const ScheduleArena& arena,
                      std::size_t first_new)
@@ -368,11 +383,16 @@ TaskIndex::TaskIndex(Raw raw)
   }
 }
 
-std::uint64_t TaskIndex::hash_schedule(const Schedule& schedule) {
+std::uint64_t TaskIndex::hash_tasks(const Schedule& schedule) {
   std::uint64_t h = hash_clusters(schedule);
   for (const auto& t : schedule.tasks()) hash_task(&h, t);
-  // The count folds in last so the per-task chain above is resumable: an
+  return h;
+}
+
+std::uint64_t TaskIndex::hash_schedule(const Schedule& schedule) {
+  // The count folds in last so the per-task chain is resumable: an
   // O(delta) append rehashes only the new tasks, then re-folds the count.
+  std::uint64_t h = hash_tasks(schedule);
   fnv_u64(&h, schedule.tasks().size());
   return h;
 }

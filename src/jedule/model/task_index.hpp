@@ -62,7 +62,15 @@ class TaskIndex {
   /// per-cluster segments on workers while the serial hash chain runs
   /// (util::parallel_for); the segments — and therefore every query
   /// result and the content hash — are identical at any thread count.
-  explicit TaskIndex(const Schedule& schedule, int threads = 1);
+  /// A known `tasks_hash` (hash_tasks of this schedule, computed earlier)
+  /// is adopted instead of hashing the tasks again.
+  explicit TaskIndex(const Schedule& schedule, int threads = 1,
+                     std::optional<std::uint64_t> tasks_hash = {});
+
+  /// Full build read straight from the columns: the extension ctor below
+  /// over an index of the arena's clusters and no tasks. The hash is the
+  /// arena's running hash; nothing is rehashed.
+  explicit TaskIndex(const ScheduleArena& arena);
 
   /// O(delta) extension: `base` indexed the first `first_new` tasks of
   /// `arena` (same clusters, same tasks, in the same order — only tasks
@@ -153,6 +161,9 @@ class TaskIndex {
 
   /// The hash above without building an index (cache fallback path).
   static std::uint64_t hash_schedule(const Schedule& schedule);
+  /// The running hash before the count fold (tasks_hash()) without
+  /// building an index.
+  static std::uint64_t hash_tasks(const Schedule& schedule);
 
  private:
   struct Segment {
@@ -178,13 +189,16 @@ class TaskIndex {
     void widen(double begin, double end);
   };
 
+  /// An index of `arena`'s clusters holding no tasks.
+  static TaskIndex clusters_of(const ScheduleArena& arena);
   /// Builds a heap-backed segment from unsorted entries.
   static Segment make_segment(std::vector<Entry> entries);
   /// Adds task `i`'s entries and times to `out`.
   void collect_task(const Task& t, std::size_t i, Collected* out) const;
   /// The threaded full build: the serial build with its hash chain
-  /// overlapping a block-wise collection and the segment builds.
-  void build_in_blocks(const Schedule& schedule);
+  /// (skipped when `hash_known`) overlapping a block-wise collection and
+  /// the segment builds.
+  void build_in_blocks(const Schedule& schedule, bool hash_known);
   /// Shared tail of the build paths: installs the per-cluster fresh
   /// entry lists as segments, widens the bounds, refolds the count.
   void finish_extend(Collected* fresh, std::size_t new_count,

@@ -237,4 +237,47 @@ void check_dependency(std::uint32_t src, std::uint32_t dst, double data,
   }
 }
 
+CriticalPath critical_path(const TaskView& tasks) {
+  constexpr std::uint32_t kNone = 0xFFFFFFFFu;
+  const std::size_t n = tasks.size();
+  // Predecessor lists grouped by destination, each in insertion order.
+  std::vector<std::size_t> off(n + 1, 0);
+  tasks.for_each_dependency(
+      [&](std::uint32_t, std::uint32_t dst, double) { ++off[dst + 1]; });
+  for (std::size_t i = 0; i < n; ++i) off[i + 1] += off[i];
+  std::vector<std::uint32_t> src(tasks.dep_count());
+  {
+    std::vector<std::size_t> cur(off.begin(), off.end() - 1);
+    tasks.for_each_dependency([&](std::uint32_t s, std::uint32_t dst,
+                                  double) { src[cur[dst]++] = s; });
+  }
+  CriticalPath out;
+  out.finish.resize(n);
+  out.via.assign(n, kNone);
+  double best_time = -1.0;
+  std::uint32_t best = kNone;
+  tasks.visit([&](const auto& rows) {
+    for (std::size_t i = 0; i < n; ++i) {
+      double start = 0.0;
+      for (std::size_t k = off[i]; k < off[i + 1]; ++k) {
+        if (out.finish[src[k]] > start) {
+          start = out.finish[src[k]];
+          out.via[i] = src[k];
+        }
+      }
+      out.finish[i] = start + (rows.end(i) - rows.start(i));
+      if (out.finish[i] > best_time) {
+        best_time = out.finish[i];
+        best = static_cast<std::uint32_t>(i);
+      }
+    }
+  });
+  if (n > 0) out.time = best_time;
+  for (std::uint32_t v = best; v != kNone; v = out.via[v]) {
+    out.tasks.push_back(v);
+  }
+  std::reverse(out.tasks.begin(), out.tasks.end());
+  return out;
+}
+
 }  // namespace jedule::model

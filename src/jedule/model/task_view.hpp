@@ -10,6 +10,7 @@
 // view is in use: the view caches row and column pointers. Construction
 // from a temporary does not compile.
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -174,15 +175,30 @@ class TaskView {
   /// in insertion order in both.
   template <typename Fn>
   void for_each_dependency(Fn&& fn) const {
+    for_each_dependency(0, dep_count(), fn);
+  }
+  /// The same pass over the edges at positions [first, last) of that
+  /// order, so that workers can split it.
+  template <typename Fn>
+  void for_each_dependency(std::size_t first, std::size_t last,
+                           Fn&& fn) const {
     if (aos_) {
-      for (const Dependency& d : schedule_->dependencies()) {
-        fn(d.src, d.dst, d.data);
+      const auto& deps = schedule_->dependencies();
+      for (std::size_t k = first; k < last; ++k) {
+        fn(deps[k].src, deps[k].dst, deps[k].data);
       }
       return;
     }
-    if (cols_.dep_off == nullptr) return;
-    for (std::size_t i = 0; i < size_; ++i) {
-      for (std::uint64_t k = cols_.dep_off[i]; k < cols_.dep_off[i + 1]; ++k) {
+    if (cols_.dep_off == nullptr || first >= last) return;
+    // From the destination of edge `first`: the last task whose edges
+    // start at or before it.
+    std::size_t i = static_cast<std::size_t>(
+        std::upper_bound(cols_.dep_off, cols_.dep_off + size_ + 1, first) -
+        cols_.dep_off - 1);
+    for (std::uint64_t k = first; k < last; ++i) {
+      const std::uint64_t end = std::min<std::uint64_t>(cols_.dep_off[i + 1],
+                                                        last);
+      for (; k < end; ++k) {
         fn(cols_.dep_src[k], static_cast<std::uint32_t>(i), cols_.dep_data[k]);
       }
     }
@@ -208,6 +224,8 @@ class TaskView {
 
   /// The viewed AoS schedule; nullptr when the view reads arena columns.
   const Schedule* schedule() const { return aos_ ? schedule_ : nullptr; }
+  /// The viewed arena; nullptr when the view reads the AoS schedule.
+  const ScheduleArena* arena() const { return aos_ ? nullptr : arena_; }
 
  private:
   bool aos_ = true;
@@ -222,6 +240,21 @@ class TaskView {
   // is `duplicate` repeats an earlier task's id.
   void check(int threads, std::uint32_t duplicate) const;
 };
+
+/// The critical path through the dependency edges (weights = task
+/// durations) and its length: one O(n + m) longest-finish DP over each
+/// destination's predecessors in insertion order, the path and ties of
+/// dag::Dag::critical_path. EdgeIndex keeps its result; the index-free
+/// edge layout and `jedule info` run it directly.
+struct CriticalPath {
+  std::vector<std::uint32_t> tasks;  // ascending, source to sink
+  double time = 0;                   // 0 for a schedule with no tasks
+  // The DP state EdgeIndex keeps to extend in O(delta): each task's
+  // finish time and the predecessor it waits for (0xFFFFFFFF: none).
+  std::vector<double> finish;
+  std::vector<std::uint32_t> via;
+};
+CriticalPath critical_path(const TaskView& tasks);
 
 /// The per-task checks of TaskView::validate, fed one task at a time in
 /// task order; ScheduleArena::append runs them on its events.

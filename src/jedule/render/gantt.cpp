@@ -12,6 +12,7 @@
 
 #include "jedule/render/kernels.hpp"
 #include "jedule/util/error.hpp"
+#include "jedule/util/parallel.hpp"
 #include "jedule/util/strings.hpp"
 
 namespace jedule::render {
@@ -504,62 +505,86 @@ bool entry_before(const model::EdgeIndex::Entry& a,
   return a.dst < b.dst;
 }
 
+// First host of task t's first range in `cluster_id`, or -1 when it has
+// none there: the host row an EdgeIndex entry records for an endpoint.
+std::int32_t rep_host(const TaskView& tasks, std::uint32_t t, int cluster_id) {
+  for (const auto& cfg : tasks.configs(t)) {
+    if (cfg.cluster_id == cluster_id && !cfg.hosts.empty()) {
+      return cfg.hosts.front().start;
+    }
+  }
+  return -1;
+}
+
+// The index-free twin of EdgeIndex::query: one pass over the dependency
+// columns [first, last) calling fn(entry) for every edge with an endpoint
+// in `cluster_id` whose closed interval meets `win`. The entry's host rows
+// are left at -1 (rep_host fills them for the few entries that draw);
+// fn returns false to stop the pass.
+template <typename Fn>
+void scan_edges(const TaskView& tasks, int cluster_id, TimeRange win,
+                std::size_t first, std::size_t last, Fn&& fn) {
+  // With one cluster every configuration is on it (validated), so a
+  // task is in it exactly when it has a configuration.
+  const bool one_cluster = tasks.clusters().size() == 1;
+  tasks.visit([&](const auto& rows) {
+    const auto in_cluster = [&](std::uint32_t t) {
+      if (one_cluster) return rows.configs(t).size() > 0;
+      for (const auto& cfg : rows.configs(t)) {
+        if (cfg.cluster_id == cluster_id) return true;
+      }
+      return false;
+    };
+    bool more = true;
+    tasks.for_each_dependency(first, last, [&](std::uint32_t src,
+                                               std::uint32_t dst, double) {
+      if (!more) return;
+      model::EdgeIndex::Entry e;
+      e.begin = std::min(rows.end(src), rows.start(dst));
+      e.end = std::max(rows.end(src), rows.start(dst));
+      if (e.begin > win.end || e.end < win.begin) return;
+      if (!in_cluster(src) && !in_cluster(dst)) return;
+      e.src = src;
+      e.dst = dst;
+      more = fn(e);
+    });
+  });
+}
+
+// Edges per worker of the index-free heat scan: a smaller schedule is
+// scanned on one thread.
+constexpr std::size_t kEdgeBlock = std::size_t{1} << 15;
+
 // Lays out dependency arrows / heat lanes for every panel. With an
-// EdgeIndex hint a panel costs O(log n + visible); the fallback scans
-// the schedule's dependencies per panel and produces the identical layout
-// (same entries, same sort, same critical path — the differential tests
-// rely on this, and the bench uses it as the brute-force baseline).
+// EdgeIndex hint a panel costs O(log n + visible); without one, a panel
+// costs one pass over the dependency columns (two in arrow mode, the
+// first stopping once the arrow budget is exceeded) and produces the
+// identical layout (same entries, same sort, same critical path — the
+// differential tests rely on this).
 void layout_edges(GanttLayout* layout, const TaskView& tasks,
-                  const GanttStyle& style, const LayoutHints& hints) {
+                  const GanttStyle& style, int threads,
+                  const LayoutHints& hints,
+                  const model::CriticalPath& scan_path) {
   const EdgeMode mode =
       style.edges == EdgeMode::kDefault ? EdgeMode::kAuto : style.edges;
   if (mode == EdgeMode::kOff) return;
   const model::EdgeIndex* index = hints.edge_index;
   if (index != nullptr && index->empty()) index = nullptr;
   if (index == nullptr && tasks.dep_count() == 0) return;
-  constexpr std::uint32_t kNone = 0xFFFFFFFFu;
 
   // The critical path: persistent DP in the index, or the identical
-  // O(n + m) recomputation (same CSR order, same tie-breaks) here.
-  std::vector<std::uint32_t> local_path;
-  const std::vector<std::uint32_t>* path = &local_path;
-  if (index != nullptr) {
-    path = &index->critical_path();
-  } else {
-    const std::size_t n = tasks.size();
-    std::vector<std::size_t> off(n + 1, 0);
-    tasks.for_each_dependency(
-        [&](std::uint32_t, std::uint32_t dst, double) { ++off[dst + 1]; });
-    for (std::size_t i = 0; i < n; ++i) off[i + 1] += off[i];
-    std::vector<std::uint32_t> src(tasks.dep_count());
-    {
-      std::vector<std::size_t> cur(off.begin(), off.end() - 1);
-      tasks.for_each_dependency([&](std::uint32_t s, std::uint32_t dst,
-                                    double) { src[cur[dst]++] = s; });
-    }
-    std::vector<double> finish(n);
-    std::vector<std::uint32_t> via(n, kNone);
-    double best_time = -1.0;
-    std::uint32_t best = kNone;
-    for (std::size_t i = 0; i < n; ++i) {
-      double start = 0.0;
-      for (std::size_t k = off[i]; k < off[i + 1]; ++k) {
-        if (finish[src[k]] > start) {
-          start = finish[src[k]];
-          via[i] = src[k];
-        }
-      }
-      finish[i] = start + (tasks.end(i) - tasks.start(i));
-      if (finish[i] > best_time) {
-        best_time = finish[i];
-        best = static_cast<std::uint32_t>(i);
-      }
-    }
-    for (std::uint32_t v = best; v != kNone; v = via[v]) {
-      local_path.push_back(v);
-    }
-    std::reverse(local_path.begin(), local_path.end());
-  }
+  // O(n + m) recomputation (same CSR order, same tie-breaks) the caller
+  // ran.
+  const std::vector<std::uint32_t>& path =
+      index != nullptr ? index->critical_path() : scan_path.tasks;
+  // One bit per task on the path: most edges leave a task off it, and a
+  // bit test rules them out before on_path's binary search.
+  std::vector<std::uint64_t> path_bits((tasks.size() + 63) / 64);
+  for (const std::uint32_t v : path) path_bits[v >> 6] |= 1ull << (v & 63);
+  const auto critical = [&](const model::EdgeIndex::Entry& e) {
+    return (path_bits[e.src >> 6] >> (e.src & 63) & 1) != 0 &&
+           on_path(path, e.src, e.dst);
+  };
 
   using Entry = model::EdgeIndex::Entry;
   for (std::size_t pi = 0; pi < layout->panels.size(); ++pi) {
@@ -567,46 +592,13 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
     const TimeRange win = panel.time_range;
     if (!(win.length() > 0) || panel.hosts <= 0) continue;
 
-    // Visible-entry stream: the index reports an edge once per cluster
-    // containing either endpoint; the fallback reproduces exactly that.
-    const auto for_each_entry =
-        [&](const std::function<void(const Entry&)>& fn) {
-          if (index != nullptr) {
-            index->query(panel.cluster_id, win.begin, win.end, fn);
-            return;
-          }
-          tasks.visit([&](const auto& rows) {
-            // First host of the task's first range in this panel's
-            // cluster, or -1 when it has none there.
-            const auto rep_host = [&](std::uint32_t t) -> std::int32_t {
-              for (const auto& cfg : rows.configs(t)) {
-                if (cfg.cluster_id == panel.cluster_id && !cfg.hosts.empty()) {
-                  return cfg.hosts.front().start;
-                }
-              }
-              return -1;
-            };
-            const auto in_cluster = [&](std::uint32_t t) {
-              for (const auto& cfg : rows.configs(t)) {
-                if (cfg.cluster_id == panel.cluster_id) return true;
-              }
-              return false;
-            };
-            tasks.for_each_dependency([&](std::uint32_t src, std::uint32_t dst,
-                                          double) {
-              Entry e;
-              e.begin = std::min(rows.end(src), rows.start(dst));
-              e.end = std::max(rows.end(src), rows.start(dst));
-              if (e.begin > win.end || e.end < win.begin) return;
-              if (!in_cluster(src) && !in_cluster(dst)) return;
-              e.src = src;
-              e.dst = dst;
-              e.src_host = rep_host(src);
-              e.dst_host = rep_host(dst);
-              fn(e);
-            });
-          });
-        };
+    const auto with_hosts = [&](Entry e) {
+      if (index == nullptr) {
+        e.src_host = rep_host(tasks, e.src, panel.cluster_id);
+        e.dst_host = rep_host(tasks, e.dst, panel.cluster_id);
+      }
+      return e;
+    };
 
     const double row_h = panel.row_height();
     const auto add_arrow = [&](const Entry& e, bool critical) {
@@ -628,7 +620,8 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
       if (critical) ++layout->edge_stats.critical_arrows;
     };
 
-    // Density probe: arrows within budget, heat lane above it.
+    // Density probe: arrows within budget, heat lane above it. Either
+    // way it stops at budget + 1 entries.
     const auto cols_ll = std::max<long long>(1, std::llround(panel.w));
     const std::size_t budget =
         static_cast<std::size_t>(cols_ll) *
@@ -640,31 +633,33 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
         heat = index->count_upto(panel.cluster_id, win.begin, win.end,
                                  budget + 1) > budget;
       } else {
-        for_each_entry([&](const Entry& e) { visible.push_back(e); });
+        scan_edges(tasks, panel.cluster_id, win, 0, tasks.dep_count(),
+                   [&](const Entry& e) {
+                     visible.push_back(with_hosts(e));
+                     return visible.size() <= budget;
+                   });
         heat = visible.size() > budget;
       }
     }
 
     if (heat) {
-      visible.clear();
+      visible = {};
       // Column mapping — the same device-pixel grid as the LOD bins.
+      const SnapGrid* snap = hints.snap ? &*hints.snap : nullptr;
+      const auto col_of = [snap, win, cols_ll](double t) {
+        if (snap != nullptr) {
+          return (t - snap->anchor) * snap->cols_per_time -
+                 static_cast<double>(snap->origin_col);
+        }
+        return (t - win.begin) / win.length() * static_cast<double>(cols_ll);
+      };
       double col_w = 1.0;
       long long c_lo = 0, c_hi = 0;
-      std::function<double(double)> col_of;
-      if (hints.snap) {
-        const SnapGrid g = *hints.snap;
-        col_of = [g](double t) {
-          return (t - g.anchor) * g.cols_per_time -
-                 static_cast<double>(g.origin_col);
-        };
+      if (snap != nullptr) {
         c_lo = static_cast<long long>(std::floor(col_of(win.begin)));
         c_hi = static_cast<long long>(std::ceil(col_of(win.end)));
       } else {
-        const double len = win.length();
         col_w = panel.w / static_cast<double>(cols_ll);
-        col_of = [win, len, cols_ll](double t) {
-          return (t - win.begin) / len * static_cast<double>(cols_ll);
-        };
         c_hi = cols_ll;
       }
       if (c_hi <= c_lo) c_hi = c_lo + 1;
@@ -672,12 +667,17 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
 
       // Accumulate one f32 count per column. The adds are 1.0f each and
       // element-wise, so the lane is bit-exact at any visit order and
-      // under every SIMD kernel (counts stay exact below 2^24).
-      std::vector<float> acc(ncols, 0.0f);
+      // under every SIMD kernel (counts stay exact below 2^24). The scan
+      // splits over the workers, each counting into its own columns:
+      // sums of exact integer counts are the same at any split.
       const auto& kern = kernels::active();
-      std::vector<Entry> crit;  // critical edges still draw as arrows
-      for_each_entry([&](const Entry& e) {
-        ++layout->edge_stats.considered;
+      struct Counts {
+        std::vector<float> acc;
+        std::vector<Entry> crit;  // critical edges still draw as arrows
+        std::size_t considered = 0;
+      };
+      const auto count = [&](Counts& out, const Entry& e) {
+        ++out.considered;
         const double u0 = std::max(col_of(std::max(e.begin, win.begin)),
                                    static_cast<double>(c_lo));
         const double u1 = std::min(col_of(std::min(e.end, win.end)),
@@ -688,11 +688,41 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
         b0 = std::clamp(b0, c_lo, c_hi);
         b1 = std::clamp(b1, c_lo, c_hi);
         if (b1 > b0) {
-          kern.heat_accum(acc.data() + (b0 - c_lo),
+          kern.heat_accum(out.acc.data() + (b0 - c_lo),
                           static_cast<std::size_t>(b1 - b0), 1.0f);
         }
-        if (on_path(*path, e.src, e.dst)) crit.push_back(e);
-      });
+        if (critical(e)) out.crit.push_back(with_hosts(e));
+      };
+      const std::size_t m = tasks.dep_count();
+      const std::size_t parts =
+          index != nullptr
+              ? 1
+              : std::clamp<std::size_t>(m / kEdgeBlock, 1,
+                                        static_cast<std::size_t>(
+                                            std::max(1, threads)));
+      std::vector<Counts> counts(parts);
+      for (Counts& c : counts) c.acc.assign(ncols, 0.0f);
+      if (index != nullptr) {
+        index->query(panel.cluster_id, win.begin, win.end,
+                     [&](const Entry& e) { count(counts[0], e); });
+      } else {
+        util::parallel_for(parts, threads, [&](std::size_t p) {
+          scan_edges(tasks, panel.cluster_id, win, m * p / parts,
+                     m * (p + 1) / parts, [&](const Entry& e) {
+                       count(counts[p], e);
+                       return true;
+                     });
+        });
+      }
+      std::vector<float>& acc = counts[0].acc;
+      std::vector<Entry>& crit = counts[0].crit;
+      for (std::size_t p = 1; p < parts; ++p) {
+        for (std::size_t c = 0; c < ncols; ++c) acc[c] += counts[p].acc[c];
+        crit.insert(crit.end(), counts[p].crit.begin(), counts[p].crit.end());
+      }
+      for (const Counts& c : counts) {
+        layout->edge_stats.considered += c.considered;
+      }
       float maxv = 0.0f;
       for (const float v : acc) maxv = std::max(maxv, v);
       if (maxv > 0.0f) {
@@ -715,12 +745,13 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
       for (const Entry& e : crit) add_arrow(e, true);
     } else {
       if (index != nullptr) {
-        for_each_entry([&](const Entry& e) { visible.push_back(e); });
+        index->query(panel.cluster_id, win.begin, win.end,
+                     [&](const Entry& e) { visible.push_back(e); });
       }
       layout->edge_stats.considered += visible.size();
       std::sort(visible.begin(), visible.end(), entry_before);
       for (const Entry& e : visible) {
-        add_arrow(e, on_path(*path, e.src, e.dst));
+        add_arrow(e, critical(e));
       }
     }
   }
@@ -737,6 +768,16 @@ GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
   }
   if (style.time_window && style.time_window->length() <= 0) {
     throw ArgumentError("gantt: empty time window");
+  }
+
+  // Edges drawn without an edge index need the critical path, an
+  // O(n + m) pass over the dependency columns: a worker runs it while
+  // the boxes are laid out.
+  model::CriticalPath scan_path;
+  util::TaskGroup path_group(threads);
+  if (style.edges != EdgeMode::kOff && tasks.dep_count() > 0 &&
+      (hints.edge_index == nullptr || hints.edge_index->empty())) {
+    path_group.submit([&] { scan_path = model::critical_path(tasks); });
   }
 
   GanttLayout layout;
@@ -1021,7 +1062,8 @@ GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
               highlighted);
   }
 
-  layout_edges(&layout, tasks, style, hints);
+  path_group.wait();
+  layout_edges(&layout, tasks, style, threads, hints, scan_path);
 
   return layout;
 }

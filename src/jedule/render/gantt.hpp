@@ -287,8 +287,9 @@ struct LayoutHints {
 
 /// Computes the layout; throws ValidationError on an invalid schedule and
 /// ArgumentError on an empty time window or unknown filter clusters.
-/// `threads` parallelizes the composite-synthesis sweep (the layout itself
-/// is sequential); the layout is identical for every thread count, and
+/// `threads` parallelizes the composite-synthesis sweep and the heat-lane
+/// scan of the dependency columns (the rest of the layout is sequential);
+/// the layout is identical for every thread count, and
 /// for either form `tasks` views. The layout borrows the viewed schedule
 /// (see GanttLayout); a TaskView of a temporary does not compile.
 GanttLayout layout_gantt(model::TaskView tasks,

@@ -63,7 +63,7 @@ HttpResponse json_response(int status, std::string body) {
 }
 
 std::string entry_json(const engine::ScheduleEntry& entry) {
-  std::string out = "{\"id\":\"" + entry.id + "\"";
+  std::string out = "{\"id\":\"" + *entry.id + "\"";
   out += ",\"source\":\"" + json_escape(entry.source) + "\"";
   out += ",\"tasks\":" + std::to_string(entry.task_count());
   out += ",\"clusters\":" + std::to_string(entry.tasks().clusters().size());
@@ -328,14 +328,14 @@ HttpResponse Server::handle_schedules(const HttpRequest& request) {
     const std::string format = request.query_value("format").value_or("");
     engine::EntryPtr entry = engine::parse_entry(request.body, name, format);
     const auto put = store_.put(std::move(entry));
-    std::string body = "{\"id\":\"" + put.entry->id + "\"";
+    std::string body = "{\"id\":\"" + *put.entry->id + "\"";
     body += ",\"tasks\":" + std::to_string(put.entry->task_count());
     body += ",\"deduplicated\":";
     body += put.deduplicated ? "true" : "false";
     body += "}\n";
     HttpResponse resp = json_response(put.deduplicated ? 200 : 201,
                                       std::move(body));
-    resp.headers["Location"] = "/schedules/" + put.entry->id;
+    resp.headers["Location"] = "/schedules/" + *put.entry->id;
     return resp;
   }
   return text_response(405, "use GET or POST on /schedules");
@@ -376,7 +376,7 @@ HttpResponse Server::handle_schedule_resource(const HttpRequest& request,
     // is the new content hash. The base entry stays addressable (and
     // LRU-evictable) so in-flight renders of the old state stay valid.
     const auto put = store_.put(engine::append_entry(base, events));
-    std::string body = "{\"id\":\"" + put.entry->id + "\"";
+    std::string body = "{\"id\":\"" + *put.entry->id + "\"";
     body += ",\"tasks\":" + std::to_string(put.entry->task_count());
     body += ",\"appended\":" + std::to_string(events.size());
     body += ",\"deduplicated\":";
@@ -384,7 +384,7 @@ HttpResponse Server::handle_schedule_resource(const HttpRequest& request,
     body += "}\n";
     HttpResponse resp =
         json_response(put.deduplicated ? 200 : 201, std::move(body));
-    resp.headers["Location"] = "/schedules/" + put.entry->id;
+    resp.headers["Location"] = "/schedules/" + *put.entry->id;
     return resp;
   }
 

@@ -132,6 +132,23 @@ TEST(Cli, InfoJbinMatchesCsv) {
   EXPECT_EQ(jbin.output, csv.output);
 }
 
+// The edge block of `info` on the twins, pinned byte for byte: its edge
+// density and critical path are computed in one pass over the dependency
+// columns, and must read exactly what the edge index reported.
+TEST(Cli, InfoEdgeLinesArePinned) {
+  TwinInputs twins;
+  ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));
+  for (const std::string& src : {twins.csv, twins.jbin}) {
+    const auto r = run_cli("info " + src);
+    ASSERT_EQ(r.exit_code, 0) << r.output;
+    EXPECT_NE(r.output.find("edges:       232\n"
+                            "  max edges/column: 10 (1000-column grid)\n"
+                            "  critical path: 120 task(s), length 420.000\n"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
 TEST(Cli, ConvertJbinRoundTripsToCsv) {
   TwinInputs twins;
   ASSERT_NO_FATAL_FAILURE(make_twin_inputs(&twins));

@@ -10,6 +10,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <latch>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "jedule/engine/render_service.hpp"
 #include "jedule/engine/session_state.hpp"
 #include "jedule/engine/store.hpp"
+#include "jedule/io/csv.hpp"
 #include "jedule/io/jedule_xml.hpp"
 #include "jedule/io/snapshot.hpp"
 #include "jedule/util/inflate.hpp"
@@ -57,17 +60,17 @@ render::RenderOptions small_options() {
 
 TEST(ScheduleEntry, HashedValidatedAndIndexed) {
   const EntryPtr entry = make_entry(sample_schedule(), "mem");
-  EXPECT_EQ(entry->content_hash, entry->index.content_hash());
-  EXPECT_EQ(entry->id.size(), 16u);
-  EXPECT_EQ(entry->id.find_first_not_of("0123456789abcdef"),
+  EXPECT_EQ(*entry->content_hash, entry->index->content_hash());
+  EXPECT_EQ(entry->id->size(), 16u);
+  EXPECT_EQ(entry->id->find_first_not_of("0123456789abcdef"),
             std::string::npos);
   EXPECT_EQ(entry->source, "mem");
   EXPECT_DOUBLE_EQ(entry->full_range.begin, 0.0);
 
   // Identical content hashes identically regardless of the source label;
   // different content does not.
-  EXPECT_EQ(make_entry(sample_schedule(), "other")->id, entry->id);
-  EXPECT_NE(make_entry(sample_schedule(8, 1.0), "mem")->id, entry->id);
+  EXPECT_EQ(*make_entry(sample_schedule(), "other")->id, *entry->id);
+  EXPECT_NE(*make_entry(sample_schedule(8, 1.0), "mem")->id, *entry->id);
 }
 
 TEST(ScheduleEntry, InvalidScheduleRejected) {
@@ -107,7 +110,7 @@ TEST(ScheduleEntry, ParseEntrySniffsGzip) {
 
   const EntryPtr plain = parse_entry(xml, "trace.jed");
   const EntryPtr zipped = parse_entry(gz, "trace.jed.gz");
-  EXPECT_EQ(plain->id, zipped->id);
+  EXPECT_EQ(*plain->id, *zipped->id);
   EXPECT_EQ(zipped->schedule().tasks().size(), 8u);
 }
 
@@ -374,8 +377,8 @@ TEST(ScheduleEntry, AppendedEntryMatchesFreshIngestOnEveryExporter) {
   ASSERT_EQ(events.size(), 8u);
   const EntryPtr grown = append_entry(base, events);
 
-  EXPECT_EQ(grown->id, fresh->id);
-  EXPECT_EQ(grown->content_hash, fresh->content_hash);
+  EXPECT_EQ(*grown->id, *fresh->id);
+  EXPECT_EQ(*grown->content_hash, *fresh->content_hash);
   EXPECT_EQ(grown->task_count(), fresh->task_count());
   EXPECT_EQ(io::write_schedule_xml(grown->schedule()),
             io::write_schedule_xml(fresh->schedule()));
@@ -408,8 +411,8 @@ TEST(ScheduleEntry, SnapshotEntryStaysMappedUntilRendered) {
   io::save_snapshot(source->arena(), source->index, path);
 
   const EntryPtr loaded = load_entry(path);
-  EXPECT_EQ(loaded->id, source->id);
-  EXPECT_EQ(loaded->content_hash, source->content_hash);
+  EXPECT_EQ(*loaded->id, *source->id);
+  EXPECT_EQ(*loaded->content_hash, *source->content_hash);
   EXPECT_EQ(loaded->task_count(), 64u);
   EXPECT_EQ(loaded->tasks().clusters().size(), 2u);
 
@@ -524,8 +527,8 @@ TEST(ScheduleEntry, ColumnarRendersMatchAosAndNeverMaterialize) {
   const EntryPtr jbin = load_entry(full_path);
   const EntryPtr appended =
       append_entry(load_entry(base_path), events_from_tasks(full, 60));
-  ASSERT_EQ(appended->id, text->id);
-  ASSERT_GT(appended->edges.edge_count(), 0u);
+  ASSERT_EQ(*appended->id, *text->id);
+  ASSERT_GT(appended->edges->edge_count(), 0u);
 
   for (const EntryPtr& entry : {jbin, appended}) {
     ASSERT_EQ(entry->tasks().schedule(), nullptr);
@@ -550,6 +553,205 @@ TEST(ScheduleEntry, ColumnarRendersMatchAosAndNeverMaterialize) {
   }
   std::filesystem::remove(full_path);
   std::filesystem::remove(base_path);
+}
+
+/// What an entry has built so far: index and edge index builds, and FNV
+/// passes over its task table.
+struct Built {
+  int index = 0;
+  int edges = 0;
+  int hashes = 0;
+  bool operator==(const Built&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Built& b) {
+  return os << "{index " << b.index << ", edges " << b.edges << ", hashes "
+            << b.hashes << "}";
+}
+
+Built built(const EntryPtr& e) {
+  return {e->index.builds(), e->edges.builds(), e->task_hash_passes()};
+}
+
+TEST(ScheduleEntry, FullViewRenderBuildsNoIndexEdgeIndexOrHash) {
+  // The `jedule render` path: a text-loaded entry through render_bytes.
+  const model::Schedule s = columnar_schedule(80);
+  const EntryPtr csv = parse_entry(io::write_schedule_csv(s), "in.csv");
+  const EntryPtr xml = parse_entry(io::write_schedule_xml(s), "in.xml");
+  ASSERT_GT(csv->tasks().dep_count(), 0u);
+  ASSERT_GT(xml->tasks().dep_count(), 0u);
+
+  render::RenderOptions options = small_options();
+  options.style.width = 240;
+  options.style.height = 160;
+  // The same bytes as a render handed both indexes explicitly.
+  const EntryPtr ref = make_entry(s);
+  render::RenderOptions hinted = options;
+  hinted.task_index = &ref->index;
+  hinted.edge_index = &ref->edges;
+  for (const render::EdgeMode mode : {render::EdgeMode::kAuto,
+                                      render::EdgeMode::kForce}) {
+    options.style.edges = hinted.style.edges = mode;
+    for (const std::string format : {"png", "svg"}) {
+      const std::string want = render::render_to_bytes(s, hinted, format);
+      for (const EntryPtr& entry : {csv, xml}) {
+        RenderService service;
+        EXPECT_EQ(service.render_bytes(entry, options, format), want)
+            << entry->source << " " << format;
+      }
+    }
+  }
+  EXPECT_EQ(built(csv), (Built{0, 0, 0}));
+  EXPECT_EQ(built(xml), (Built{0, 0, 0}));
+  EXPECT_FALSE(csv->index.built() || csv->edges.built() ||
+               csv->content_hash.built() || csv->id.built());
+
+  // render() keys its cache on the content hash: one hash, no index.
+  RenderService service;
+  service.render(xml, options, "png");
+  EXPECT_EQ(built(xml), (Built{0, 0, 1}));
+  EXPECT_EQ(*xml->id, *ref->id);
+}
+
+TEST(ScheduleEntry, EachTriggerBuildsOnlyWhatItNeeds) {
+  const model::Schedule s = columnar_schedule(80);
+  const EntryPtr ref = make_entry(s);
+  const std::uint64_t want_hash = *ref->content_hash;
+  render::RenderOptions windowed = small_options();
+  windowed.style.time_window = model::TimeRange{6.0, 14.5};
+  render::RenderOptions lod = small_options();
+  lod.style.lod = render::LodMode::kForce;
+
+  {  // ScheduleStore::put reads the id: one hash, no index.
+    const EntryPtr e = make_entry(s);
+    ScheduleStore store;
+    store.put(e);
+    EXPECT_EQ(built(e), (Built{0, 0, 1}));
+    // An index built afterwards reuses that hash.
+    EXPECT_EQ(e->index->content_hash(), ref->index->content_hash());
+    EXPECT_EQ(built(e), (Built{1, 0, 1}));
+  }
+  {  // The index first: the id reuses its hash.
+    const EntryPtr e = make_entry(s);
+    e->index.get();
+    EXPECT_EQ(built(e), (Built{1, 0, 1}));
+    EXPECT_EQ(*e->content_hash, want_hash);
+    EXPECT_EQ(built(e), (Built{1, 0, 1}));
+  }
+  {  // A windowed render and a tile cull through both indexes; the cache
+     // key hashes once.
+    const EntryPtr e = make_entry(s);
+    RenderService service;
+    service.render(e, windowed, "png");
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+    service.render_tile(e, 0, -1, 1, small_options());
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+  }
+  {
+    const EntryPtr e = make_entry(s);
+    RenderService().render_tile(e, 1, 0, 2, small_options());
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+  }
+  {  // An LOD render builds the indexes; the uncached body computes no
+     // key, so the index build's own hash is the only one.
+    const EntryPtr e = make_entry(s);
+    RenderService().render_bytes(e, lod, "png");
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+    EXPECT_EQ(*e->content_hash, want_hash);
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+  }
+  {  // A session frame culls through both indexes.
+    const EntryPtr e = make_entry(s);
+    SessionState view(e, color::standard_colormap(), {});
+    view.frame();
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+  }
+  {  // A snapshot converts to columns (one hash); the index and the id
+     // reuse it.
+    const EntryPtr e = make_entry(s);
+    const model::ScheduleArena& arena = e->arena();
+    EXPECT_EQ(built(e), (Built{0, 0, 1}));
+    const std::string path = ::testing::TempDir() + "/trigger_" +
+                             std::to_string(::getpid()) + ".jbin";
+    io::save_snapshot(arena, e->index, path, &e->edges);
+    std::filesystem::remove(path);
+    EXPECT_EQ(*e->content_hash, want_hash);
+    EXPECT_EQ(built(e), (Built{1, 1, 1}));
+  }
+  {  // An append to an unindexed base: the base converts to columns (one
+     // hash); the new entry takes its id from the arena's running hash and
+     // builds its indexes from the columns only when asked.
+    const EntryPtr base = make_entry(columnar_schedule(60));
+    const EntryPtr grown = append_entry(base, events_from_tasks(s, 60));
+    EXPECT_EQ(built(base), (Built{0, 0, 1}));
+    EXPECT_EQ(*grown->content_hash, want_hash);
+    EXPECT_EQ(built(grown), (Built{0, 0, 0}));
+    EXPECT_FALSE(grown->index.built() || grown->edges.built());
+    EXPECT_EQ(grown->index->content_hash(), ref->index->content_hash());
+    EXPECT_EQ(grown->edges->edge_count(), ref->edges->edge_count());
+    EXPECT_EQ(grown->edges->critical_path(), ref->edges->critical_path());
+    EXPECT_EQ(grown->full_range.begin, ref->full_range.begin);
+    EXPECT_EQ(grown->full_range.end, ref->full_range.end);
+    EXPECT_EQ(built(grown), (Built{1, 1, 0}));
+  }
+  {  // An append to an indexed base extends both indexes in O(delta).
+    const EntryPtr base = make_entry(columnar_schedule(60));
+    base->index.get();
+    base->edges.get();
+    const EntryPtr grown = append_entry(base, events_from_tasks(s, 60));
+    EXPECT_EQ(built(base), (Built{1, 1, 1}));  // the arena reused the hash
+    EXPECT_TRUE(grown->index.built() && grown->edges.built());
+    EXPECT_EQ(built(grown), (Built{0, 0, 0}));
+    EXPECT_EQ(grown->index->segment_count(0), 2u);
+    EXPECT_EQ(*grown->content_hash, want_hash);
+  }
+}
+
+TEST(ScheduleEntry, ConcurrentFirstReadsBuildEachPartOnce) {
+  // Eight threads ask a fresh entry for its index, edge index and id at
+  // the same moment, each in its own order: every part builds once and
+  // every thread sees the same result.
+  const model::Schedule s = columnar_schedule(80);
+  const EntryPtr ref = make_entry(s);
+  const std::string want_id = *ref->id;
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 4; ++round) {
+    const EntryPtr e = make_entry(s);
+    std::vector<const model::TaskIndex*> indexes(kThreads);
+    std::vector<const model::EdgeIndex*> edges(kThreads);
+    std::vector<std::string> ids(kThreads);
+    std::latch start(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        const auto i = static_cast<std::size_t>(t);
+        start.arrive_and_wait();
+        for (int k = 0; k < 3; ++k) {
+          switch ((t + k) % 3) {
+            case 0: indexes[i] = &e->index; break;
+            case 1: edges[i] = &e->edges; break;
+            default: ids[i] = e->id; break;
+          }
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(e->index.builds(), 1);
+    EXPECT_EQ(e->edges.builds(), 1);
+    EXPECT_EQ(e->id.builds(), 1);
+    EXPECT_EQ(e->content_hash.builds(), 1);
+    for (int t = 0; t < kThreads; ++t) {
+      const auto i = static_cast<std::size_t>(t);
+      EXPECT_EQ(indexes[i], indexes[0]);
+      EXPECT_EQ(edges[i], edges[0]);
+      EXPECT_EQ(ids[i], want_id);
+    }
+    EXPECT_EQ(indexes[0]->content_hash(), ref->index->content_hash());
+    EXPECT_EQ(edges[0]->critical_path(), ref->edges->critical_path());
+    // The id and the index may both start before either holds a hash;
+    // nothing else hashes.
+    EXPECT_LE(e->task_hash_passes(), 2);
+  }
 }
 
 TEST(SessionState, ViewsShareOneEntry) {

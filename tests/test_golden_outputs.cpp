@@ -1,8 +1,10 @@
 // Golden output bytes: every case below is rendered by every registered
 // exporter, under every available SIMD kernel and at 1, 2 and 8 threads,
-// along each of the case's render paths (the engine with its task index,
-// edge index and cached composites; the bare exporter without any of
-// them; a `.jbin` snapshot reloaded through the engine). Every cell's
+// along each of the case's render paths (the engine, which hands a
+// windowed or LOD view the entry's task and edge index and a full view
+// neither, plus its cached composites; the bare exporter given both
+// indexes explicitly; the bare exporter without any of them; a `.jbin`
+// snapshot reloaded through the engine). Every cell's
 // FNV-1a 64 digest must equal the one committed in golden_digests.txt, so
 // a change that moves output bytes fails here even when it moves them the
 // same way at every thread count and kernel.
@@ -191,14 +193,16 @@ model::Schedule dense_edge_schedule() {
 /// The engine path synthesizes composites once per entry; the direct path
 /// sweeps them in every render, at the render's thread count.
 enum class Path {
-  kEngine,  // engine::make_entry + RenderService (the CLI and serve path)
-  kDirect,  // render_to_bytes: full scans, brute-force edges, fresh sweep
-  kJbin,    // .jbin snapshot -> engine::load_entry + RenderService
+  kEngine,   // engine::make_entry + RenderService (the CLI and serve path)
+  kIndexed,  // render_to_bytes with the entry's TaskIndex and EdgeIndex
+  kDirect,   // render_to_bytes: full scans, brute-force edges, fresh sweep
+  kJbin,     // .jbin snapshot -> engine::load_entry + RenderService
 };
 
 const char* path_name(Path p) {
   switch (p) {
     case Path::kEngine: return "engine";
+    case Path::kIndexed: return "indexed";
     case Path::kDirect: return "direct";
     case Path::kJbin: return "jbin";
   }
@@ -208,7 +212,7 @@ const char* path_name(Path p) {
 struct Case {
   model::Schedule schedule;
   render::RenderOptions options;
-  std::vector<Path> paths{Path::kEngine};
+  std::vector<Path> paths{Path::kEngine, Path::kIndexed};
 };
 
 render::RenderOptions sized(int width, int height) {
@@ -231,12 +235,13 @@ Case demo_case(const std::string& name) {
   return c;
 }
 
-/// Edges without composites, so the engine and direct paths differ only in
-/// the edge pass: EdgeIndex queries vs the brute-force dependency scan.
-/// The `.jbin` path lays the edges out from the arena columns.
+/// Edges without composites, so the indexed and direct paths differ only
+/// in the edge pass: EdgeIndex queries vs the scan of the dependency
+/// columns (which the engine's full view runs too). The `.jbin` path lays
+/// the edges out from the arena columns.
 Case edge_case(model::Schedule s, render::EdgeMode mode) {
   Case c{std::move(s), sized(160, 200),
-         {Path::kEngine, Path::kDirect, Path::kJbin}};
+         {Path::kEngine, Path::kIndexed, Path::kDirect, Path::kJbin}};
   c.options.style.edges = mode;
   c.options.style.show_composites = false;
   return c;
@@ -263,14 +268,14 @@ const std::map<std::string, std::function<Case()>>& case_builders() {
        [] {
          // The `.jbin` path renders the window from the arena columns.
          Case c{mixed_schedule(), sized(240, 160),
-                {Path::kEngine, Path::kJbin}};
+                {Path::kEngine, Path::kIndexed, Path::kJbin}};
          c.options.style.time_window = model::TimeRange{6.0, 14.5};
          return c;
        }},
       {"lod-force",
        [] {
          Case c{mixed_schedule(), sized(240, 160),
-                {Path::kEngine, Path::kJbin}};
+                {Path::kEngine, Path::kIndexed, Path::kJbin}};
          c.options.style.lod = render::LodMode::kForce;
          return c;
        }},
@@ -328,6 +333,11 @@ class Renderer {
   std::string render(Path path, const std::string& format, int threads) const {
     render::RenderOptions options = case_.options;
     options.threads = threads;
+    if (path == Path::kIndexed) {
+      options.task_index = &entry_->index;
+      options.edge_index = &entry_->edges;
+      return render::render_to_bytes(case_.schedule, options, format);
+    }
     if (path == Path::kDirect) {
       return render::render_to_bytes(case_.schedule, options, format);
     }

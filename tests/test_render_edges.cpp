@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <random>
 #include <string>
 #include <tuple>
@@ -86,11 +87,10 @@ GanttStyle style_for(EdgeMode mode, int width = 480, int height = 320) {
 }
 
 GanttLayout layout_with(const model::Schedule& s, const GanttStyle& style,
-                        const model::EdgeIndex* index) {
+                        const model::EdgeIndex* index, int threads = 1) {
   LayoutHints hints;
   hints.edge_index = index;
-  return layout_gantt(s, color::standard_colormap(), style, /*threads=*/1,
-                      hints);
+  return layout_gantt(s, color::standard_colormap(), style, threads, hints);
 }
 
 using ArrowKey = std::tuple<double, double, double, double, bool, bool>;
@@ -187,6 +187,24 @@ TEST(RenderEdges, AutoSwitchesToHeatAboveTheDensityBudget) {
   EXPECT_GT(arrows.edge_stats.arrows, 0u);
 }
 
+/// Unit tasks end to end on `clusters` clusters (task i on cluster
+/// i % clusters), so every i-1 -> i edge has zero length, plus one edge
+/// i-3 -> i per task: with two clusters those cross clusters.
+model::Schedule zero_length_schedule(int n, int clusters) {
+  model::ScheduleBuilder b;
+  for (int c = 0; c < clusters; ++c) b.cluster(c, "c" + std::to_string(c), 8);
+  for (int i = 0; i < n; ++i) {
+    b.task(std::to_string(i), "computation", i, i + 1.0).on(i % clusters, i % 7, 1);
+  }
+  model::Schedule s = b.build();
+  for (std::uint32_t i = 1; i < static_cast<std::uint32_t>(n); ++i) {
+    s.add_dependency(i - 1, i, 1.0);
+    if (i >= 3) s.add_dependency(i - 3, i, 1.0);
+  }
+  s.validate();
+  return s;
+}
+
 TEST(RenderEdges, IndexAndBruteForceFallbackProduceIdenticalLayouts) {
   for (unsigned seed : {3u, 8u}) {
     const auto s = dense_schedule(200, 500, seed);
@@ -198,6 +216,51 @@ TEST(RenderEdges, IndexAndBruteForceFallbackProduceIdenticalLayouts) {
         const GanttLayout brute = layout_with(s, style, nullptr);
         expect_same_edge_layout(with_index, brute);
       }
+    }
+  }
+  // Zero-length edges, within one cluster and across two.
+  for (const int clusters : {1, 2}) {
+    const auto s = zero_length_schedule(120, clusters);
+    const model::EdgeIndex index(s);
+    for (const EdgeMode mode : {EdgeMode::kAuto, EdgeMode::kForce}) {
+      for (const int width : {160, 480}) {
+        const GanttStyle style = style_for(mode, width, 240);
+        expect_same_edge_layout(layout_with(s, style, &index),
+                                layout_with(s, style, nullptr));
+      }
+    }
+  }
+  // The arrow budget's edge: one panel shows 236 edges, and the canvas is
+  // sized so that they are exactly the budget (arrows) or the budget + 1
+  // (a heat lane) at one arrow per pixel column.
+  const auto s = zero_length_schedule(120, 1);
+  ASSERT_EQ(s.dependencies().size(), 236u);
+  const model::EdgeIndex index(s);
+  const long long margin =
+      480 - std::llround(
+                layout_with(s, style_for(EdgeMode::kAuto), nullptr).panels[0].w);
+  for (const int over : {0, 1}) {
+    GanttStyle style = style_for(
+        EdgeMode::kAuto, static_cast<int>(236 - over + margin), 240);
+    style.edge_density = 1;
+    const GanttLayout brute = layout_with(s, style, nullptr);
+    EXPECT_EQ(brute.edge_stats.heat_panels, static_cast<std::size_t>(over));
+    EXPECT_EQ(brute.edge_stats.considered, 236u);
+    expect_same_edge_layout(layout_with(s, style, &index), brute);
+  }
+}
+
+TEST(RenderEdges, HeatScanSplitOverWorkersMatchesIndex) {
+  // Enough edges that the index-free heat pass splits over the workers:
+  // every split gives the layout of the index.
+  const auto s = zero_length_schedule(40000, 2);
+  const model::EdgeIndex index(s);
+  for (const EdgeMode mode : {EdgeMode::kAuto, EdgeMode::kForce}) {
+    const GanttStyle style = style_for(mode, 480, 240);
+    const GanttLayout want = layout_with(s, style, &index);
+    ASSERT_GT(want.edge_stats.heat_panels, 0u);
+    for (const int threads : {1, 2, 3, 8}) {
+      expect_same_edge_layout(want, layout_with(s, style, nullptr, threads));
     }
   }
 }

@@ -607,7 +607,7 @@ TEST(ServeRouting, HandleIsAPureFunction) {
   EXPECT_EQ(server.store().stats().entries, 1u);
 
   req.method = "GET";
-  req.path = "/schedules/" + server.store().list()[0]->id + "/tile";
+  req.path = "/schedules/" + *server.store().list()[0]->id + "/tile";
   req.query = {{"x", "0"}, {"zoom", "oops"}};
   const auto bad = server.handle(req);
   EXPECT_EQ(bad.status, 400);
@@ -624,7 +624,7 @@ TEST(ServeRouting, NegotiatesGzipForTextBodies) {
   post.body = io::write_schedule_xml(sample_schedule());
   ASSERT_EQ(server.handle(post).status, 201);
   const std::string base =
-      "/schedules/" + server.store().list()[0]->id + "/render.";
+      "/schedules/" + *server.store().list()[0]->id + "/render.";
 
   HttpRequest req;
   req.method = "GET";
