@@ -18,6 +18,7 @@
 #include <filesystem>
 #include <iostream>
 #include <map>
+#include <span>
 #include <sstream>
 #include <thread>
 
@@ -35,7 +36,7 @@
 #include "jedule/io/snapshot.hpp"
 #include "jedule/model/stats.hpp"
 #include "jedule/render/exporter.hpp"
-#include "jedule/render/kernels.hpp"
+#include "jedule/render/gantt.hpp"
 #include "jedule/render/profile.hpp"
 #include "jedule/serve/server.hpp"
 #include "jedule/util/error.hpp"
@@ -406,40 +407,32 @@ int cmd_info(const Args& args) {
   if (!schedule.dependencies().empty()) {
     // Max per-column density on a 1000-column grid over the full time
     // range — the quantity the renderer's arrows-vs-heat budget compares
-    // against, accumulated with the heat-lane kernel itself in one pass
-    // over the edges per cluster (those with an endpoint in it).
-    constexpr std::size_t kCols = 1000;
+    // against, counted as the renderer counts a heat lane, per cluster
+    // (the edges with an endpoint in it) in one pass over the edges.
+    constexpr long long kCols = 1000;
     const model::TimeRange range = entry->full_range;
     const double len = range.length();
-    const auto& tasks = schedule.tasks();
-    std::size_t max_col = 0;
-    for (const auto& c : schedule.clusters()) {
-      const auto in_cluster = [&](std::uint32_t t) {
-        for (const auto& cfg : tasks[t].configurations()) {
-          if (cfg.cluster_id == c.id) return true;
-        }
-        return false;
+    const model::TaskView view(schedule);
+    std::map<int, std::vector<float>> acc;  // per cluster id
+    if (len > 0) {
+      const auto col = [&](double t) {
+        return (t - range.begin) / len * static_cast<double>(kCols);
       };
-      std::vector<float> acc(kCols, 0.0f);
-      for (const model::Dependency& d : schedule.dependencies()) {
-        if (!(len > 0) || (!in_cluster(d.src) && !in_cluster(d.dst))) continue;
-        const double t0 =
-            std::min(tasks[d.src].end_time(), tasks[d.dst].start_time());
-        const double t1 =
-            std::max(tasks[d.src].end_time(), tasks[d.dst].start_time());
-        auto c0 = static_cast<long long>(std::floor(
-            (t0 - range.begin) / len * static_cast<double>(kCols)));
-        auto c1 = static_cast<long long>(std::ceil(
-            (t1 - range.begin) / len * static_cast<double>(kCols)));
-        if (c1 <= c0) c1 = c0 + 1;
-        c0 = std::clamp<long long>(c0, 0, kCols);
-        c1 = std::clamp<long long>(c1, 0, kCols);
-        if (c1 > c0) {
-          render::kernels::active().heat_accum(
-              acc.data() + c0, static_cast<std::size_t>(c1 - c0), 1.0f);
-        }
-      }
-      for (const float v : acc) {
+      view.for_each_dependency_cluster(
+          0, view.dep_count(),
+          [&](std::uint32_t src, std::uint32_t dst, std::span<const int> cids) {
+            const double u0 = col(std::min(view.end(src), view.start(dst)));
+            const double u1 = col(std::max(view.end(src), view.start(dst)));
+            for (const int cid : cids) {
+              std::vector<float>& a = acc[cid];
+              if (a.empty()) a.assign(kCols, 0.0f);
+              render::heat_add_edge(a.data(), 0, kCols, u0, u1);
+            }
+          });
+    }
+    std::size_t max_col = 0;
+    for (const auto& [cid, a] : acc) {
+      for (const float v : a) {
         max_col = std::max(max_col, static_cast<std::size_t>(v));
       }
     }

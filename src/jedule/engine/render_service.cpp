@@ -169,13 +169,14 @@ std::string RenderService::render_bytes(const EntryPtr& entry,
   if (options.threads <= 0) options.threads = opt_.threads;
   // A windowed or LOD view culls through the entry's index and edge index
   // (O(visible) instead of O(n)); a full view reads every task and edge
-  // anyway, so it passes neither and the entry never builds them. The
-  // entry's cached composite list replaces the per-render overlap sweep.
-  // Bytes are identical with or without any of them, and from either
-  // resident form, so all stay out of the cache key. Only the full-view
-  // composite list materializes the AoS form of a columnar entry.
+  // anyway (its edges in one O(m) pass), so it builds neither, but uses
+  // an edge index the entry already holds. The entry's cached composite
+  // list replaces the per-render overlap sweep. Bytes are identical with
+  // or without any of them, and from either resident form, so all stay
+  // out of the cache key. Only the full-view composite list materializes
+  // the AoS form of a columnar entry.
   options.task_index = nullptr;
-  options.edge_index = nullptr;
+  options.edge_index = entry->edges.built() ? &entry->edges : nullptr;
   if (options.style.time_window ||
       (options.style.lod != render::LodMode::kDefault &&
        options.style.lod != render::LodMode::kOff)) {

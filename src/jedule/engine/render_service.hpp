@@ -94,7 +94,8 @@ class RenderService {
   /// call. It needs no cache key, so a one-shot caller (`jedule render`,
   /// `jedule batch`) never hashes the entry. options.task_index and
   /// options.edge_index are ignored: a windowed or LOD view uses the
-  /// entry's own indexes, a full view none.
+  /// entry's own indexes, a full view only an edge index the entry
+  /// already built.
   std::string render_bytes(const EntryPtr& entry,
                            render::RenderOptions options,
                            const std::string& format);

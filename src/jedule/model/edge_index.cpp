@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "jedule/model/arena.hpp"
@@ -192,42 +193,22 @@ void EdgeIndex::emit_entries(const TaskView& tasks, std::size_t first_edge,
     }
     return static_cast<std::size_t>(-1);
   };
-  std::vector<int> seen;  // distinct clusters touched by the current edge
-  tasks.visit([&](const auto& rows) {
-    auto rep_host = [&](std::uint32_t task, int cid) -> std::int32_t {
-      for (const auto& cfg : rows.configs(task)) {
-        if (cfg.cluster_id == cid && !cfg.hosts.empty()) {
-          return cfg.hosts.front().start;
+  tasks.for_each_dependency_cluster(
+      first_edge, tasks.dep_count(),
+      [&](std::uint32_t src, std::uint32_t dst, std::span<const int> cids) {
+        Entry e;
+        e.begin = std::min(tasks.end(src), tasks.start(dst));
+        e.end = std::max(tasks.end(src), tasks.start(dst));
+        e.src = src;
+        e.dst = dst;
+        for (const int cid : cids) {
+          const std::size_t slot = cluster_slot(cid);
+          if (slot == static_cast<std::size_t>(-1)) continue;
+          e.src_host = tasks.first_host(src, cid);
+          e.dst_host = tasks.first_host(dst, cid);
+          (*fresh)[slot].push_back(e);
         }
-      }
-      return -1;
-    };
-    tasks.for_each_dependency(first_edge, tasks.dep_count(), [&](
-        std::uint32_t src, std::uint32_t dst, double) {
-      Entry e;
-      e.begin = std::min(rows.end(src), rows.start(dst));
-      e.end = std::max(rows.end(src), rows.start(dst));
-      e.src = src;
-      e.dst = dst;
-      seen.clear();
-      for (const std::uint32_t t : {src, dst}) {
-        for (const auto& cfg : rows.configs(t)) {
-          if (std::find(seen.begin(), seen.end(), cfg.cluster_id) ==
-              seen.end()) {
-            seen.push_back(cfg.cluster_id);
-          }
-        }
-      }
-      for (const int cid : seen) {
-        const std::size_t slot = cluster_slot(cid);
-        if (slot == static_cast<std::size_t>(-1)) continue;
-        Entry ce = e;
-        ce.src_host = rep_host(src, cid);
-        ce.dst_host = rep_host(dst, cid);
-        (*fresh)[slot].push_back(ce);
-      }
-    });
-  });
+      });
 }
 
 void EdgeIndex::extend_dp(const ScheduleArena& arena, std::size_t first) {

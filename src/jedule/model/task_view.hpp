@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <optional>
 #include <span>
 #include <string>
@@ -202,6 +203,40 @@ class TaskView {
         fn(cols_.dep_src[k], static_cast<std::uint32_t>(i), cols_.dep_data[k]);
       }
     }
+  }
+  /// Calls fn(src, dst, clusters) for the edges at positions [first,
+  /// last), `clusters` a std::span<const int> of the distinct clusters
+  /// among the configurations of src and dst, src's first: the clusters
+  /// an EdgeIndex files the edge under, so that one pass reaches them all.
+  template <typename Fn>
+  void for_each_dependency_cluster(std::size_t first, std::size_t last,
+                                   Fn&& fn) const {
+    std::vector<int> seen;  // distinct clusters of the current edge
+    visit([&](const auto& rows) {
+      for_each_dependency(first, last, [&](std::uint32_t src,
+                                           std::uint32_t dst, double) {
+        seen.clear();
+        for (const std::uint32_t t : {src, dst}) {
+          for (const auto& cfg : rows.configs(t)) {
+            if (std::find(seen.begin(), seen.end(), cfg.cluster_id) ==
+                seen.end()) {
+              seen.push_back(cfg.cluster_id);
+            }
+          }
+        }
+        fn(src, dst, std::span<const int>(seen));
+      });
+    });
+  }
+  /// First host of task i's first range on `cluster_id`, or -1 when it
+  /// has none there: the host row an edge entry records for an endpoint.
+  std::int32_t first_host(std::size_t i, int cluster_id) const {
+    for (const auto& cfg : configs(i)) {
+      if (cfg.cluster_id == cluster_id && !cfg.hosts.empty()) {
+        return cfg.hosts.front().start;
+      }
+    }
+    return -1;
   }
 
   /// Checks the schedule invariants of DESIGN.md §6: at least one

@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <unordered_map>
 
 #include "jedule/render/kernels.hpp"
@@ -505,62 +506,17 @@ bool entry_before(const model::EdgeIndex::Entry& a,
   return a.dst < b.dst;
 }
 
-// First host of task t's first range in `cluster_id`, or -1 when it has
-// none there: the host row an EdgeIndex entry records for an endpoint.
-std::int32_t rep_host(const TaskView& tasks, std::uint32_t t, int cluster_id) {
-  for (const auto& cfg : tasks.configs(t)) {
-    if (cfg.cluster_id == cluster_id && !cfg.hosts.empty()) {
-      return cfg.hosts.front().start;
-    }
-  }
-  return -1;
-}
-
-// The index-free twin of EdgeIndex::query: one pass over the dependency
-// columns [first, last) calling fn(entry) for every edge with an endpoint
-// in `cluster_id` whose closed interval meets `win`. The entry's host rows
-// are left at -1 (rep_host fills them for the few entries that draw);
-// fn returns false to stop the pass.
-template <typename Fn>
-void scan_edges(const TaskView& tasks, int cluster_id, TimeRange win,
-                std::size_t first, std::size_t last, Fn&& fn) {
-  // With one cluster every configuration is on it (validated), so a
-  // task is in it exactly when it has a configuration.
-  const bool one_cluster = tasks.clusters().size() == 1;
-  tasks.visit([&](const auto& rows) {
-    const auto in_cluster = [&](std::uint32_t t) {
-      if (one_cluster) return rows.configs(t).size() > 0;
-      for (const auto& cfg : rows.configs(t)) {
-        if (cfg.cluster_id == cluster_id) return true;
-      }
-      return false;
-    };
-    bool more = true;
-    tasks.for_each_dependency(first, last, [&](std::uint32_t src,
-                                               std::uint32_t dst, double) {
-      if (!more) return;
-      model::EdgeIndex::Entry e;
-      e.begin = std::min(rows.end(src), rows.start(dst));
-      e.end = std::max(rows.end(src), rows.start(dst));
-      if (e.begin > win.end || e.end < win.begin) return;
-      if (!in_cluster(src) && !in_cluster(dst)) return;
-      e.src = src;
-      e.dst = dst;
-      more = fn(e);
-    });
-  });
-}
-
-// Edges per worker of the index-free heat scan: a smaller schedule is
+// Edges per worker of the index-free pass: a smaller schedule is
 // scanned on one thread.
 constexpr std::size_t kEdgeBlock = std::size_t{1} << 15;
 
 // Lays out dependency arrows / heat lanes for every panel. With an
-// EdgeIndex hint a panel costs O(log n + visible); without one, a panel
-// costs one pass over the dependency columns (two in arrow mode, the
-// first stopping once the arrow budget is exceeded) and produces the
-// identical layout (same entries, same sort, same critical path — the
-// differential tests rely on this).
+// EdgeIndex hint a panel costs O(log n + visible); without one, one pass
+// over the dependency columns feeds every panel (each edge reaches the
+// panels of the clusters its endpoints are on) and produces the identical
+// layout (same entries, same sort, same critical path — the differential
+// tests rely on this). `scan_path` is the critical path when there is no
+// index.
 void layout_edges(GanttLayout* layout, const TaskView& tasks,
                   const GanttStyle& style, int threads,
                   const LayoutHints& hints,
@@ -573,8 +529,7 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
   if (index == nullptr && tasks.dep_count() == 0) return;
 
   // The critical path: persistent DP in the index, or the identical
-  // O(n + m) recomputation (same CSR order, same tie-breaks) the caller
-  // ran.
+  // O(n + m) recomputation (same CSR order, same tie-breaks).
   const std::vector<std::uint32_t>& path =
       index != nullptr ? index->critical_path() : scan_path.tasks;
   // One bit per task on the path: most edges leave a task off it, and a
@@ -586,20 +541,147 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
            on_path(path, e.src, e.dst);
   };
 
+  // One panel's edges: arrows within the budget, a heat lane above it.
   using Entry = model::EdgeIndex::Entry;
+  enum class Draw { kUndecided, kArrows, kHeat };
+  struct PanelEdges {
+    std::size_t pi = 0;
+    const PanelLayout* panel = nullptr;
+    long long cols = 1;  // pixel columns
+    std::size_t budget = 0;
+    Draw draw = Draw::kUndecided;
+    double col_w = 1.0;
+    long long c_lo = 0, c_hi = 0;  // heat columns
+    std::vector<float> acc;        // one f32 count per heat column
+    std::vector<Entry> visible;    // arrows while considered <= budget
+    std::vector<Entry> crit;       // critical edges over a heat lane
+    std::size_t considered = 0;
+  };
+  // Column mapping — the same device-pixel grid as the LOD bins.
+  const SnapGrid* snap = hints.snap ? &*hints.snap : nullptr;
+  const auto col_of = [snap](const PanelEdges& pe, double t) {
+    if (snap != nullptr) {
+      return (t - snap->anchor) * snap->cols_per_time -
+             static_cast<double>(snap->origin_col);
+    }
+    const TimeRange win = pe.panel->time_range;
+    return (t - win.begin) / win.length() * static_cast<double>(pe.cols);
+  };
+  std::vector<PanelEdges> panels;
   for (std::size_t pi = 0; pi < layout->panels.size(); ++pi) {
     const PanelLayout& panel = layout->panels[pi];
-    const TimeRange win = panel.time_range;
-    if (!(win.length() > 0) || panel.hosts <= 0) continue;
+    if (!(panel.time_range.length() > 0) || panel.hosts <= 0) continue;
+    PanelEdges pe;
+    pe.pi = pi;
+    pe.panel = &panel;
+    pe.cols = std::max<long long>(1, std::llround(panel.w));
+    pe.budget = static_cast<std::size_t>(pe.cols) *
+                static_cast<std::size_t>(std::max(1, style.edge_density));
+    if (mode == EdgeMode::kForce) pe.draw = Draw::kHeat;
+    if (snap != nullptr) {
+      pe.c_lo = static_cast<long long>(
+          std::floor(col_of(pe, panel.time_range.begin)));
+      pe.c_hi = static_cast<long long>(
+          std::ceil(col_of(pe, panel.time_range.end)));
+    } else {
+      pe.col_w = panel.w / static_cast<double>(pe.cols);
+      pe.c_hi = pe.cols;
+    }
+    if (pe.c_hi <= pe.c_lo) pe.c_hi = pe.c_lo + 1;
+    pe.acc.assign(static_cast<std::size_t>(pe.c_hi - pe.c_lo), 0.0f);
+    panels.push_back(std::move(pe));
+  }
 
-    const auto with_hosts = [&](Entry e) {
-      if (index == nullptr) {
-        e.src_host = rep_host(tasks, e.src, panel.cluster_id);
-        e.dst_host = rep_host(tasks, e.dst, panel.cluster_id);
+  // Index-free entries get their host rows only when kept.
+  const auto with_hosts = [&](const PanelEdges& pe, Entry e) {
+    if (index == nullptr) {
+      e.src_host = tasks.first_host(e.src, pe.panel->cluster_id);
+      e.dst_host = tasks.first_host(e.dst, pe.panel->cluster_id);
+    }
+    return e;
+  };
+  // Takes one entry meeting the panel's window: kept as an arrow while the
+  // panel may draw arrows, counted into its lane while it may draw one.
+  const auto take = [&](PanelEdges& pe, const Entry& e) {
+    ++pe.considered;
+    if (pe.draw == Draw::kArrows ||
+        (pe.draw == Draw::kUndecided && pe.considered <= pe.budget)) {
+      pe.visible.push_back(with_hosts(pe, e));
+    }
+    if (pe.draw == Draw::kArrows) return;
+    const TimeRange win = pe.panel->time_range;
+    heat_add_edge(pe.acc.data(), pe.c_lo, pe.c_hi,
+                  std::max(col_of(pe, std::max(e.begin, win.begin)),
+                           static_cast<double>(pe.c_lo)),
+                  std::min(col_of(pe, std::min(e.end, win.end)),
+                           static_cast<double>(pe.c_hi)));
+    if (critical(e)) pe.crit.push_back(with_hosts(pe, e));
+  };
+  if (index != nullptr) {
+    for (PanelEdges& pe : panels) {
+      const TimeRange win = pe.panel->time_range;
+      if (pe.draw == Draw::kUndecided) {
+        pe.draw = index->count_upto(pe.panel->cluster_id, win.begin, win.end,
+                                    pe.budget + 1) > pe.budget
+                      ? Draw::kHeat
+                      : Draw::kArrows;
       }
-      return e;
-    };
+      index->query(pe.panel->cluster_id, win.begin, win.end,
+                   [&](const Entry& e) { take(pe, e); });
+    }
+  } else {
+    // Panels by cluster id, for the clusters each edge reaches.
+    std::vector<std::pair<int, std::size_t>> by_cluster;
+    for (std::size_t k = 0; k < panels.size(); ++k) {
+      by_cluster.emplace_back(panels[k].panel->cluster_id, k);
+    }
+    std::sort(by_cluster.begin(), by_cluster.end());
+    // The pass splits over the workers, each taking its edges into its
+    // own copy of the panels: counts and kept entries merge exactly, so
+    // the layout does not depend on the split.
+    const std::size_t m = tasks.dep_count();
+    const std::size_t parts = std::clamp<std::size_t>(
+        m / kEdgeBlock, 1, static_cast<std::size_t>(std::max(1, threads)));
+    std::vector<std::vector<PanelEdges>> split(parts, panels);
+    util::parallel_for(parts, threads, [&](std::size_t p) {
+      tasks.for_each_dependency_cluster(
+          m * p / parts, m * (p + 1) / parts,
+          [&](std::uint32_t src, std::uint32_t dst,
+              std::span<const int> cids) {
+            Entry e;
+            e.begin = std::min(tasks.end(src), tasks.start(dst));
+            e.end = std::max(tasks.end(src), tasks.start(dst));
+            e.src = src;
+            e.dst = dst;
+            for (const int cid : cids) {
+              auto it = std::lower_bound(by_cluster.begin(), by_cluster.end(),
+                                         std::make_pair(cid, std::size_t{0}));
+              for (; it != by_cluster.end() && it->first == cid; ++it) {
+                PanelEdges& pe = split[p][it->second];
+                const TimeRange win = pe.panel->time_range;
+                if (e.begin > win.end || e.end < win.begin) continue;
+                take(pe, e);
+              }
+            }
+          });
+    });
+    for (std::size_t k = 0; k < panels.size(); ++k) {
+      PanelEdges& to = panels[k];
+      for (const std::vector<PanelEdges>& part : split) {
+        const PanelEdges& from = part[k];
+        to.considered += from.considered;
+        for (std::size_t c = 0; c < to.acc.size(); ++c) {
+          to.acc[c] += from.acc[c];
+        }
+        to.visible.insert(to.visible.end(), from.visible.begin(),
+                          from.visible.end());
+        to.crit.insert(to.crit.end(), from.crit.begin(), from.crit.end());
+      }
+    }
+  }
 
+  for (PanelEdges& pe : panels) {
+    const PanelLayout& panel = *pe.panel;
     const double row_h = panel.row_height();
     const auto add_arrow = [&](const Entry& e, bool critical) {
       // Cross-cluster edges (an endpoint without a host row here) feed
@@ -619,145 +701,51 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
       ++layout->edge_stats.arrows;
       if (critical) ++layout->edge_stats.critical_arrows;
     };
-
-    // Density probe: arrows within budget, heat lane above it. Either
-    // way it stops at budget + 1 entries.
-    const auto cols_ll = std::max<long long>(1, std::llround(panel.w));
-    const std::size_t budget =
-        static_cast<std::size_t>(cols_ll) *
-        static_cast<std::size_t>(std::max(1, style.edge_density));
-    bool heat = mode == EdgeMode::kForce;
-    std::vector<Entry> visible;
-    if (!heat) {
-      if (index != nullptr) {
-        heat = index->count_upto(panel.cluster_id, win.begin, win.end,
-                                 budget + 1) > budget;
-      } else {
-        scan_edges(tasks, panel.cluster_id, win, 0, tasks.dep_count(),
-                   [&](const Entry& e) {
-                     visible.push_back(with_hosts(e));
-                     return visible.size() <= budget;
-                   });
-        heat = visible.size() > budget;
-      }
-    }
-
-    if (heat) {
-      visible = {};
-      // Column mapping — the same device-pixel grid as the LOD bins.
-      const SnapGrid* snap = hints.snap ? &*hints.snap : nullptr;
-      const auto col_of = [snap, win, cols_ll](double t) {
-        if (snap != nullptr) {
-          return (t - snap->anchor) * snap->cols_per_time -
-                 static_cast<double>(snap->origin_col);
-        }
-        return (t - win.begin) / win.length() * static_cast<double>(cols_ll);
-      };
-      double col_w = 1.0;
-      long long c_lo = 0, c_hi = 0;
-      if (snap != nullptr) {
-        c_lo = static_cast<long long>(std::floor(col_of(win.begin)));
-        c_hi = static_cast<long long>(std::ceil(col_of(win.end)));
-      } else {
-        col_w = panel.w / static_cast<double>(cols_ll);
-        c_hi = cols_ll;
-      }
-      if (c_hi <= c_lo) c_hi = c_lo + 1;
-      const std::size_t ncols = static_cast<std::size_t>(c_hi - c_lo);
-
-      // Accumulate one f32 count per column. The adds are 1.0f each and
-      // element-wise, so the lane is bit-exact at any visit order and
-      // under every SIMD kernel (counts stay exact below 2^24). The scan
-      // splits over the workers, each counting into its own columns:
-      // sums of exact integer counts are the same at any split.
-      const auto& kern = kernels::active();
-      struct Counts {
-        std::vector<float> acc;
-        std::vector<Entry> crit;  // critical edges still draw as arrows
-        std::size_t considered = 0;
-      };
-      const auto count = [&](Counts& out, const Entry& e) {
-        ++out.considered;
-        const double u0 = std::max(col_of(std::max(e.begin, win.begin)),
-                                   static_cast<double>(c_lo));
-        const double u1 = std::min(col_of(std::min(e.end, win.end)),
-                                   static_cast<double>(c_hi));
-        auto b0 = static_cast<long long>(std::floor(u0));
-        auto b1 = static_cast<long long>(std::ceil(u1));
-        if (b1 <= b0) b1 = b0 + 1;  // instantaneous edge: one column
-        b0 = std::clamp(b0, c_lo, c_hi);
-        b1 = std::clamp(b1, c_lo, c_hi);
-        if (b1 > b0) {
-          kern.heat_accum(out.acc.data() + (b0 - c_lo),
-                          static_cast<std::size_t>(b1 - b0), 1.0f);
-        }
-        if (critical(e)) out.crit.push_back(with_hosts(e));
-      };
-      const std::size_t m = tasks.dep_count();
-      const std::size_t parts =
-          index != nullptr
-              ? 1
-              : std::clamp<std::size_t>(m / kEdgeBlock, 1,
-                                        static_cast<std::size_t>(
-                                            std::max(1, threads)));
-      std::vector<Counts> counts(parts);
-      for (Counts& c : counts) c.acc.assign(ncols, 0.0f);
-      if (index != nullptr) {
-        index->query(panel.cluster_id, win.begin, win.end,
-                     [&](const Entry& e) { count(counts[0], e); });
-      } else {
-        util::parallel_for(parts, threads, [&](std::size_t p) {
-          scan_edges(tasks, panel.cluster_id, win, m * p / parts,
-                     m * (p + 1) / parts, [&](const Entry& e) {
-                       count(counts[p], e);
-                       return true;
-                     });
-        });
-      }
-      std::vector<float>& acc = counts[0].acc;
-      std::vector<Entry>& crit = counts[0].crit;
-      for (std::size_t p = 1; p < parts; ++p) {
-        for (std::size_t c = 0; c < ncols; ++c) acc[c] += counts[p].acc[c];
-        crit.insert(crit.end(), counts[p].crit.begin(), counts[p].crit.end());
-      }
-      for (const Counts& c : counts) {
-        layout->edge_stats.considered += c.considered;
-      }
+    layout->edge_stats.considered += pe.considered;
+    if (pe.draw == Draw::kHeat ||
+        (pe.draw == Draw::kUndecided && pe.considered > pe.budget)) {
+      const std::size_t ncols = static_cast<std::size_t>(pe.c_hi - pe.c_lo);
       float maxv = 0.0f;
-      for (const float v : acc) maxv = std::max(maxv, v);
+      for (const float v : pe.acc) maxv = std::max(maxv, v);
       if (maxv > 0.0f) {
         EdgeHeatLane lane;
-        lane.panel_index = pi;
-        lane.col_w = col_w;
-        lane.x = panel.x + static_cast<double>(c_lo) * col_w;
+        lane.panel_index = pe.pi;
+        lane.col_w = pe.col_w;
+        lane.x = panel.x + static_cast<double>(pe.c_lo) * pe.col_w;
         lane.h = std::min(6.0, panel.h);
         lane.y = panel.y + panel.h - lane.h;
         lane.levels.resize(ncols);
-        kern.heat_quantize(acc.data(), ncols, 255.0f / maxv,
-                           lane.levels.data());
+        kernels::active().heat_quantize(pe.acc.data(), ncols, 255.0f / maxv,
+                                        lane.levels.data());
         for (const auto v : lane.levels) {
           if (v != 0) ++layout->edge_stats.heat_columns;
         }
         layout->edge_lanes.push_back(std::move(lane));
       }
       ++layout->edge_stats.heat_panels;
-      std::sort(crit.begin(), crit.end(), entry_before);
-      for (const Entry& e : crit) add_arrow(e, true);
+      std::sort(pe.crit.begin(), pe.crit.end(), entry_before);
+      for (const Entry& e : pe.crit) add_arrow(e, true);
     } else {
-      if (index != nullptr) {
-        index->query(panel.cluster_id, win.begin, win.end,
-                     [&](const Entry& e) { visible.push_back(e); });
-      }
-      layout->edge_stats.considered += visible.size();
-      std::sort(visible.begin(), visible.end(), entry_before);
-      for (const Entry& e : visible) {
-        add_arrow(e, critical(e));
-      }
+      std::sort(pe.visible.begin(), pe.visible.end(), entry_before);
+      for (const Entry& e : pe.visible) add_arrow(e, critical(e));
     }
   }
 }
 
 }  // namespace
+
+void heat_add_edge(float* acc, long long c_lo, long long c_hi, double u0,
+                   double u1) {
+  auto b0 = static_cast<long long>(std::floor(u0));
+  auto b1 = static_cast<long long>(std::ceil(u1));
+  if (b1 <= b0) b1 = b0 + 1;
+  b0 = std::clamp(b0, c_lo, c_hi);
+  b1 = std::clamp(b1, c_lo, c_hi);
+  if (b1 > b0) {
+    kernels::active().heat_accum(acc + (b0 - c_lo),
+                                 static_cast<std::size_t>(b1 - b0), 1.0f);
+  }
+}
 
 GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
                          const GanttStyle& style, int threads,

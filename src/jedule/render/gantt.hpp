@@ -254,9 +254,9 @@ struct LayoutHints {
   const model::TaskIndex* index = nullptr;
 
   /// O(log n + k) window queries over the dependency edges. Without it an
-  /// active EdgeMode falls back to a brute-force scan of the schedule's
-  /// dependencies per panel — the resulting layout is
-  /// identical, just O(m) instead of O(visible).
+  /// active EdgeMode lays out every panel's edges in one pass over the
+  /// schedule's dependencies — the resulting layout is identical, just
+  /// O(m) instead of O(visible).
   const model::EdgeIndex* edge_index = nullptr;
 
   /// Skip Schedule::validate() (the caller validated once already).
@@ -287,15 +287,23 @@ struct LayoutHints {
 
 /// Computes the layout; throws ValidationError on an invalid schedule and
 /// ArgumentError on an empty time window or unknown filter clusters.
-/// `threads` parallelizes the composite-synthesis sweep and the heat-lane
-/// scan of the dependency columns (the rest of the layout is sequential);
-/// the layout is identical for every thread count, and
+/// `threads` parallelizes the composite-synthesis sweep and the
+/// index-free pass over the dependency edges (the rest of the layout is
+/// sequential); the layout is identical for every thread count, and
 /// for either form `tasks` views. The layout borrows the viewed schedule
 /// (see GanttLayout); a TaskView of a temporary does not compile.
 GanttLayout layout_gantt(model::TaskView tasks,
                          const color::ColorMap& colormap,
                          const GanttStyle& style, int threads = 1,
                          const LayoutHints& hints = {});
+
+/// Counts one edge into a heat lane: adds 1 to the columns
+/// [floor(u0), ceil(u1)) of acc, whose first element is column c_lo,
+/// clamped to [c_lo, c_hi); an edge of no width counts in one column.
+/// u0 <= u1 are the edge's ends in column coordinates. The adds are exact
+/// (counts below 2^24), so a lane reads the same in any edge order.
+void heat_add_edge(float* acc, long long c_lo, long long c_hi, double u0,
+                   double u1);
 
 /// Paints a layout. The canvas must have the layout's dimensions.
 void paint_gantt(const GanttLayout& layout, Canvas& canvas,

@@ -205,6 +205,29 @@ model::Schedule zero_length_schedule(int n, int clusters) {
   return s;
 }
 
+/// Cluster 0 holds a dense unit chain, cluster 1 a sparse one, one edge
+/// crosses from 0 to 1, and cluster 2 has a task but no edges.
+model::Schedule mixed_density_schedule() {
+  model::ScheduleBuilder b;
+  b.cluster(0, "dense", 8).cluster(1, "sparse", 8).cluster(2, "idle", 8);
+  for (int i = 0; i < 300; ++i) {
+    b.task("d" + std::to_string(i), "computation", i, i + 1.0).on(0, i % 8, 1);
+  }
+  for (int i = 0; i < 10; ++i) {
+    b.task("s" + std::to_string(i), "transfer", 300 + 3.0 * i, 301 + 3.0 * i)
+        .on(1, i % 8, 1);
+  }
+  b.task("idle", "computation", 0.0, 310.0).on(2, 0, 8);
+  model::Schedule s = b.build();
+  for (std::uint32_t i = 1; i < 310; ++i) {
+    s.add_dependency(i - 1, i, 1.0);
+    if (i < 300 && i >= 2) s.add_dependency(i - 2, i, 1.0);
+    if (i < 300 && i >= 3) s.add_dependency(i - 3, i, 1.0);
+  }
+  s.validate();
+  return s;
+}
+
 TEST(RenderEdges, IndexAndBruteForceFallbackProduceIdenticalLayouts) {
   for (unsigned seed : {3u, 8u}) {
     const auto s = dense_schedule(200, 500, seed);
@@ -248,12 +271,26 @@ TEST(RenderEdges, IndexAndBruteForceFallbackProduceIdenticalLayouts) {
     EXPECT_EQ(brute.edge_stats.considered, 236u);
     expect_same_edge_layout(layout_with(s, style, &index), brute);
   }
+  // Panels that decide differently in one pass over the edges: at this
+  // width the dense panel draws the only lane, the sparse one arrows.
+  const auto m = mixed_density_schedule();
+  const model::EdgeIndex mixed_index(m);
+  const GanttStyle style = style_for(EdgeMode::kAuto, 160, 240);
+  const GanttLayout brute = layout_with(m, style, nullptr);
+  ASSERT_EQ(brute.edge_lanes.size(), 1u);
+  EXPECT_EQ(brute.edge_lanes[0].panel_index, 0u);
+  EXPECT_EQ(brute.edge_stats.heat_panels, 1u);
+  // 299 + 298 + 297 dense edges and the crossing one in panel 0; the
+  // crossing one and 9 sparse edges in panel 1.
+  EXPECT_EQ(brute.edge_stats.considered, 895u + 10u);
+  expect_same_edge_layout(layout_with(m, style, &mixed_index), brute);
 }
 
-TEST(RenderEdges, HeatScanSplitOverWorkersMatchesIndex) {
-  // Enough edges that the index-free heat pass splits over the workers:
-  // every split gives the layout of the index.
-  const auto s = zero_length_schedule(40000, 2);
+TEST(RenderEdges, EdgePassSplitOverWorkersMatchesIndex) {
+  // ~120k edges, a third of them across the two clusters: enough that
+  // the index-free pass splits over up to three workers, and every split
+  // gives the layout of the index.
+  const auto s = zero_length_schedule(60000, 2);
   const model::EdgeIndex index(s);
   for (const EdgeMode mode : {EdgeMode::kAuto, EdgeMode::kForce}) {
     const GanttStyle style = style_for(mode, 480, 240);
