@@ -57,11 +57,6 @@ const Node& Dag::node(int id) const {
   return nodes_[static_cast<std::size_t>(id)];
 }
 
-Node& Dag::mutable_node(int id) {
-  JED_ASSERT(id >= 0 && id < node_count());
-  return nodes_[static_cast<std::size_t>(id)];
-}
-
 void Dag::ensure_adjacency() const {
   if (adjacency_valid_) return;
   succ_.assign(nodes_.size(), {});

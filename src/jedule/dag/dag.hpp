@@ -50,7 +50,6 @@ class Dag {
 
   int node_count() const { return static_cast<int>(nodes_.size()); }
   const Node& node(int id) const;
-  Node& mutable_node(int id);
   const std::vector<Node>& nodes() const { return nodes_; }
   const std::vector<Edge>& edges() const { return edges_; }
 

@@ -171,10 +171,10 @@ std::string RenderService::render_bytes(const EntryPtr& entry,
   // (O(visible) instead of O(n)); a full view reads every task and edge
   // anyway (its edges in one O(m) pass), so it builds neither, but uses
   // an edge index the entry already holds. The entry's cached composite
-  // list replaces the per-render overlap sweep. Bytes are identical with
-  // or without any of them, and from either resident form, so all stay
-  // out of the cache key. Only the full-view composite list materializes
-  // the AoS form of a columnar entry.
+  // list replaces the per-render overlap sweep; a columnar entry sweeps
+  // it from its columns. Bytes are identical with or without any of
+  // them, and from either resident form, so all stay out of the cache
+  // key. No render builds the AoS form of a columnar entry.
   options.task_index = nullptr;
   options.edge_index = entry->edges.built() ? &entry->edges : nullptr;
   if (options.style.time_window ||

@@ -40,7 +40,7 @@ class RenderService {
     std::size_t artifact_entries = 128;       // LRU ceiling, count
     std::size_t artifact_bytes = 128u << 20;  // LRU ceiling, payload bytes
     int threads = 0;  // default per-render workers (<=0: resolve_threads)
-    render::TileCache::Options tile;  // the shared interactive tile cache
+    render::TileCache::Options tile{.threads = 0};  // the shared tile cache
   };
 
   /// Transfer encoding of an artifact's bytes. `gzip` artifacts hold the

@@ -5,21 +5,10 @@
 #include <limits>
 
 #include "jedule/util/error.hpp"
-#include "jedule/util/parallel.hpp"
 
 namespace jedule::engine {
 
 using model::TimeRange;
-
-namespace {
-
-render::TileCache::Options cache_options() {
-  render::TileCache::Options opt;
-  opt.threads = util::resolve_threads(0);
-  return opt;
-}
-
-}  // namespace
 
 SessionState::SessionState(EntryPtr entry, color::ColorMap colormap,
                            render::GanttStyle style)
@@ -27,7 +16,7 @@ SessionState::SessionState(EntryPtr entry, color::ColorMap colormap,
       colormap_(colormap),
       original_colormap_(std::move(colormap)),
       style_(std::move(style)),
-      cache_(cache_options()) {
+      cache_(render::TileCache::Options{.threads = 0}) {
   JED_ASSERT(entry_ != nullptr);
 }
 

@@ -93,9 +93,15 @@ ScheduleEntry::ScheduleEntry(
   if (const auto range = arena_->time_range()) full_range = *range;
   {
     // Only adopt a composite list the base actually computed — never
-    // force one into existence just to extend it.
+    // force one into existence just to extend it. A base that never
+    // computed its own passes on the list it would have extended.
     std::lock_guard<std::mutex> lock(base.lazy_mu_);
-    base_composites_ = base.composites_;
+    if (base.composites_) {
+      base_composites_ = base.composites_;
+    } else if (base.base_composites_) {
+      base_composites_ = base.base_composites_;
+      first_new_ = base.first_new_;
+    }
   }
 }
 
@@ -157,14 +163,6 @@ std::uint64_t ScheduleEntry::build_content_hash() const {
 
 std::string ScheduleEntry::build_id() const { return hex_id(*content_hash); }
 
-const model::Schedule& ScheduleEntry::schedule_locked() const {
-  if (!schedule_) {
-    schedule_ =
-        std::make_shared<const model::Schedule>(arena_->to_schedule());
-  }
-  return *schedule_;
-}
-
 model::TaskView ScheduleEntry::tasks() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   if (schedule_) return model::TaskView(*schedule_);
@@ -173,7 +171,11 @@ model::TaskView ScheduleEntry::tasks() const {
 
 const model::Schedule& ScheduleEntry::schedule() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  return schedule_locked();
+  if (!schedule_) {
+    schedule_ =
+        std::make_shared<const model::Schedule>(arena_->to_schedule());
+  }
+  return *schedule_;
 }
 
 const model::ScheduleArena& ScheduleEntry::arena() const {
@@ -186,26 +188,25 @@ const model::ScheduleArena& ScheduleEntry::arena() const {
   return *arena_;
 }
 
+// Reads the form the entry has: a columnar entry sweeps its columns and
+// never builds the AoS form. composites_mu_ serializes the sweep without
+// holding lazy_mu_, so tasks() readers do not wait for it.
 std::shared_ptr<const std::vector<model::Composite>> ScheduleEntry::composites(
     int threads) const {
-  bool extend = false;
+  std::lock_guard<std::mutex> once(composites_mu_);
+  std::shared_ptr<const std::vector<model::Composite>> base;
   {
     std::lock_guard<std::mutex> lock(lazy_mu_);
     if (composites_) return composites_;
-    extend = base_composites_ != nullptr;
+    base = base_composites_;
   }
-  // Extending reads the index, whose build takes lazy_mu_: get it first.
-  const model::TaskIndex* idx = extend ? &index : nullptr;
+  const model::TaskView view = tasks();
+  std::vector<model::Composite> list =
+      base != nullptr
+          ? model::append_composites(view, index, *base, first_new_, nullptr,
+                                     threads)
+          : model::synthesize_composites(view, nullptr, threads);
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (composites_) return composites_;
-  const model::Schedule& s = schedule_locked();
-  std::vector<model::Composite> list;
-  if (base_composites_ != nullptr) {
-    list = model::append_composites(s, *idx, *base_composites_, first_new_,
-                                    nullptr, threads);
-  } else {
-    list = model::synthesize_composites(s, nullptr, threads);
-  }
   composites_ =
       std::make_shared<const std::vector<model::Composite>>(std::move(list));
   base_composites_.reset();

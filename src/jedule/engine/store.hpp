@@ -92,8 +92,8 @@ class Lazy {
 /// model::ScheduleArena (what snapshots and the live-append path produce).
 /// Renders read whichever the entry has through tasks(); each form
 /// materializes lazily from the other only for the consumers that need
-/// it (schedule(): info, convert, profile, full-view composites; arena():
-/// snapshots, appends). So a `.jbin` or appended entry renders windows
+/// it (schedule(): info, convert, profile, demo; arena(): snapshots,
+/// appends). So a `.jbin` or appended entry renders full views, windows
 /// and tiles straight from its columns.
 ///
 /// The index, the edge index and the hash are built on first use
@@ -148,15 +148,19 @@ struct ScheduleEntry {
   /// entry lives.
   model::TaskView tasks() const;
 
-  /// The AoS schedule, materialized from the columns on first use.
+  /// The AoS schedule, materialized from the columns on first use and
+  /// kept while the entry lives. No render, tile or composite path calls
+  /// it: only info, profile, Session::info and the schedule-file writers
+  /// of convert and demo do.
   const model::Schedule& schedule() const;
 
   /// The columnar arena, built from the AoS schedule on first use.
   const model::ScheduleArena& arena() const;
 
-  /// The unfiltered composite list (synthesized on first use; append
-  /// entries extend their base's already-computed list in O(tail) via
-  /// model::append_composites instead of resweeping).
+  /// The unfiltered composite list, synthesized on first use from the
+  /// form tasks() reads (never building the AoS form). An append entry
+  /// extends the latest list up its append chain in O(tail) via
+  /// model::append_composites instead of resweeping.
   std::shared_ptr<const std::vector<model::Composite>> composites(
       int threads = 1) const;
 
@@ -170,7 +174,6 @@ struct ScheduleEntry {
   Resident resident() const;
 
  private:
-  const model::Schedule& schedule_locked() const;
   /// The pre-count task hash if some part holds it. Requires lazy_mu_.
   std::optional<std::uint64_t> known_tasks_hash_locked() const;
   model::TaskIndex build_index() const;
@@ -189,12 +192,14 @@ struct ScheduleEntry {
   mutable std::shared_ptr<const model::Schedule> schedule_;
   mutable std::shared_ptr<const model::ScheduleArena> arena_;
   mutable std::shared_ptr<const std::vector<model::Composite>> composites_;
+  // Held while composites() sweeps, so one sweep runs per entry.
+  mutable std::mutex composites_mu_;
   // AoS footprint estimate, computed by the first resident() that sees
   // the AoS form.
   mutable std::optional<std::size_t> aos_bytes_;
-  // Append provenance: the base's composite list (when it was already
-  // computed) and the first appended task index, so composites() can
-  // extend instead of resynthesize.
+  // Append provenance: the latest composite list up the append chain
+  // (when some base computed one) and the first task index it does not
+  // cover, so composites() can extend instead of resynthesize.
   mutable std::shared_ptr<const std::vector<model::Composite>>
       base_composites_;
   std::size_t first_new_ = 0;

@@ -67,8 +67,6 @@ void set_column_scan_ops(const ColumnScanOps& ops) {
   if (ops.minmax_f64 != nullptr) g_scan_ops.minmax_f64 = ops.minmax_f64;
 }
 
-const ColumnScanOps& column_scan_ops() { return g_scan_ops; }
-
 // ---------------------------------------------------------------------------
 // Construction from the AoS schedule
 

@@ -63,11 +63,6 @@ class Column {
     mapped_size_ = n;
     vec_.clear();
   }
-  void set_owned(std::vector<T> v) {
-    vec_ = std::move(v);
-    mapped_ = nullptr;
-    mapped_size_ = 0;
-  }
   std::vector<T>& owned() {
     if (mapped_ != nullptr) {
       vec_.assign(mapped_, mapped_ + mapped_size_);
@@ -100,7 +95,6 @@ struct ColumnScanOps {
                      double* lo, double* hi) = nullptr;
 };
 void set_column_scan_ops(const ColumnScanOps& ops);
-const ColumnScanOps& column_scan_ops();
 
 class ScheduleArena {
  public:
@@ -207,18 +201,9 @@ class ScheduleArena {
 
   std::string_view task_id(std::size_t i) const;
   std::string_view task_type(std::size_t i) const;
-  Time task_start(std::size_t i) const { return start_[i]; }
-  Time task_end(std::size_t i) const { return end_[i]; }
 
   /// Total precedence-edge count (CSR, grouped by destination task).
   std::size_t dep_count() const { return dep_src_.size(); }
-  /// Half-open [first, last) span of task i's predecessor slots in
-  /// dep_src()/dep_data(); {0, 0} when the arena has no edges at all.
-  std::pair<std::size_t, std::size_t> task_dep_span(std::size_t i) const {
-    if (dep_off_.empty()) return {0, 0};
-    return {static_cast<std::size_t>(dep_off_[i]),
-            static_cast<std::size_t>(dep_off_[i + 1])};
-  }
   const std::uint32_t* dep_src() const { return dep_src_.data(); }
   const double* dep_data() const { return dep_data_.data(); }
 

@@ -353,20 +353,30 @@ std::vector<Slab> build_slabs(
   return slabs;
 }
 
-// Appends task `i`'s allocations to the per-cluster entry lists, applying
-// the participation filters (predicate, zero-area).
-void add_task_entries(const std::vector<Task>& tasks, std::size_t i,
-                      const std::function<bool(const Task&)>& include_task,
-                      std::map<int, std::vector<Entry>>* per_cluster) {
-  const Task& t = tasks[i];
-  if (include_task && !include_task(t)) return;
-  if (!(t.end_time() > t.start_time())) return;  // zero area
-  for (const auto& cfg : t.configurations()) {
-    for (const auto& range : cfg.hosts) {
-      (*per_cluster)[cfg.cluster_id].push_back(
-          Entry{range, Interval{i, t.start_time(), t.end_time()}});
+// Per-cluster allocation lists of the tasks of `subset` (all `n` when
+// null) that pass the participation filters (predicate, zero area).
+// `rows` is AosRows or ColumnRows (TaskView::visit). Hosts stay as ranges
+// throughout — the sweep works per boundary-delimited slab, so the cost
+// is in the number of ranges, never in the hosts they expand to.
+template <typename Rows>
+std::map<int, std::vector<Entry>> collect_entries(
+    const Rows& rows, std::size_t n, const TaskFilter& include,
+    const std::vector<std::uint32_t>* subset) {
+  std::map<int, std::vector<Entry>> per_cluster;
+  for (std::size_t k = 0; k < (subset ? subset->size() : n); ++k) {
+    const std::size_t i = subset ? (*subset)[k] : k;
+    if (include && !include(i)) continue;
+    const Time begin = rows.start(i);
+    const Time end = rows.end(i);
+    if (!(end > begin)) continue;  // zero area
+    for (const auto& cfg : rows.configs(i)) {
+      for (const auto& range : cfg.hosts) {
+        per_cluster[cfg.cluster_id].push_back(
+            Entry{range, Interval{i, begin, end}});
+      }
     }
   }
+  return per_cluster;
 }
 
 // Slab build + sharded sweep + deterministic merge: the thread-count
@@ -424,8 +434,8 @@ GroupMap sweep_groups(const std::map<int, std::vector<Entry>>& per_cluster,
 
 // Materializes one composite task per group, in GroupMap key order:
 // (cluster_id, begin, end, member indices) ascending.
-std::vector<Composite> materialize(GroupMap&& groups,
-                                   const std::vector<Task>& tasks) {
+template <typename Rows>
+std::vector<Composite> materialize(GroupMap&& groups, const Rows& rows) {
   std::vector<Composite> out;
   out.reserve(groups.size());
   for (auto& [key, ranges] : groups) {
@@ -433,8 +443,8 @@ std::vector<Composite> materialize(GroupMap&& groups,
     std::vector<std::string> ids;
     ids.reserve(key.members.size());
     for (std::size_t idx : key.members) {
-      ids.push_back(tasks[idx].id());
-      comp.member_types.insert(tasks[idx].type());
+      ids.emplace_back(rows.id(idx));
+      comp.member_types.insert(*rows.type(idx));
     }
     comp.task.set_id(util::join(ids, "+"));
     comp.member_ids = std::move(ids);
@@ -466,43 +476,53 @@ bool composite_less(const Composite& a, const Composite& b) {
   return a.member_indices < b.member_indices;
 }
 
+// A per-Task filter as a per-index one over `schedule`'s tasks.
+TaskFilter by_index(const Schedule& schedule,
+                    const std::function<bool(const Task&)>& include_task) {
+  if (!include_task) return nullptr;
+  return [&tasks = schedule.tasks(), &include_task](std::size_t i) {
+    return include_task(tasks[i]);
+  };
+}
+
 }  // namespace
+
+std::vector<Composite> synthesize_composites(
+    const TaskView& tasks, const TaskFilter& include, int threads,
+    const std::vector<std::uint32_t>* subset) {
+  return tasks.visit([&](const auto& rows) {
+    return materialize(
+        sweep_groups(collect_entries(rows, tasks.size(), include, subset),
+                     threads),
+        rows);
+  });
+}
 
 std::vector<Composite> synthesize_composites(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task, int threads) {
-  const auto& tasks = schedule.tasks();
-
-  // Per-cluster allocation lists; hosts stay as ranges throughout — the
-  // sweep works per boundary-delimited slab, so the cost is in the number
-  // of ranges, never in the hosts they expand to.
-  std::map<int, std::vector<Entry>> per_cluster;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    add_task_entries(tasks, i, include_task, &per_cluster);
-  }
-  return materialize(sweep_groups(per_cluster, threads), tasks);
+  return synthesize_composites(TaskView(schedule),
+                               by_index(schedule, include_task), threads);
 }
 
-std::vector<Composite> append_composites(
-    const Schedule& schedule, const TaskIndex& index,
-    std::vector<Composite> cached, std::size_t first_new,
-    const std::function<bool(const Task&)>& include_task, int threads) {
-  const auto& tasks = schedule.tasks();
+std::vector<Composite> append_composites(const TaskView& tasks,
+                                         const TaskIndex& index,
+                                         std::vector<Composite> cached,
+                                         std::size_t first_new,
+                                         const TaskFilter& include,
+                                         int threads) {
   JED_ASSERT(index.task_count() == tasks.size());
   JED_ASSERT(first_new <= tasks.size());
   if (first_new >= tasks.size()) return cached;
-  if (first_new == 0) {
-    return synthesize_composites(schedule, include_task, threads);
-  }
+  if (first_new == 0) return synthesize_composites(tasks, include, threads);
 
   // The initial cut: the earliest participating appended task.
   bool any_new = false;
   Time t_cut = 0;
   for (std::size_t i = first_new; i < tasks.size(); ++i) {
-    const Task& t = tasks[i];
-    if (include_task && !include_task(t)) continue;
-    if (!(t.end_time() > t.start_time())) continue;
-    if (!any_new || t.start_time() < t_cut) t_cut = t.start_time();
+    if (include && !include(i)) continue;
+    if (!(tasks.end(i) > tasks.start(i))) continue;
+    if (!any_new || tasks.start(i) < t_cut) t_cut = tasks.start(i);
     any_new = true;
   }
   if (!any_new) return cached;
@@ -512,15 +532,12 @@ std::vector<Composite> append_composites(
   // the loop terminates; the guard caps pathological nesting chains with
   // a full resweep, which is always correct.
   for (int guard = 0;; ++guard) {
-    if (guard >= 256) {
-      return synthesize_composites(schedule, include_task, threads);
-    }
+    if (guard >= 256) return synthesize_composites(tasks, include, threads);
     Time lowest = t_cut;
-    for (const auto& cluster : schedule.clusters()) {
+    for (const auto& cluster : tasks.clusters()) {
       index.query(cluster.id, t_cut, t_cut, [&](const TaskIndex::Entry& e) {
         if (!(e.begin < t_cut && e.end > t_cut)) return;
-        const Task& t = tasks[e.task];
-        if (include_task && !include_task(t)) return;
+        if (include && !include(e.task)) return;
         lowest = std::min(lowest, e.begin);
       });
     }
@@ -546,20 +563,16 @@ std::vector<Composite> append_composites(
   // cut; the start >= t_cut filter drops them — with no straddlers,
   // end > t_cut and start >= t_cut coincide for positive-area tasks).
   std::vector<std::uint32_t> subset;
-  for (const auto& cluster : schedule.clusters()) {
+  for (const auto& cluster : tasks.clusters()) {
     index.collect_tasks(cluster.id, t_cut,
                         std::numeric_limits<double>::infinity(), &subset);
   }
   std::sort(subset.begin(), subset.end());
   subset.erase(std::unique(subset.begin(), subset.end()), subset.end());
-
-  std::map<int, std::vector<Entry>> per_cluster;
-  for (std::uint32_t i : subset) {
-    if (tasks[i].start_time() < t_cut) continue;
-    add_task_entries(tasks, i, include_task, &per_cluster);
-  }
+  std::erase_if(subset,
+                [&](std::uint32_t i) { return tasks.start(i) < t_cut; });
   std::vector<Composite> tail =
-      materialize(sweep_groups(per_cluster, threads), tasks);
+      synthesize_composites(tasks, include, threads, &subset);
 
   // Both halves are already in GroupMap order with distinct keys; the
   // merge reproduces the full-sweep output exactly.
@@ -573,14 +586,22 @@ std::vector<Composite> append_composites(
   return out;
 }
 
+std::vector<Composite> append_composites(
+    const Schedule& schedule, const TaskIndex& index,
+    std::vector<Composite> cached, std::size_t first_new,
+    const std::function<bool(const Task&)>& include_task, int threads) {
+  return append_composites(TaskView(schedule), index, std::move(cached),
+                           first_new, by_index(schedule, include_task),
+                           threads);
+}
+
 bool has_resource_conflicts(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task) {
-  const auto& tasks = schedule.tasks();
-  std::map<int, std::vector<Entry>> per_cluster;
-  for (std::size_t i = 0; i < tasks.size(); ++i) {
-    add_task_entries(tasks, i, include_task, &per_cluster);
-  }
+  auto per_cluster =
+      collect_entries(AosRows{schedule.tasks().data()},
+                      schedule.tasks().size(),
+                      by_index(schedule, include_task), nullptr);
   // Some entry is marked exactly when some composite exists.
   return std::any_of(per_cluster.begin(), per_cluster.end(), [](auto& c) {
     HostCuts cut = cut_host_axis(c.second);

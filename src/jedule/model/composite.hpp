@@ -11,6 +11,7 @@
 // (member-set, interval) segments of adjacent hosts of the same cluster into
 // host ranges, yielding one composite task per maximal rectangle group.
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <set>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "jedule/model/schedule.hpp"
+#include "jedule/model/task_view.hpp"
 
 namespace jedule::model {
 
@@ -28,19 +30,32 @@ struct Composite {
   Task task;                            // id, "composite" type, time, hosts
   std::vector<std::string> member_ids;  // sorted by schedule order
   std::set<std::string> member_types;   // distinct member types (for colors)
-  // Sorted indices into Schedule::tasks() of the members — the stable
-  // identity append_composites merges on (task indices never move, the
-  // live-trace path only appends).
+  // Sorted task indices of the members — the stable identity
+  // append_composites merges on (task indices never move, the live-trace
+  // path only appends).
   std::vector<std::size_t> member_indices;
 };
 
-/// Synthesizes all composite tasks of `schedule`. Intervals are half-open:
-/// a task ending exactly when another starts does not overlap it.
-/// `include_task` filters which tasks participate (default: all); the
+/// Which tasks take part in a sweep, by task index (nullptr: all).
+using TaskFilter = std::function<bool(std::size_t)>;
+
+/// Synthesizes the composite tasks of either resident form. Intervals are
+/// half-open: a task ending exactly when another starts does not overlap
+/// it. `include` filters which tasks participate (default: all). When
+/// `subset` is given (sorted, distinct task indices), only those tasks are
+/// swept: the culled layout's window closure. Member indices are task
+/// indices of `tasks` either way, so a subset keeps the order and ids a
+/// schedule of just those tasks would give. The per-resource sweep runs
+/// over up to `threads` workers, partitioned by (cluster, host) and merged
+/// deterministically: the result is identical for every thread count and
+/// for both forms.
+std::vector<Composite> synthesize_composites(
+    const TaskView& tasks, const TaskFilter& include = nullptr,
+    int threads = 1, const std::vector<std::uint32_t>* subset = nullptr);
+
+/// synthesize_composites over an AoS schedule with a per-Task filter; the
 /// schedulers use it to e.g. ignore communication when checking compute
-/// exclusivity. The per-resource sweep runs over up to `threads` workers,
-/// partitioned by (cluster, host) and merged deterministically — the result
-/// is identical for every thread count.
+/// exclusivity.
 std::vector<Composite> synthesize_composites(
     const Schedule& schedule,
     const std::function<bool(const Task&)>& include_task = nullptr,
@@ -48,10 +63,10 @@ std::vector<Composite> synthesize_composites(
 
 /// O(delta) composite maintenance for the live-trace append path:
 /// `cached` must be the synthesize_composites/append_composites result for
-/// the first `first_new` tasks of `schedule` under the *same*
-/// `include_task` predicate, and `index` must cover all of `schedule`
-/// (the O(delta)-extended TaskIndex). Returns the full composite list,
-/// byte-identical to synthesize_composites over the whole schedule.
+/// the first `first_new` tasks of `tasks` under the *same* `include`
+/// predicate, and `index` must cover all of `tasks` (the O(delta)-extended
+/// TaskIndex). Returns the full composite list, byte-identical to
+/// synthesize_composites over all of `tasks`.
 ///
 /// Cost scales with the tail, not the schedule: a cut time t_cut is
 /// lowered from the earliest new task start until no included task
@@ -60,6 +75,12 @@ std::vector<Composite> synthesize_composites(
 /// Half-open intervals then guarantee no composite crosses the cut, so
 /// cached composites ending at or before it are kept verbatim and only
 /// the tasks at or after it — found through the index — are re-swept.
+std::vector<Composite> append_composites(
+    const TaskView& tasks, const TaskIndex& index,
+    std::vector<Composite> cached, std::size_t first_new,
+    const TaskFilter& include = nullptr, int threads = 1);
+
+/// append_composites over an AoS schedule with a per-Task filter.
 std::vector<Composite> append_composites(
     const Schedule& schedule, const TaskIndex& index,
     std::vector<Composite> cached, std::size_t first_new,

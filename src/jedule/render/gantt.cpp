@@ -20,7 +20,6 @@ namespace jedule::render {
 
 namespace {
 
-using model::Schedule;
 using model::TaskView;
 using model::TimeRange;
 
@@ -914,9 +913,6 @@ GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
   }
 
   if (style.show_composites && any_exact_panel) {
-    // Tasks whose selected members are swept as a schedule of their own,
-    // when the sweep cannot filter an AoS schedule in place.
-    std::vector<std::uint32_t> sweep;
     if (cull) {
       // Composite groups that intersect the window can be split (in time
       // or host ranges) by the events of any task overlapping their
@@ -932,6 +928,7 @@ GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
         have = true;
       }
       if (have) {
+        std::vector<std::uint32_t> sweep;
         for (std::size_t pi = 0; pi < layout.panels.size(); ++pi) {
           if (layout.panel_lod[pi]) continue;
           hints.index->collect_tasks(layout.panels[pi].cluster_id, lo, hi,
@@ -939,33 +936,21 @@ GanttLayout layout_gantt(TaskView tasks, const color::ColorMap& colormap,
         }
         std::sort(sweep.begin(), sweep.end());
         sweep.erase(std::unique(sweep.begin(), sweep.end()), sweep.end());
+        layout.owned_composites =
+            model::synthesize_composites(tasks, selected, threads, &sweep);
       }
     } else if (hints.composites != nullptr && style.type_filter.empty()) {
       // The engine's incrementally-maintained list (append_composites).
       layout.borrowed_composites = hints.composites;
-    } else if (tasks.schedule() != nullptr) {
-      std::function<bool(const model::Task&)> include;
+    } else {
+      model::TaskFilter include;
       if (!style.type_filter.empty()) {
-        include = [&style](const model::Task& t) {
-          return type_selected(style, t.type());
+        include = [&](std::size_t i) {
+          return type_selected(style, *tasks.type(i));
         };
       }
       layout.owned_composites =
-          model::synthesize_composites(*tasks.schedule(), include, threads);
-    } else {
-      sweep.resize(tasks.size());
-      for (std::size_t i = 0; i < sweep.size(); ++i) {
-        sweep[i] = static_cast<std::uint32_t>(i);
-      }
-    }
-    if (!sweep.empty()) {
-      Schedule sub;
-      for (const auto& c : clusters) sub.add_cluster(c);
-      for (std::uint32_t idx : sweep) {
-        if (selected(idx)) sub.add_task(tasks.task(idx));
-      }
-      layout.owned_composites =
-          model::synthesize_composites(sub, nullptr, threads);
+          model::synthesize_composites(tasks, include, threads);
     }
   }
   const auto& composites = layout.composites();

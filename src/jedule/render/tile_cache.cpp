@@ -94,6 +94,7 @@ TileCache::TileCache() : TileCache(Options{}) {}
 
 TileCache::TileCache(Options opt) : opt_(opt) {
   JED_ASSERT(opt_.tile_width > 0);
+  opt_.threads = util::resolve_threads(opt_.threads);
 }
 
 void TileCache::clear() {

@@ -37,7 +37,7 @@ class TileCache {
   struct Options {
     int tile_width = 256;
     std::size_t max_tiles = 48;  // raised per frame if a frame needs more
-    int threads = 1;             // parallel miss rasterization
+    int threads = 1;  // parallel miss rasterization (<= 0: resolve_threads)
   };
 
   struct Request {

@@ -77,9 +77,6 @@ class PullParser {
   /// kEndElement, validating (but otherwise ignoring) the whole subtree.
   void skip_element();
 
-  /// Current 1-based line of the lexer (for document-level errors).
-  long input_line() const { return line_; }
-
  private:
   enum class State { kProlog, kContent, kEpilog };
 

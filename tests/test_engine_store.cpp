@@ -555,6 +555,124 @@ TEST(ScheduleEntry, ColumnarRendersMatchAosAndNeverMaterialize) {
   std::filesystem::remove(base_path);
 }
 
+/// Every field a composite list carries: ids, times, hosts and members.
+void expect_same_composites(const std::vector<model::Composite>& got,
+                            const std::vector<model::Composite>& want,
+                            const std::string& label) {
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const model::Task& g = got[i].task;
+    const model::Task& w = want[i].task;
+    EXPECT_EQ(g.id(), w.id()) << label << " #" << i;
+    EXPECT_EQ(g.start_time(), w.start_time()) << label << " #" << i;
+    EXPECT_EQ(g.end_time(), w.end_time()) << label << " #" << i;
+    EXPECT_EQ(g.configurations(), w.configurations()) << label << " #" << i;
+    EXPECT_EQ(got[i].member_ids, want[i].member_ids) << label << " #" << i;
+    EXPECT_EQ(got[i].member_types, want[i].member_types) << label;
+    EXPECT_EQ(got[i].member_indices, want[i].member_indices) << label;
+  }
+}
+
+TEST(ScheduleEntry, FullViewCompositeRendersNeverMaterialize) {
+  // Full views draw composites: a `.jbin` entry and an appended one sweep
+  // them from their columns. Every exporter's full view, and the windowed
+  // renders and tiles after it, equal the text-loaded entry's bytes, and
+  // neither entry ever builds its AoS schedule.
+  const model::Schedule full = columnar_schedule(80);
+  const EntryPtr text = make_entry(full, "text");
+  const std::string stem = std::filesystem::temp_directory_path().string() +
+                           "/jedule_fullview_" + std::to_string(::getpid());
+  const std::string full_path = stem + "_full.jbin";
+  const std::string base_path = stem + "_base.jbin";
+  io::save_snapshot(text->arena(), text->index, full_path, &text->edges);
+  const EntryPtr base_text = make_entry(columnar_schedule(60), "base");
+  io::save_snapshot(base_text->arena(), base_text->index, base_path,
+                    &base_text->edges);
+  const EntryPtr jbin = load_entry(full_path);
+  const EntryPtr base = load_entry(base_path);
+  base->composites();  // the appended entry extends this list
+  const EntryPtr appended = append_entry(base, events_from_tasks(full, 60));
+  ASSERT_EQ(*appended->id, *text->id);
+  ASSERT_FALSE(text->composites()->empty());
+
+  render::RenderOptions options;
+  options.style.width = 240;
+  options.style.height = 160;
+  options.style.highlight_key = "user";
+  options.style.highlight_value = "b";
+  options.style.edges = render::EdgeMode::kAuto;
+  ASSERT_TRUE(options.style.show_composites);
+  const auto names = render::ExporterRegistry::instance().exporter_names();
+  ASSERT_GE(names.size(), 6u);
+  for (const EntryPtr& entry : {jbin, appended}) {
+    ASSERT_EQ(entry->tasks().schedule(), nullptr);
+    for (int threads : {1, 4}) {
+      options.threads = threads;
+      for (const std::string& format : names) {
+        RenderService service;
+        RenderService reference;
+        EXPECT_EQ(*service.render(entry, options, format).bytes,
+                  *reference.render(text, options, format).bytes)
+            << entry->source << " " << format << " threads=" << threads;
+      }
+      EXPECT_EQ(columnar_renders(entry, threads),
+                columnar_renders(text, threads))
+          << entry->source << " threads=" << threads;
+    }
+    EXPECT_EQ(entry->tasks().schedule(), nullptr) << entry->source;
+    expect_same_composites(*entry->composites(), *text->composites(),
+                           entry->source);
+  }
+  std::filesystem::remove(full_path);
+  std::filesystem::remove(base_path);
+}
+
+TEST(ScheduleEntry, AppendChainsExtendTheLatestCompositeList) {
+  // Only the first entry of the chain computes its composites; each later
+  // version passes that list on, so the last one extends it instead of
+  // resweeping, and the result equals a fresh synthesis.
+  const model::Schedule full = columnar_schedule(80);
+  EntryPtr entry = make_entry(columnar_schedule(20), "base");
+  entry->composites();
+  for (const int n : {40, 60, 80}) {
+    entry = append_entry(entry, events_from_tasks(columnar_schedule(n), n - 20));
+  }
+  // The extension reads the entry's task index; a resweep would not.
+  EXPECT_FALSE(entry->index.built());
+  const auto list = entry->composites();
+  EXPECT_TRUE(entry->index.built());
+  EXPECT_EQ(entry->tasks().schedule(), nullptr);
+  const auto want = model::synthesize_composites(full);
+  ASSERT_FALSE(want.empty());
+  expect_same_composites(*list, want, "chain");
+}
+
+TEST(RenderService, TileBytesDoNotDependOnTheTileThreads) {
+  // The shared tile cache rasterizes a frame's missed tiles on the
+  // resolved worker count by default; a pan/zoom walk gives the same
+  // tiles at 1 and 4.
+  const EntryPtr entry = make_entry(columnar_schedule(200));
+  render::RenderOptions options;
+  options.style.width = 900;  // four 256-px tiles per frame
+  options.style.height = 200;
+  std::vector<std::string> got[2];
+  for (int k = 0; k < 2; ++k) {
+    RenderService::Options opt;
+    opt.tile.threads = k == 0 ? 1 : 4;
+    RenderService service(opt);
+    for (int zoom = 0; zoom <= 3; ++zoom) {
+      for (long long x = 0; x < (1ll << zoom); ++x) {
+        for (long long y : {-1, 1}) {
+          got[k].push_back(
+              *service.render_tile(entry, x, y, zoom, options).bytes);
+        }
+      }
+    }
+    EXPECT_GT(service.stats().tile.misses, 0u);
+  }
+  EXPECT_EQ(got[0], got[1]);
+}
+
 /// What an entry has built so far: index and edge index builds, and FNV
 /// passes over its task table.
 struct Built {

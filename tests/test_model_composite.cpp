@@ -8,8 +8,11 @@
 #include <set>
 #include <tuple>
 
+#include "jedule/color/colormap.hpp"
+#include "jedule/model/arena.hpp"
 #include "jedule/model/builder.hpp"
 #include "jedule/model/task_index.hpp"
+#include "jedule/render/gantt.hpp"
 #include "jedule/util/rng.hpp"
 #include "jedule/util/strings.hpp"
 
@@ -624,6 +627,158 @@ TEST(CompositeScale, LargeRaggedScheduleIsThreadInvariant) {
                            "threads=" + std::to_string(threads));
   }
   EXPECT_TRUE(has_resource_conflicts(s));
+}
+
+// The view body over arena columns against the AoS form: equal lists,
+// with and without a participation filter, at every thread count.
+void expect_columns_match_aos(const Schedule& s, const std::string& label) {
+  const ScheduleArena arena(s);
+  const TaskView columns(arena);
+  ASSERT_EQ(columns.schedule(), nullptr);
+  const TaskFilter not_transfer_at = [&](std::size_t i) {
+    return *columns.type(i) != "transfer";
+  };
+  for (int threads : {1, 2, 8}) {
+    const std::string name = label + " threads=" + std::to_string(threads);
+    expect_same_composites(synthesize_composites(columns, nullptr, threads),
+                           synthesize_composites(s, nullptr, threads), name);
+    expect_same_composites(
+        synthesize_composites(columns, not_transfer_at, threads),
+        synthesize_composites(s, not_transfer, threads), name + " filtered");
+  }
+}
+
+TEST_P(CompositeOracle, ColumnsMatchAos) {
+  const auto seed = static_cast<std::uint64_t>(GetParam());
+  const auto mixed = mixed_specs(seed, 60);
+  expect_columns_match_aos(build_specs(kMixedClusters, mixed, mixed.size()),
+                           "mixed");
+  const auto ragged = ragged_specs(seed, 2, 2, 300, 40);
+  expect_columns_match_aos(
+      build_specs(ragged_clusters(2, 2), ragged, ragged.size()), "ragged");
+}
+
+TEST_P(CompositeOracle, AppendOverColumnsMatchesFullSweep) {
+  const auto seed = static_cast<std::uint64_t>(200 + GetParam());
+  const auto specs = ragged_specs(seed, 2, 2, 240, 40);
+  const auto clusters = ragged_clusters(2, 2);
+  const Schedule full = build_specs(clusters, specs, specs.size());
+  const ScheduleArena arena(full);
+  const TaskIndex index(arena);
+  const TaskFilter compute_at = [&](std::size_t i) {
+    return *TaskView(arena).type(i) == "computation";
+  };
+  const auto compute_only = [](const Task& t) {
+    return t.type() == "computation";
+  };
+  for (std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{60},
+                            std::size_t{239}, std::size_t{240}}) {
+    const ScheduleArena prefix(build_specs(clusters, specs, split));
+    for (int threads : {1, 2, 8}) {
+      const std::string label = "split=" + std::to_string(split) +
+                                " threads=" + std::to_string(threads);
+      expect_same_composites(
+          append_composites(arena, index,
+                            synthesize_composites(prefix, nullptr, threads),
+                            split, nullptr, threads),
+          synthesize_composites(full, nullptr, threads), label);
+      expect_same_composites(
+          append_composites(arena, index,
+                            synthesize_composites(prefix, compute_at),
+                            split, compute_at, threads),
+          synthesize_composites(full, compute_only), label + " filtered");
+    }
+  }
+}
+
+// The culled layout's composites as the sweep over a copied schedule gave
+// them: the selected tasks of the window's 1-hop closure (see
+// layout_gantt) copied into a schedule of their own, member indices
+// mapped back to task indices.
+std::vector<Composite> culled_reference(const Schedule& s,
+                                        const TaskIndex& index,
+                                        const render::GanttStyle& style) {
+  const auto selected = [&](std::uint32_t i) {
+    const std::string& type = s.tasks()[i].type();
+    return style.type_filter.empty() ||
+           std::count(style.type_filter.begin(), style.type_filter.end(),
+                      type) > 0;
+  };
+  const auto collect = [&](Time t0, Time t1) {
+    std::vector<std::uint32_t> out;
+    for (const auto& c : s.clusters()) index.collect_tasks(c.id, t0, t1, &out);
+    std::sort(out.begin(), out.end());
+    out.erase(std::unique(out.begin(), out.end()), out.end());
+    return out;
+  };
+  bool have = false;
+  Time lo = 0, hi = 0;
+  for (std::uint32_t i : collect(style.time_window->begin,
+                                 style.time_window->end)) {
+    if (!selected(i)) continue;
+    const Task& t = s.tasks()[i];
+    lo = have ? std::min(lo, t.start_time()) : t.start_time();
+    hi = have ? std::max(hi, t.end_time()) : t.end_time();
+    have = true;
+  }
+  if (!have) return {};
+  Schedule sub;
+  for (const auto& c : s.clusters()) sub.add_cluster(c);
+  std::vector<std::size_t> kept;
+  for (std::uint32_t i : collect(lo, hi)) {
+    if (!selected(i)) continue;
+    sub.add_task(s.tasks()[i]);
+    kept.push_back(i);
+  }
+  auto out = synthesize_composites(sub);
+  for (auto& comp : out) {
+    for (auto& m : comp.member_indices) m = kept[m];
+  }
+  return out;
+}
+
+TEST_P(CompositeOracle, CulledLayoutCompositesUnchanged) {
+  const auto specs = ragged_specs(static_cast<std::uint64_t>(300 + GetParam()),
+                                  2, 2, 400, 60);
+  const Schedule s = build_specs(ragged_clusters(2, 2), specs, specs.size());
+  const ScheduleArena arena(s);
+  const TaskIndex index(s);
+  const auto range = s.time_range();
+  ASSERT_TRUE(range.has_value());
+  render::LayoutHints hints;
+  hints.index = &index;
+  std::size_t found = 0;
+  for (const double lo : {0.1, 0.45, 0.8}) {
+    for (const bool filtered : {false, true}) {
+      render::GanttStyle style;
+      style.time_window = TimeRange{range->begin + range->length() * lo,
+                                    range->begin + range->length() * (lo + 0.1)};
+      if (filtered) style.type_filter = {"computation"};
+      const auto want = culled_reference(s, index, style);
+      found += want.size();
+      for (const TaskView& tasks : {TaskView(s), TaskView(arena)}) {
+        for (int threads : {1, 4}) {
+          const auto layout = render::layout_gantt(
+              tasks, color::standard_colormap(), style, threads, hints);
+          ASSERT_TRUE(layout.culled);
+          expect_same_composites(
+              layout.composites(), want,
+              "lo=" + std::to_string(lo) + (filtered ? " filtered" : "") +
+                  (tasks.schedule() ? " aos" : " columns") +
+                  " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+  EXPECT_GT(found, 0u);
+}
+
+TEST(CompositeScale, LargeColumnsMatchAos) {
+  // Large enough that the radix sort and the marking pass split across
+  // workers at 2 and 8 threads.
+  const auto specs = ragged_specs(78, 1, 16, 80000, 300);
+  expect_columns_match_aos(
+      build_specs(ragged_clusters(1, 16), specs, specs.size()), "large");
 }
 
 TEST(CompositeBruteForce, HandPickedEdgeCases) {
