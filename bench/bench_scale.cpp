@@ -1435,21 +1435,6 @@ void BM_EdgeFrameCold(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeFrameCold)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-void BM_EdgeHeatAccumulate(benchmark::State& state) {
-  // One frame's worth of heat-lane columns: 930 pixel columns x 64 lanes.
-  std::vector<float> acc(930 * 64, 0.0f);
-  const auto& kernels = render::kernels::active();
-  for (auto _ : state) {
-    kernels.heat_accum(acc.data(), acc.size(), 1.0f);
-    benchmark::ClobberMemory();
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(acc.size() * sizeof(float)));
-  state.SetLabel(render::kernels::active().name);
-}
-BENCHMARK(BM_EdgeHeatAccumulate)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 JEDULE_BENCH_MAIN(report)

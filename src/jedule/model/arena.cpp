@@ -17,10 +17,9 @@ using detail::fnv_u64;
 
 constexpr std::size_t kDensityBins = 256;
 
-// Scalar fallback for the bounds sweep; render::kernels swaps in the
-// runtime-dispatched SIMD variant via set_column_scan_ops().
-void scalar_minmax_f64(const double* a, const double* b, std::size_t n,
-                       double* lo, double* hi) {
+// The bounds sweep: *lo = min over a[0..n), *hi = max over b[0..n); n >= 1.
+void minmax_f64(const double* a, const double* b, std::size_t n, double* lo,
+                double* hi) {
   double l = a[0], h = b[0];
   for (std::size_t i = 1; i < n; ++i) {
     l = std::min(l, a[i]);
@@ -29,8 +28,6 @@ void scalar_minmax_f64(const double* a, const double* b, std::size_t n,
   *lo = l;
   *hi = h;
 }
-
-ColumnScanOps g_scan_ops{&scalar_minmax_f64};
 
 // Density bin geometry is a pure function of the cluster's current time
 // bounds, so an incrementally grown histogram always matches a freshly
@@ -62,10 +59,6 @@ std::size_t density_bin(const ScheduleArena::Density& d, Time t) {
 }
 
 }  // namespace
-
-void set_column_scan_ops(const ColumnScanOps& ops) {
-  if (ops.minmax_f64 != nullptr) g_scan_ops.minmax_f64 = ops.minmax_f64;
-}
 
 // ---------------------------------------------------------------------------
 // Construction from the AoS schedule
@@ -297,8 +290,7 @@ void ScheduleArena::build_derived() {
   any_tasks_ = false;
   const std::size_t n = start_.size();
   if (n > 0) {
-    g_scan_ops.minmax_f64(start_.data(), end_.data(), n, &range_.begin,
-                          &range_.end);
+    minmax_f64(start_.data(), end_.data(), n, &range_.begin, &range_.end);
     any_tasks_ = true;
   }
 

@@ -85,17 +85,6 @@ class Column {
 
 }  // namespace detail
 
-/// Columnar scan hooks. The arena's min/max time-bounds sweep calls
-/// through these so the runtime-dispatched SIMD kernels in render::kernels
-/// can serve it; jed_render installs the dispatcher at static-init time
-/// and standalone jed_model users fall back to the scalar loop.
-struct ColumnScanOps {
-  /// Writes min(a[0..n)) / max(b[0..n)) to *lo / *hi; n >= 1.
-  void (*minmax_f64)(const double* a, const double* b, std::size_t n,
-                     double* lo, double* hi) = nullptr;
-};
-void set_column_scan_ops(const ColumnScanOps& ops);
-
 class ScheduleArena {
  public:
   /// One appended task: a single contiguous allocation on one cluster —

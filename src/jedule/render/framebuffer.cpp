@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "jedule/render/kernels.hpp"
 #include "jedule/util/error.hpp"
@@ -157,8 +158,7 @@ void Framebuffer::draw_line(int x0, int y0, int x1, int y1, Color c) {
 
 void Framebuffer::blit_rows(const Framebuffer& src, int y) {
   JED_ASSERT(src.width_ == width_ && y >= 0 && y + src.height_ <= height_);
-  kernels::active().copy_row(row(y), src.pixels_.data(),
-                             src.pixels_.size() / 4);
+  std::memcpy(row(y), src.pixels_.data(), src.pixels_.size());
 }
 
 void Framebuffer::blit_cols(const Framebuffer& src, int dst_x, int src_x,
@@ -177,14 +177,13 @@ void Framebuffer::blit_cols(const Framebuffer& src, int dst_x, int src_x,
   }
   w = std::min({w, src.width_ - src_x, width_ - dst_x});
   if (w <= 0) return;
-  const auto& k = kernels::active();
   for (int y = 0; y < height_; ++y) {
     const auto* from =
         src.pixels_.data() +
         (static_cast<std::size_t>(y) * src.width_ + src_x) * 4;
     auto* to = pixels_.data() +
                (static_cast<std::size_t>(y) * width_ + dst_x) * 4;
-    k.copy_row(to, from, static_cast<std::size_t>(w));
+    std::memcpy(to, from, static_cast<std::size_t>(w) * 4);
   }
 }
 

@@ -11,7 +11,6 @@
 #include <span>
 #include <unordered_map>
 
-#include "jedule/render/kernels.hpp"
 #include "jedule/util/error.hpp"
 #include "jedule/util/parallel.hpp"
 #include "jedule/util/strings.hpp"
@@ -714,8 +713,8 @@ void layout_edges(GanttLayout* layout, const TaskView& tasks,
         lane.h = std::min(6.0, panel.h);
         lane.y = panel.y + panel.h - lane.h;
         lane.levels.resize(ncols);
-        kernels::active().heat_quantize(pe.acc.data(), ncols, 255.0f / maxv,
-                                        lane.levels.data());
+        heat_quantize(pe.acc.data(), ncols, 255.0f / maxv,
+                      lane.levels.data());
         for (const auto v : lane.levels) {
           if (v != 0) ++layout->edge_stats.heat_columns;
         }
@@ -740,9 +739,17 @@ void heat_add_edge(float* acc, long long c_lo, long long c_hi, double u0,
   if (b1 <= b0) b1 = b0 + 1;
   b0 = std::clamp(b0, c_lo, c_hi);
   b1 = std::clamp(b1, c_lo, c_hi);
-  if (b1 > b0) {
-    kernels::active().heat_accum(acc + (b0 - c_lo),
-                                 static_cast<std::size_t>(b1 - b0), 1.0f);
+  for (long long c = b0; c < b1; ++c) acc[c - c_lo] += 1.0f;
+}
+
+void heat_quantize(const float* acc, std::size_t n, float scale,
+                   std::uint8_t* out) {
+  for (std::size_t i = 0; i < n; ++i) {
+    // Two statements, so no compiler fuses the multiply-add into an FMA
+    // whose single rounding could move a level on some targets.
+    const float scaled = acc[i] * scale;
+    const float v = std::min(scaled + 0.5f, 255.0f);
+    out[i] = static_cast<std::uint8_t>(std::max(static_cast<int>(v), 0));
   }
 }
 

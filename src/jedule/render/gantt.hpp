@@ -305,6 +305,12 @@ GanttLayout layout_gantt(model::TaskView tasks,
 void heat_add_edge(float* acc, long long c_lo, long long c_hi, double u0,
                    double u1);
 
+/// Quantizes `n` heat counts to levels: out[i] is acc[i] * scale rounded
+/// half up, saturated to [0, 255]. The heat lane calls it with
+/// scale = 255 / (the lane's largest count).
+void heat_quantize(const float* acc, std::size_t n, float scale,
+                   std::uint8_t* out);
+
 /// Paints a layout. The canvas must have the layout's dimensions.
 void paint_gantt(const GanttLayout& layout, Canvas& canvas,
                  const GanttStyle& style);

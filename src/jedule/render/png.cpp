@@ -34,6 +34,46 @@ void put_chunk(std::string& out, const char type[4], const std::string& data,
 
 constexpr std::size_t kBytesPerPixel = 3;  // the encoder always emits RGB
 
+// Reverses PNG scanline filter `type` in place: `cur` holds the filtered
+// bytes on entry and the reconstructed row on return. `prev` is the prior
+// *reconstructed* row (`n` zero bytes for the first scanline).
+void png_unfilter_row(int type, std::uint8_t* cur, const std::uint8_t* prev,
+                      std::size_t n, std::size_t bpp) {
+  switch (type) {
+    case 0:
+      break;
+    case 1:  // Sub
+      for (std::size_t i = bpp; i < n; ++i) {
+        cur[i] = static_cast<std::uint8_t>(cur[i] + cur[i - bpp]);
+      }
+      break;
+    case 2:  // Up
+      for (std::size_t i = 0; i < n; ++i) {
+        cur[i] = static_cast<std::uint8_t>(cur[i] + prev[i]);
+      }
+      break;
+    case 3:  // Average
+      for (std::size_t i = 0; i < n && i < bpp; ++i) {
+        cur[i] = static_cast<std::uint8_t>(cur[i] + prev[i] / 2);
+      }
+      for (std::size_t i = bpp; i < n; ++i) {
+        cur[i] = static_cast<std::uint8_t>(cur[i] +
+                                           (cur[i - bpp] + prev[i]) / 2);
+      }
+      break;
+    default:  // Paeth
+      for (std::size_t i = 0; i < n && i < bpp; ++i) {
+        cur[i] = static_cast<std::uint8_t>(cur[i] + prev[i]);
+      }
+      for (std::size_t i = bpp; i < n; ++i) {
+        cur[i] = static_cast<std::uint8_t>(
+            cur[i] + kernels::paeth_predict(cur[i - bpp], prev[i],
+                                            prev[i - bpp]));
+      }
+      break;
+  }
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> filter_scanlines(const Framebuffer& fb,
@@ -147,8 +187,17 @@ Framebuffer decode_png(const std::string& bytes) {
     const std::uint8_t* body = data + pos + 8;
     if (std::memcmp(type, "IHDR", 4) == 0) {
       if (len != 13) throw ParseError("png: bad IHDR");
-      width = static_cast<int>(read_u32(pos + 8));
-      height = static_cast<int>(read_u32(pos + 12));
+      // Checked before IDAT is inflated. Both factors are below 2^32, so
+      // the product cannot wrap.
+      const std::uint64_t w = read_u32(pos + 8);
+      const std::uint64_t h = read_u32(pos + 12);
+      if (w * h > static_cast<std::uint64_t>(kMaxPixels)) {
+        throw ParseError("png: " + std::to_string(w) + "x" +
+                         std::to_string(h) + " image exceeds the " +
+                         std::to_string(kMaxPixels) + "-pixel bound");
+      }
+      width = static_cast<int>(w);
+      height = static_cast<int>(h);
       if (body[8] != 8) throw ParseError("png: only 8-bit depth supported");
       if (body[9] == 2) channels = 3;
       else if (body[9] == 6) channels = 4;
@@ -172,13 +221,10 @@ Framebuffer decode_png(const std::string& bytes) {
     throw ParseError("png: pixel data size mismatch");
   }
 
-  // Undo per-scanline filtering through the dispatched unfilter kernel
-  // (the same rows the encoder's filter kernel produced).
   std::vector<std::uint8_t> img(stride * static_cast<std::size_t>(height));
   const std::size_t rowlen = stride - 1;
   const std::vector<std::uint8_t> zero_row(rowlen, 0);
   const auto bpp = static_cast<std::size_t>(channels);
-  const kernels::Kernels& k = kernels::active();
   for (int y = 0; y < height; ++y) {
     const std::uint8_t* src =
         raw.data() + static_cast<std::size_t>(y) * stride;
@@ -190,7 +236,7 @@ Framebuffer decode_png(const std::string& bytes) {
     if (filter > 4) throw ParseError("png: unknown filter type");
     dst[0] = 0;
     std::memcpy(dst + 1, src + 1, rowlen);
-    k.png_unfilter_row(filter, dst + 1, above, rowlen, bpp);
+    png_unfilter_row(filter, dst + 1, above, rowlen, bpp);
   }
 
   Framebuffer fb(width, height);

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -202,17 +200,6 @@ __attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul_raw(
   return static_cast<std::uint32_t>(_mm_extract_epi32(x1, 1));
 }
 
-bool crc32_clmul_enabled() {
-  static const bool on = [] {
-    if (const char* env = std::getenv("JEDULE_SIMD")) {
-      const std::string_view want(env);
-      if (want == "scalar" || want == "off" || want == "0") return false;
-    }
-    return cpu_features().pclmul;
-  }();
-  return on;
-}
-
 }  // namespace
 
 #endif  // JEDULE_CRC32_CLMUL
@@ -220,7 +207,7 @@ bool crc32_clmul_enabled() {
 std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
                     std::uint32_t seed) {
 #if defined(JEDULE_CRC32_CLMUL)
-  if (size >= 64 && crc32_clmul_enabled()) {
+  if (size >= 64 && simd_enabled() && cpu_features().pclmul) {
     const std::size_t folded = size & ~static_cast<std::size_t>(15);
     const std::uint32_t raw =
         crc32_clmul_raw(data, folded, seed ^ 0xFFFFFFFFu);

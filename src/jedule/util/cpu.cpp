@@ -1,24 +1,32 @@
 #include "jedule/util/cpu.hpp"
 
+#include <cstdlib>
+#include <string_view>
+
 namespace jedule::util {
 
 const CpuFeatures& cpu_features() {
   static const CpuFeatures features = [] {
     CpuFeatures f;
-#if defined(__x86_64__) || defined(_M_X64)
-    f.sse2 = true;
-#if defined(__GNUC__) || defined(__clang__)
+#if (defined(__x86_64__) || defined(_M_X64)) && \
+    (defined(__GNUC__) || defined(__clang__))
     __builtin_cpu_init();
-    f.avx2 = __builtin_cpu_supports("avx2") != 0;
     f.pclmul = __builtin_cpu_supports("pclmul") != 0 &&
                __builtin_cpu_supports("sse4.1") != 0;
-#endif
-#elif defined(__aarch64__)
-    f.neon = true;
 #endif
     return f;
   }();
   return features;
+}
+
+bool simd_enabled() {
+  static const bool on = [] {
+    const char* env = std::getenv("JEDULE_SIMD");
+    if (env == nullptr) return true;
+    const std::string_view want(env);
+    return want != "scalar" && want != "off" && want != "0";
+  }();
+  return on;
 }
 
 }  // namespace jedule::util

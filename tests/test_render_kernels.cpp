@@ -1,17 +1,21 @@
-// Differential fuzz of the SIMD raster kernels: every variant the host can
-// run must be bit-exact with the scalar reference, and the scalar blend
+// Differential fuzz of the raster kernels: every variant the build has
+// must be bit-exact with the scalar reference, and the scalar blend
 // must be bit-exact with color::blend_over — the two invariants that make
 // kernel dispatch invisible in output bytes (DESIGN.md §4e).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <string_view>
 #include <vector>
 
 #include "jedule/color/color.hpp"
+#include "jedule/render/deflate.hpp"
+#include "jedule/render/gantt.hpp"
 #include "jedule/render/kernels.hpp"
+#include "jedule/render/png.hpp"
+#include "jedule/util/checksum.hpp"
 #include "jedule/util/cpu.hpp"
 #include "jedule/util/rng.hpp"
 
@@ -36,30 +40,32 @@ Color random_color(util::Rng& rng, int alpha) {
 }
 
 TEST(RasterKernels, ScalarIsAlwaysAvailableAndFirst) {
-  const auto& list = kernels::available();
-  ASSERT_FALSE(list.empty());
-  EXPECT_EQ(list.front(), &kernels::scalar());
-  EXPECT_STREQ(kernels::scalar().name, "scalar");
-#if defined(__x86_64__)
-  EXPECT_TRUE(util::cpu_features().sse2);
+  std::vector<std::string> names;
+  for (const kernels::Kernels* k : kernels::available()) {
+    names.emplace_back(k->name);
+  }
+#if defined(__x86_64__) && !defined(JEDULE_SIMD_DISABLED)
+  const std::vector<std::string> want{"scalar", "sse2"};
+#else
+  const std::vector<std::string> want{"scalar"};
 #endif
-#if defined(__aarch64__)
-  EXPECT_TRUE(util::cpu_features().neon);
-#endif
+  EXPECT_EQ(names, want);
+  EXPECT_EQ(kernels::available().front(), &kernels::scalar());
 }
 
 TEST(RasterKernels, FindAndOverride) {
-  EXPECT_EQ(kernels::find("scalar"), &kernels::scalar());
-  EXPECT_EQ(kernels::find("no-such-kernel"), nullptr);
   kernels::override_active(&kernels::scalar());
   EXPECT_EQ(&kernels::active(), &kernels::scalar());
   kernels::override_active(nullptr);
   if (const char* env = std::getenv("JEDULE_SIMD")) {
-    // The *_scalar_env CTest configuration pins dispatch to scalar.
+    // The *_scalar_env CTest configuration pins the kernels, and through
+    // util::simd_enabled() crc32(), to their portable paths.
     if (std::string_view(env) == "scalar") {
+      EXPECT_FALSE(util::simd_enabled());
       EXPECT_EQ(&kernels::active(), &kernels::scalar());
     }
   } else {
+    EXPECT_TRUE(util::simd_enabled());
     EXPECT_EQ(&kernels::active(), kernels::available().back());
   }
 }
@@ -86,8 +92,8 @@ TEST(RasterKernels, ScalarBlendMatchesBlendOverForEveryAlpha) {
   }
 }
 
-// Ragged widths 0..67 cross the 4-pixel SSE2 and 8-pixel AVX2/NEON lane
-// boundaries several times over, with tails of every phase.
+// Ragged widths 0..67 cross the 4-pixel SSE2 lane boundary many times
+// over, with tails of every phase.
 TEST(RasterKernels, FillRowVariantsMatchScalar) {
   util::Rng rng(22);
   for (const kernels::Kernels* k : kernels::available()) {
@@ -113,20 +119,6 @@ TEST(RasterKernels, BlendRowVariantsMatchScalarForEveryAlpha) {
       kernels::scalar().blend_row(expect.data() + 4, npx, c);
       k->blend_row(got.data() + 4, npx, c);
       EXPECT_EQ(got, expect) << k->name << " a=" << a << " npx=" << npx;
-    }
-  }
-}
-
-TEST(RasterKernels, CopyRowVariantsMatchScalar) {
-  util::Rng rng(44);
-  for (const kernels::Kernels* k : kernels::available()) {
-    for (std::size_t npx = 0; npx <= 67; ++npx) {
-      const auto src = random_row(rng, npx);
-      auto expect = random_row(rng, npx + 8);
-      auto got = expect;
-      kernels::scalar().copy_row(expect.data() + 4, src.data(), npx);
-      k->copy_row(got.data() + 4, src.data(), npx);
-      EXPECT_EQ(got, expect) << k->name << " npx=" << npx;
     }
   }
 }
@@ -187,46 +179,60 @@ TEST(RasterKernels, PngFilterRowVariantsMatchScalar) {
   }
 }
 
-TEST(RasterKernels, PngUnfilterRowVariantsMatchScalar) {
-  util::Rng rng(77);
-  const std::size_t bpp = 3;
-  for (const kernels::Kernels* k : kernels::available()) {
-    for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{3},
-                          std::size_t{16}, std::size_t{17}, std::size_t{33},
-                          std::size_t{67}, std::size_t{3 * 1021}}) {
-      const auto filtered = random_bytes(rng, n);
-      const auto prev = random_bytes(rng, n);
-      for (int type = 0; type <= 4; ++type) {
-        auto expect = filtered;
-        auto got = filtered;
-        kernels::scalar().png_unfilter_row(type, expect.data(), prev.data(),
-                                           n, bpp);
-        k->png_unfilter_row(type, got.data(), prev.data(), n, bpp);
-        EXPECT_EQ(got, expect)
-            << k->name << " type=" << type << " n=" << n;
-      }
+// A truecolor PNG whose IDAT holds `raw` (filter byte + row, per row).
+std::string rgb_png(int w, int h, const std::vector<std::uint8_t>& raw) {
+  auto u32 = [](std::string& out, std::uint32_t v) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out += static_cast<char>(v >> shift);
     }
-  }
+  };
+  std::string png("\x89PNG\r\n\x1a\n", 8);
+  auto chunk = [&](const char* type, const std::string& body) {
+    u32(png, static_cast<std::uint32_t>(body.size()));
+    const std::string typed = type + body;
+    png += typed;
+    u32(png, util::crc32(reinterpret_cast<const std::uint8_t*>(typed.data()),
+                         typed.size()));
+  };
+  std::string ihdr;
+  u32(ihdr, static_cast<std::uint32_t>(w));
+  u32(ihdr, static_cast<std::uint32_t>(h));
+  ihdr += std::string("\x08\x02\x00\x00\x00", 5);  // 8-bit RGB
+  chunk("IHDR", ihdr);
+  const auto z = zlib_compress(raw.data(), raw.size());
+  chunk("IDAT", std::string(z.begin(), z.end()));
+  chunk("IEND", "");
+  return png;
 }
 
-// filter then unfilter is the identity for every type and variant pair --
-// the decoder may dispatch a different kernel than the encoder did.
+// Filtering with every type and encoder variant, then decoding, gives the
+// pixels back: decode_png's one unfilter inverts every encoder's rows.
 TEST(RasterKernels, PngFilterUnfilterRoundTrips) {
   util::Rng rng(88);
-  const std::size_t bpp = 3;
-  const std::size_t n = 3 * 257;
-  const auto cur = random_bytes(rng, n);
-  const auto prev = random_bytes(rng, n);
+  const int w = 257;
+  const int h = 3;  // rows 1 and 2 filter against a nonzero row above
+  const std::size_t rowlen = 3 * static_cast<std::size_t>(w);
+  const auto rgb = random_bytes(rng, rowlen * h);
+  const std::vector<std::uint8_t> zero_row(rowlen, 0);
   for (const kernels::Kernels* enc : kernels::available()) {
-    for (const kernels::Kernels* dec : kernels::available()) {
-      for (int type = 0; type <= 4; ++type) {
-        std::vector<std::uint8_t> filtered(n);
-        enc->png_filter_row(type, filtered.data(), cur.data(), prev.data(),
-                            n, bpp);
-        dec->png_unfilter_row(type, filtered.data(), prev.data(), n, bpp);
-        EXPECT_EQ(filtered, cur)
-            << enc->name << " -> " << dec->name << " type=" << type;
+    for (int type = 0; type <= 4; ++type) {
+      std::vector<std::uint8_t> raw((rowlen + 1) * h);
+      for (int y = 0; y < h; ++y) {
+        const std::uint8_t* cur = rgb.data() + y * rowlen;
+        const std::uint8_t* prev = y > 0 ? cur - rowlen : zero_row.data();
+        std::uint8_t* dst = raw.data() + y * (rowlen + 1);
+        dst[0] = static_cast<std::uint8_t>(type);
+        enc->png_filter_row(type, dst + 1, cur, prev, rowlen, 3);
       }
+      const Framebuffer fb = decode_png(rgb_png(w, h, raw));
+      std::vector<std::uint8_t> back;
+      for (int y = 0; y < h; ++y) {
+        for (int x = 0; x < w; ++x) {
+          const Color c = fb.pixel(x, y);
+          back.insert(back.end(), {c.r, c.g, c.b});
+        }
+      }
+      EXPECT_EQ(back, rgb) << enc->name << " type=" << type;
     }
   }
 }
@@ -249,83 +255,10 @@ TEST(RasterKernels, PngSadVariantsMatchScalar) {
   }
 }
 
-TEST(RasterKernels, MinMaxF64VariantsMatchScalar) {
-  util::Rng rng(123);
-  for (const kernels::Kernels* k : kernels::available()) {
-    for (std::size_t n = 1; n <= 67; ++n) {
-      std::vector<double> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = rng.uniform(-1e6, 1e6);
-        b[i] = a[i] + rng.uniform(0.0, 1e3);
-      }
-      double lo_k = 0, hi_k = 0, lo_s = 0, hi_s = 0;
-      k->minmax_f64(a.data(), b.data(), n, &lo_k, &hi_k);
-      kernels::scalar().minmax_f64(a.data(), b.data(), n, &lo_s, &hi_s);
-      EXPECT_EQ(lo_k, lo_s) << k->name << " n=" << n;
-      EXPECT_EQ(hi_k, hi_s) << k->name << " n=" << n;
-    }
-    // Extremes at every lane position of a long run.
-    std::vector<double> a(4099, 1.0), b(4099, 2.0);
-    for (std::size_t pos = 0; pos < a.size(); pos += 257) {
-      a[pos] = -1e18;
-      b[pos] = 1e18;
-      double lo_k = 0, hi_k = 0, lo_s = 0, hi_s = 0;
-      k->minmax_f64(a.data(), b.data(), a.size(), &lo_k, &hi_k);
-      kernels::scalar().minmax_f64(a.data(), b.data(), a.size(), &lo_s,
-                                   &hi_s);
-      EXPECT_EQ(lo_k, lo_s) << k->name << " pos=" << pos;
-      EXPECT_EQ(hi_k, hi_s) << k->name << " pos=" << pos;
-      a[pos] = 1.0;
-      b[pos] = 2.0;
-    }
-  }
-}
-
-TEST(RasterKernels, HeatAccumVariantsMatchScalar) {
-  util::Rng rng(41);
-  for (const kernels::Kernels* k : kernels::available()) {
-    // Lengths straddling every lane boundary, random increments on random
-    // starting contents: element-wise f32 adds must be bit-exact.
-    for (std::size_t n = 0; n <= 67; ++n) {
-      std::vector<float> a(n), b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        a[i] = b[i] = static_cast<float>(rng.uniform(0.0, 1e6));
-      }
-      const float v = static_cast<float>(rng.uniform(0.0, 16.0));
-      kernels::scalar().heat_accum(a.data(), n, v);
-      k->heat_accum(b.data(), n, v);
-      for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_EQ(a[i], b[i]) << k->name << " n=" << n << " i=" << i;
-      }
-    }
-  }
-}
-
-TEST(RasterKernels, HeatQuantizeVariantsMatchScalar) {
-  util::Rng rng(43);
-  for (const kernels::Kernels* k : kernels::available()) {
-    for (std::size_t n = 0; n <= 67; ++n) {
-      std::vector<float> acc(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        acc[i] = static_cast<float>(rng.uniform(0.0, 300.0));
-      }
-      // Include the saturating end of the scale and an exact-integer edge.
-      if (n > 0) acc[0] = 255.0f;
-      if (n > 1) acc[1] = 1e9f;
-      for (const float scale : {1.0f, 0.37f, 255.0f / 3.0f}) {
-        std::vector<std::uint8_t> a(n, 0xAA), b(n, 0x55);
-        kernels::scalar().heat_quantize(acc.data(), n, scale, a.data());
-        k->heat_quantize(acc.data(), n, scale, b.data());
-        EXPECT_EQ(a, b) << k->name << " n=" << n << " scale=" << scale;
-      }
-    }
-  }
-}
-
 TEST(RasterKernels, HeatQuantizeRoundsHalfUpAndSaturates) {
   const float acc[] = {0.0f, 0.49f, 0.5f, 1.49f, 254.49f, 254.5f, 1e9f};
   std::uint8_t out[7] = {};
-  kernels::scalar().heat_quantize(acc, 7, 1.0f, out);
+  heat_quantize(acc, 7, 1.0f, out);
   EXPECT_EQ(out[0], 0);
   EXPECT_EQ(out[1], 0);
   EXPECT_EQ(out[2], 1);

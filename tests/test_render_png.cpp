@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "jedule/util/error.hpp"
 #include "jedule/util/rng.hpp"
 
@@ -70,6 +72,25 @@ TEST(DecodePng, RejectsBadSignature) {
 TEST(DecodePng, RejectsTruncatedFile) {
   const std::string bytes = encode_png(Framebuffer(16, 16));
   EXPECT_THROW(decode_png(bytes.substr(0, bytes.size() / 2)), ParseError);
+}
+
+// An IHDR over render::kMaxPixels (8192 x 8193 = 2^26 + 8192) is refused
+// at the header, before the IDAT, which here would not inflate either.
+TEST(DecodePng, RejectsImageOverPixelBoundAtHeader) {
+  std::string bytes = encode_png(Framebuffer(4, 3));
+  // Signature (8) + IHDR length and type (8): width and height follow.
+  const char dims[8] = {0, 0, 0x20, 0, 0, 0, 0x20, 0x01};
+  bytes.replace(16, 8, dims, 8);
+  // IHDR is 25 bytes in all; IDAT's zlib header byte is at 33 + 8.
+  bytes[41] = static_cast<char>(bytes[41] ^ 0xFF);
+  try {
+    decode_png(bytes);
+    FAIL() << "decode_png accepted an oversized IHDR";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("67108864-pixel bound"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 class PngSizes : public ::testing::TestWithParam<std::pair<int, int>> {};
